@@ -43,9 +43,9 @@ print("  the hidden-state distribution follows the setting; that is the dropped 
 
 obj = model_drop_objectivity(family)
 report(obj)
-print(f"  {len(obj.payload.atoms)} atoms, one per assignment of an outcome pair to each setting")
+print(f"  {len(obj.payload.atoms)} atoms, one per interval between the settings' merged cumulative breakpoints")
 some = obj.payload.atoms[1]
-print(f"  e.g. atom {some.assignments} carries weight {some.weight} (product of the joint entries)\n")
+print(f"  e.g. atom {some.assignments} carries weight {some.weight} (the length of its interval)\n")
 
 det = model_drop_determinism(family)
 report(det)

@@ -39,7 +39,6 @@ from .errors import (
     MalformedModel,
     NotASolution,
     OutOfRange,
-    TooManySettings,
 )
 from .exactlp import (
     FeasibilityReport,
@@ -67,7 +66,6 @@ from .family import (
     special_solution,
 )
 from .feasibility import (
-    DEFAULT_ATOM_BUDGET,
     Setting,
     SettingsFamily,
     WitnessMode,

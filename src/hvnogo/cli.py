@@ -10,9 +10,9 @@ Subcommands::
     selftest     run the acceptance criteria and print one line per criterion
 
 Exit status: 0 success (including a feasible triple check), 1 usage or
-parameter errors, 2 malformed input file, 3 infeasible triple check (the
-expected scientific result, not an error), 4 failed selftest or failed
-witness validation.
+parameter errors or an unwritable output file, 2 malformed input file,
+3 infeasible triple check (the expected scientific result, not an
+error), 4 failed selftest or failed witness validation.
 
 Angles accept plain radians ("0.7854") or the tokens "pi", "pi/4",
 "3*pi/4" with an optional leading minus (negative values need the
@@ -20,9 +20,6 @@ Angles accept plain radians ("0.7854") or the tokens "pi", "pi/4",
 shorthand.  Output is deterministic: repeating an
 invocation (same flags, same --seed) reproduces it byte for byte, and
 nothing is written on failure.
-
-The environment variable HVNOGO_ATOM_BUDGET overrides the atom cap of the
-drop-objectivity witness (default 4^8).
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -42,7 +38,6 @@ from .dist import GeneralParams, format_rational, parse_rational
 from .errors import HvnogoError, MalformedInput
 from .family import classify, instantiate, lambda_marginal, solve_family
 from .feasibility import (
-    DEFAULT_ATOM_BUDGET,
     SettingsFamily,
     check_triple,
     feasibility_report_to_json,
@@ -136,19 +131,6 @@ def _load_family(path: str) -> SettingsFamily:
     return SettingsFamily.from_json_dict(data)
 
 
-def _atom_budget() -> int:
-    raw = os.environ.get("HVNOGO_ATOM_BUDGET")
-    if raw is None:
-        return DEFAULT_ATOM_BUDGET
-    try:
-        value = int(raw)
-        if value <= 0:
-            raise ValueError
-    except ValueError:
-        raise _UsageError(f"HVNOGO_ATOM_BUDGET must be a positive integer, got {raw!r}") from None
-    return value
-
-
 def _cmd_quantum(args) -> tuple[int, str]:
     state = joint_state(args.alpha, args.phi)
     joint = quantum_joint(args.alpha, args.phi)
@@ -207,10 +189,7 @@ _DROP_BUILDERS = {
 
 def _cmd_demo(args) -> tuple[int, str]:
     family = _load_family(args.input)
-    if args.drop == "objectivity":
-        model = model_drop_objectivity(family, atom_budget=_atom_budget())
-    else:
-        model = _DROP_BUILDERS[args.drop](family)
+    model = _DROP_BUILDERS[args.drop](family)
     report = validate_witness(model, family)
     payload = {"model": witness_model_to_json(model), "validation": witness_report_to_json(report)}
     status = EXIT_OK if report.overall_pass else EXIT_FAILED_CHECK
@@ -297,7 +276,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write output file {args.output!r}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return status

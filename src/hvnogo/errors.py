@@ -51,10 +51,6 @@ class DimensionMismatch(HvnogoError, ValueError):
     """Vector or matrix dimensions do not agree."""
 
 
-class TooManySettings(HvnogoError, ValueError):
-    """The explicit atom model would exceed the configured atom budget."""
-
-
 class MalformedModel(HvnogoError, ValueError):
     """A witness model's payload does not match its mode or its family."""
 

@@ -26,6 +26,7 @@ drop-objectivity witness, where they are the whole point.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 from dataclasses import dataclass
@@ -33,12 +34,9 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .dist import GeneralParams, JointDist, format_rational, joint_from_params, parse_rational
-from .errors import MalformedInput, MalformedModel, TooManySettings
+from .errors import MalformedInput, MalformedModel
 from .exactlp import FeasibilityReport, LinearSystem, lp_feasible
 from .family import LambdaLabel, OnticTable, cell_index, lambda_marginal, special_solution
-
-#: Largest explicit atom set model_drop_objectivity will write out (4^8).
-DEFAULT_ATOM_BUDGET = 4**8
 
 _OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -316,27 +314,24 @@ def model_drop_independence(family: SettingsFamily) -> WitnessModel:
     return WitnessModel(WitnessMode.DROP_INDEPENDENCE, PerSettingTables(tables))
 
 
-def model_drop_objectivity(family: SettingsFamily, atom_budget: int = DEFAULT_ATOM_BUDGET) -> WitnessModel:
+def model_drop_objectivity(family: SettingsFamily) -> WitnessModel:
     """Keep determinism (setting-indexed) and independence; carry no
     wave/particle label at all.
 
-    The atom set is every assignment of an outcome pair to each setting;
-    an atom's weight is the product of the per-setting joint entries it
-    selects, so each setting's marginal reproduces its joint exactly.
-
-    Raises :class:`TooManySettings` when 4^k would exceed ``atom_budget``.
+    Quantile coupling (Fine's joint-distribution construction): one
+    uniform u in [0, 1) picks every setting's outcome pair through that
+    setting's cumulative joint in 00, 01, 10, 11 order.  The atoms are
+    the intervals between the merged breakpoints of all k cumulatives, so
+    there are at most 3k+1 of them; an atom's weight is its interval's
+    length, and each setting's cells collect exactly their joint entries.
     """
-    k = len(family.settings)
-    if 4**k > atom_budget:
-        raise TooManySettings(f"{k} settings need 4^{k} = {4 ** k} atoms, over the budget of {atom_budget}")
-    joints = [family.joint_for(s) for s in family.settings]
-    atoms = []
-    for combo in itertools.product(_OUTCOME_PAIRS, repeat=k):
-        weight = Fraction(1)
-        for joint, (a, b) in zip(joints, combo):
-            weight *= joint.entry(a, b)
-        atoms.append(OutcomeAtom(tuple(combo), weight))
-    return WitnessModel(WitnessMode.DROP_OBJECTIVITY, OutcomeAtomModel(family.labels, tuple(atoms)))
+    cumulatives = [tuple(itertools.accumulate(family.joint_for(s).entries)) for s in family.settings]
+    cuts = sorted({Fraction(0)}.union(*cumulatives))
+    atoms = tuple(
+        OutcomeAtom(tuple(_OUTCOME_PAIRS[bisect.bisect_right(cum, lo)] for cum in cumulatives), hi - lo)
+        for lo, hi in zip(cuts, cuts[1:])
+    )
+    return WitnessModel(WitnessMode.DROP_OBJECTIVITY, OutcomeAtomModel(family.labels, atoms))
 
 
 def model_drop_determinism(family: SettingsFamily) -> WitnessModel:

@@ -108,7 +108,8 @@ def sample_events(dist: JointDist, n: int, seed: int, first_shot: int = 0) -> Co
 
     ``first_shot`` selects the start of the shot range, letting callers
     split a run across workers; the default covers shots [0, n).  Cells
-    with probability exactly zero never receive counts.
+    with probability zero or below (down to ``-REAL_TOL``) never receive
+    counts.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"sample count must be a nonnegative integer, got {n!r}")
@@ -116,7 +117,9 @@ def sample_events(dist: JointDist, n: int, seed: int, first_shot: int = 0) -> Co
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if not isinstance(first_shot, int) or first_shot < 0:
         raise ValueError(f"first_shot must be a nonnegative integer, got {first_shot!r}")
-    probs = np.array([float(e) for e in dist.entries], dtype=np.float64)
+    # JointDist admits entries down to -REAL_TOL; searchsorted needs a
+    # nondecreasing cumulative, so such rounding residue counts as zero.
+    probs = np.maximum(np.array([float(e) for e in dist.entries], dtype=np.float64), 0.0)
     cumulative = np.cumsum(probs)
     cumulative /= cumulative[3]  # exact 1.0 endpoint; zero-probability cells stay zero width
     if n == 0:

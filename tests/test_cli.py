@@ -18,17 +18,11 @@ CONSTANT_JSON = {
 }
 
 
-def run_cli(*args, env_extra=None):
-    import os
-
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "hvnogo.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -147,21 +141,6 @@ class TestDemo:
         dropped = {"independence": "independence", "objectivity": "objectivity", "determinism": "determinism"}[drop]
         assert names[dropped]["retained"] is False
 
-    def test_atom_budget_env_var(self, family_file):
-        result = run_cli(
-            "demo", "--drop", "objectivity", "--input", family_file, env_extra={"HVNOGO_ATOM_BUDGET": "4"}
-        )
-        assert result.returncode == 1
-        assert "budget" in result.stderr
-        assert result.stdout == ""
-
-    def test_bad_budget_env_var(self, family_file):
-        result = run_cli(
-            "demo", "--drop", "objectivity", "--input", family_file, env_extra={"HVNOGO_ATOM_BUDGET": "many"}
-        )
-        assert result.returncode == 1
-        assert "HVNOGO_ATOM_BUDGET" in result.stderr
-
 
 class TestSweep:
     def test_csv_shape_and_determinism(self):
@@ -188,6 +167,18 @@ class TestSweep:
         assert result.returncode == 0
         assert result.stdout == ""
         assert out.read_text(encoding="utf-8").startswith("phi_radians,")
+
+    def test_unwritable_output_is_a_one_line_error(self, tmp_path):
+        out = tmp_path / "missing" / "dir" / "sweep.csv"
+        result = run_cli(
+            "sweep", "--alpha", "0", "--phi-start", "0", "--phi-end", "1", "--steps", "1",
+            "--shots", "100", "--seed", "1", "--output", str(out),
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
 
 class TestUsageErrors:

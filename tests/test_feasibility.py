@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from hvnogo import (
@@ -12,12 +14,10 @@ from hvnogo import (
     OnticTable,
     Setting,
     SettingsFamily,
-    TooManySettings,
     WitnessMode,
     WitnessModel,
     brute_force_feasible,
     check_triple,
-    joint_from_params,
     lambda_marginal,
     model_drop_determinism,
     model_drop_independence,
@@ -31,6 +31,12 @@ from hvnogo import (
 from hvnogo.feasibility import OutcomeAtom, OutcomeAtomModel, PerSettingTables
 
 F = Fraction
+
+#: Exact probabilities with the boundary values 0 and 1 drawn often.
+PROBABILITIES = st.one_of(
+    st.sampled_from((F(0), F(1))),
+    st.fractions(min_value=0, max_value=1, max_denominator=24),
+)
 
 TWO_SETTINGS = SettingsFamily(
     F(1, 2), F(1, 4), (Setting("alpha1", F(1, 3)), Setting("alpha2", F(2, 3)))
@@ -169,14 +175,18 @@ class TestDropObjectivity:
         weights = [atom.weight for atom in model.payload.atoms]
         assert weights == [F(1, 6), F(1, 6), F(1, 6), F(1, 2)]
 
-    def test_two_setting_weights_are_products(self):
+    def test_two_setting_atoms_are_the_quantile_intervals(self):
+        # cumulatives 1/6, 1/3, 1/2, 1 (x = 1/3) and 1/3, 5/12, 3/4, 1 (x = 2/3)
         model = model_drop_objectivity(TWO_SETTINGS)
-        atoms = {atom.assignments: atom.weight for atom in model.payload.atoms}
-        assert len(atoms) == 16
-        e1 = joint_from_params(GeneralParams(F(1, 3), F(1, 2), F(1, 4)))
-        e2 = joint_from_params(GeneralParams(F(2, 3), F(1, 2), F(1, 4)))
-        assert atoms[((0, 0), (0, 1))] == e1.entry(0, 0) * e2.entry(0, 1) == F(1, 72)
-        assert sum(atoms.values()) == 1
+        atoms = [(atom.assignments, atom.weight) for atom in model.payload.atoms]
+        assert atoms == [
+            (((0, 0), (0, 0)), F(1, 6)),
+            (((0, 1), (0, 0)), F(1, 6)),
+            (((1, 0), (0, 1)), F(1, 12)),
+            (((1, 0), (1, 0)), F(1, 12)),
+            (((1, 1), (1, 0)), F(1, 4)),
+            (((1, 1), (1, 1)), F(1, 4)),
+        ]
 
     def test_marginals_reproduce_each_setting(self):
         model = model_drop_objectivity(TWO_SETTINGS)
@@ -195,9 +205,27 @@ class TestDropObjectivity:
         assert not report.check("objectivity").passed
         assert not report.check("objectivity").retained
 
-    def test_atom_budget(self):
-        with pytest.raises(TooManySettings):
-            model_drop_objectivity(TWO_SETTINGS, atom_budget=4)
+    @given(
+        st.lists(PROBABILITIES, min_size=1, max_size=64),
+        PROBABILITIES,
+        PROBABILITIES,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_quantile_coupling_over_random_families(self, xs, e_p, e_w):
+        family = SettingsFamily(e_p, e_w, tuple(Setting(f"s{i}", x) for i, x in enumerate(xs)))
+        model = model_drop_objectivity(family)
+        weights = [atom.weight for atom in model.payload.atoms]
+        assert len(weights) <= 3 * len(xs) + 1
+        assert all(w > 0 for w in weights)
+        assert sum(weights) == 1
+        assert validate_witness(model, family).overall_pass
+
+    def test_sixty_four_settings(self):
+        rng = Generator(Philox(key=64))
+        family = random_family(rng, distinct_x=True, k=64)
+        model = model_drop_objectivity(family)
+        assert len(model.payload.atoms) <= 3 * 64 + 1
+        assert validate_witness(model, family).overall_pass
 
     def test_zeroed_weights_fail_adequacy(self):
         model = model_drop_objectivity(TWO_SETTINGS)

@@ -21,7 +21,7 @@ from hvnogo import (
     sweep_to_csv,
     wave_statistics,
 )
-from hvnogo.montecarlo import SWEEP_CSV_HEADER
+from hvnogo.montecarlo import SWEEP_CSV_HEADER, _uniforms
 
 F = Fraction
 FIXED = quantum_joint(math.pi / 3, math.pi / 4)
@@ -39,6 +39,19 @@ class TestSampleEvents:
         counts = sample_events(JointDist((0.5, 0.0, 0.5, 0.0)), 50_000, 11)
         assert counts.n01 == 0 and counts.n11 == 0
         assert counts.total == 50_000
+
+    def test_negative_rounding_residue_gets_no_counts(self):
+        # JointDist admits entries down to -REAL_TOL.  Shot 0 of seed 9 sits
+        # just below the first breakpoint, in the sliver where an unclamped
+        # cumulative would decrease.
+        u0 = float(_uniforms(9, 0, 1)[0])
+        p0 = u0 + 5e-14
+        p2 = (1.0 - p0) / 2
+        residue = JointDist((p0, -1e-13, p2, 1.0 - p0 - p2 + 1e-13))
+        clamped = JointDist((p0, 0.0, p2, 1.0 - p0 - p2 + 1e-13))
+        counts = sample_events(residue, 10_000, 9)
+        assert counts.n01 == 0
+        assert counts == sample_events(clamped, 10_000, 9)
 
     def test_reproducible(self):
         a = sample_events(FIXED, 10_000, 42)
