@@ -16,10 +16,11 @@ error), 4 failed selftest or failed witness validation.
 
 Angles accept plain radians ("0.7854") or the tokens "pi", "pi/4",
 "3*pi/4" with an optional leading minus (negative values need the
-"--flag=value" form).  Rationals use the "p/q" literal format with integer
-shorthand.  Output is deterministic: repeating an
-invocation (same flags, same --seed) reproduces it byte for byte, and
-nothing is written on failure.
+"--flag=value" form); an angle or sweep grid point that is not finite is a
+usage error.  The sweep's --seed is a Philox key, 0 <= seed < 2**128.
+Rationals use the "p/q" literal format with integer shorthand.  Output is
+deterministic: repeating an invocation (same flags, same --seed)
+reproduces it byte for byte, and nothing is written on failure.
 """
 
 from __future__ import annotations
@@ -81,11 +82,12 @@ def parse_angle(text: str) -> float:
         den = float(m.group(3)) if m.group(3) else 1.0
         if den == 0:
             raise ValueError(f"zero denominator in angle {text!r}")
-        return sign * num * math.pi / den
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"expected radians or a pi token, got {text!r}") from None
+        value = sign * num * math.pi / den
+    else:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"expected radians or a pi token, got {text!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"angle must be finite, got {text!r}")
     return value
@@ -103,6 +105,14 @@ def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise ValueError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """A Philox key: an integer in [0, 2**128)."""
+    value = _nonnegative_int(text)
+    if value >= 2**128:
+        raise ValueError(f"seed must be below 2**128, got {text!r}")
     return value
 
 
@@ -202,6 +212,8 @@ def _cmd_sweep(args) -> tuple[int, str]:
     else:
         span = args.phi_end - args.phi_start
         grid = [args.phi_start + i * span / (args.steps - 1) for i in range(args.steps)]
+    if not all(math.isfinite(phi) for phi in grid):
+        raise _UsageError(f"phase range {args.phi_start!r} to {args.phi_end!r} is too wide: its grid is not finite")
     rows = fringe_sweep(args.alpha, grid, args.shots, args.seed)
     return EXIT_OK, sweep_to_csv(rows)
 
@@ -252,7 +264,7 @@ def build_parser() -> _Parser:
     p.add_argument("--phi-end", type=parse_angle, required=True)
     p.add_argument("--steps", type=_positive_int, required=True)
     p.add_argument("--shots", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_nonnegative_int, required=True)
+    p.add_argument("--seed", type=_seed, required=True, help="Philox key, an integer with 0 <= seed < 2**128")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("selftest", parents=[common], help="run the acceptance criteria")

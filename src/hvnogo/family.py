@@ -167,6 +167,32 @@ class SolutionFamily:
     t_range: tuple[Fraction, Fraction]
 
 
+#: Adequacy rows ``p(a,b,p) + p(a,b,w)``, one per outcome pair in 00, 01, 10, 11 order.
+_ADEQUACY_ROWS = tuple(
+    tuple(Fraction(int((ca, cb) == (a, b))) for ca, cb, _ in CELLS) for a in (0, 1) for b in (0, 1)
+)
+_ADEQUACY_LABELS = tuple(f"adequacy(a={a},b={b})" for a in (0, 1) for b in (0, 1))
+
+
+def _constraint_rows(params: GeneralParams) -> tuple[list[tuple[Fraction, ...]], list[Fraction], list[str]]:
+    """Rows, right-hand sides and labels of :func:`constraint_system`, unwrapped.
+
+    The first four rows are adequacy, the last two objectivity, so callers
+    that stack several settings can take each part separately.
+    """
+    e_p, e_w = params.e_p, params.e_w
+    p_row = [Fraction(0)] * 8
+    p_row[cell_index(0, 0, "p")] = 1 - e_p
+    p_row[cell_index(1, 0, "p")] = -e_p
+    w_row = [Fraction(0)] * 8
+    w_row[cell_index(0, 1, "w")] = 1 - e_w
+    w_row[cell_index(1, 1, "w")] = -e_w
+    rows = [*_ADEQUACY_ROWS, tuple(p_row), tuple(w_row)]
+    rhs = [*joint_from_params(params).entries, Fraction(0), Fraction(0)]
+    labels = [*_ADEQUACY_LABELS, "objectivity(p-statistics at b=0)", "objectivity(w-statistics at b=1)"]
+    return rows, rhs, labels
+
+
 def constraint_system(params: GeneralParams) -> LinearSystem:
     """Adequacy plus objectivity as one 6x8 equality system over table cells.
 
@@ -175,32 +201,7 @@ def constraint_system(params: GeneralParams) -> LinearSystem:
     a side condition carried by the feasibility machinery; normalization is
     implied by adequacy.
     """
-    params = _exact_params(params, "constraint_system")
-    e = joint_from_params(params)
-    e_p, e_w = params.e_p, params.e_w
-    rows = []
-    rhs = []
-    labels = []
-    for a in (0, 1):
-        for b in (0, 1):
-            row = [Fraction(0)] * 8
-            row[cell_index(a, b, "p")] = Fraction(1)
-            row[cell_index(a, b, "w")] = Fraction(1)
-            rows.append(tuple(row))
-            rhs.append(e.entry(a, b))
-            labels.append(f"adequacy(a={a},b={b})")
-    row = [Fraction(0)] * 8
-    row[cell_index(0, 0, "p")] = 1 - e_p
-    row[cell_index(1, 0, "p")] = -e_p
-    rows.append(tuple(row))
-    rhs.append(Fraction(0))
-    labels.append("objectivity(p-statistics at b=0)")
-    row = [Fraction(0)] * 8
-    row[cell_index(0, 1, "w")] = 1 - e_w
-    row[cell_index(1, 1, "w")] = -e_w
-    rows.append(tuple(row))
-    rhs.append(Fraction(0))
-    labels.append("objectivity(w-statistics at b=1)")
+    rows, rhs, labels = _constraint_rows(_exact_params(params, "constraint_system"))
     return LinearSystem(tuple(rows), tuple(rhs), tuple(labels))
 
 

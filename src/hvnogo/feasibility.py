@@ -17,7 +17,9 @@ feasibility with an exact certificate: with two different x values the
 system is infeasible, and that is the no-go theorem.  The three
 ``model_drop_*`` constructors then witness that dropping any single
 assumption restores consistency, and :func:`validate_witness` audits each
-witness against the two retained assumptions in exact arithmetic.
+witness against the two retained assumptions in exact arithmetic.  A
+:class:`WitnessModel` is built from its payload alone: the payload's type
+fixes its ``mode``, and with it which assumption is dropped.
 
 In the triple check the deterministic responses are taken
 setting-independent; setting-indexed responses are only granted to the
@@ -36,7 +38,7 @@ from typing import Mapping, Optional, Union
 from .dist import GeneralParams, JointDist, format_rational, joint_from_params, parse_rational
 from .errors import MalformedInput, MalformedModel
 from .exactlp import FeasibilityReport, LinearSystem, lp_feasible
-from .family import LambdaLabel, OnticTable, cell_index, lambda_marginal, special_solution
+from .family import CELLS, LambdaLabel, OnticTable, _constraint_rows, lambda_marginal, special_solution
 
 _OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -142,27 +144,14 @@ def triple_system(family: SettingsFamily) -> LinearSystem:
     rhs: list[Fraction] = []
     labels: list[str] = []
     for setting in family.settings:
-        joint = family.joint_for(setting)
-        for a in (0, 1):
-            for b in (0, 1):
-                row = [Fraction(0)] * 8
-                row[cell_index(a, b, "p")] = Fraction(1)
-                row[cell_index(a, b, "w")] = Fraction(1)
-                rows.append(tuple(row))
-                rhs.append(joint.entry(a, b))
-                labels.append(f"adequacy[{setting.label}](a={a},b={b})")
-    row = [Fraction(0)] * 8
-    row[cell_index(0, 0, "p")] = 1 - family.e_p
-    row[cell_index(1, 0, "p")] = -family.e_p
-    rows.append(tuple(row))
-    rhs.append(Fraction(0))
-    labels.append("objectivity(p-statistics at b=0)")
-    row = [Fraction(0)] * 8
-    row[cell_index(0, 1, "w")] = 1 - family.e_w
-    row[cell_index(1, 1, "w")] = -family.e_w
-    rows.append(tuple(row))
-    rhs.append(Fraction(0))
-    labels.append("objectivity(w-statistics at b=1)")
+        s_rows, s_rhs, s_labels = _constraint_rows(family.params_for(setting))
+        rows += s_rows[:4]
+        rhs += s_rhs[:4]
+        labels += (f"adequacy[{setting.label}]" + label.removeprefix("adequacy") for label in s_labels[:4])
+    # e_p and e_w are shared, so every setting yields the same objectivity rows
+    rows += s_rows[4:]
+    rhs += s_rhs[4:]
+    labels += s_labels[4:]
     return LinearSystem(tuple(rows), tuple(rhs), tuple(labels))
 
 
@@ -285,25 +274,31 @@ class StochasticResponseModel:
 
 Payload = Union[PerSettingTables, OutcomeAtomModel, StochasticResponseModel]
 
-_EXPECTED_PAYLOAD = {
-    WitnessMode.DROP_INDEPENDENCE: PerSettingTables,
-    WitnessMode.DROP_OBJECTIVITY: OutcomeAtomModel,
-    WitnessMode.DROP_DETERMINISM: StochasticResponseModel,
-}
-
-_DROPPED_CHECK = {
-    WitnessMode.DROP_INDEPENDENCE: "independence",
-    WitnessMode.DROP_OBJECTIVITY: "objectivity",
-    WitnessMode.DROP_DETERMINISM: "determinism",
+#: The payload's type fixes which assumption a witness drops.
+_MODE_OF_PAYLOAD = {
+    PerSettingTables: WitnessMode.DROP_INDEPENDENCE,
+    OutcomeAtomModel: WitnessMode.DROP_OBJECTIVITY,
+    StochasticResponseModel: WitnessMode.DROP_DETERMINISM,
 }
 
 
 @dataclass(frozen=True)
 class WitnessModel:
-    """A concrete model keeping two assumptions and abandoning the third."""
+    """A concrete model keeping two assumptions and abandoning the third.
 
-    mode: WitnessMode
+    Built from its payload alone; the payload's type fixes :attr:`mode`.
+    """
+
     payload: Payload
+
+    def __post_init__(self):
+        if type(self.payload) not in _MODE_OF_PAYLOAD:
+            expected = ", ".join(t.__name__ for t in _MODE_OF_PAYLOAD)
+            raise TypeError(f"witness payload must be one of {expected}; got {type(self.payload).__name__}")
+
+    @property
+    def mode(self) -> WitnessMode:
+        return _MODE_OF_PAYLOAD[type(self.payload)]
 
 
 def model_drop_independence(family: SettingsFamily) -> WitnessModel:
@@ -311,7 +306,7 @@ def model_drop_independence(family: SettingsFamily) -> WitnessModel:
     setting.  Each setting gets its own perfectly-correlated special table,
     so the label marginal tracks (x, 1-x) and varies with the setting."""
     tables = {s.label: special_solution(family.params_for(s)) for s in family.settings}
-    return WitnessModel(WitnessMode.DROP_INDEPENDENCE, PerSettingTables(tables))
+    return WitnessModel(PerSettingTables(tables))
 
 
 def model_drop_objectivity(family: SettingsFamily) -> WitnessModel:
@@ -331,7 +326,7 @@ def model_drop_objectivity(family: SettingsFamily) -> WitnessModel:
         OutcomeAtom(tuple(_OUTCOME_PAIRS[bisect.bisect_right(cum, lo)] for cum in cumulatives), hi - lo)
         for lo, hi in zip(cuts, cuts[1:])
     )
-    return WitnessModel(WitnessMode.DROP_OBJECTIVITY, OutcomeAtomModel(family.labels, atoms))
+    return WitnessModel(OutcomeAtomModel(family.labels, atoms))
 
 
 def model_drop_determinism(family: SettingsFamily) -> WitnessModel:
@@ -348,7 +343,7 @@ def model_drop_determinism(family: SettingsFamily) -> WitnessModel:
         ResponseAtom("Lambda_p", Fraction(1, 2), "p", dict(responses)),
         ResponseAtom("Lambda_w", Fraction(1, 2), "w", dict(responses)),
     )
-    return WitnessModel(WitnessMode.DROP_DETERMINISM, StochasticResponseModel(atoms))
+    return WitnessModel(StochasticResponseModel(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -384,39 +379,36 @@ class WitnessReport:
         raise KeyError(name)
 
 
-def _model_joints(model: WitnessModel, family: SettingsFamily) -> dict[str, tuple[Fraction, ...]]:
-    """Predicted (a, b) statistics per setting, as raw 4-tuples in 00,01,10,11 order."""
-    payload = model.payload
-    out: dict[str, tuple[Fraction, ...]] = {}
+def _branch_masses(payload: Payload, setting: Setting) -> dict[tuple[int, int, LambdaLabel], Fraction]:
+    """p(a, b, lam) masses for label-carrying payloads, keyed by (a, b, lam)."""
     if isinstance(payload, PerSettingTables):
-        for s in family.settings:
-            out[s.label] = payload.tables[s.label].observed_joint().entries
-    elif isinstance(payload, OutcomeAtomModel):
-        for i, s in enumerate(family.settings):
-            cells = {pair: Fraction(0) for pair in _OUTCOME_PAIRS}
+        return dict(zip(CELLS, payload.tables[setting.label].entries))
+    masses = dict.fromkeys(CELLS, Fraction(0))
+    for atom in payload.atoms:
+        r = atom.responses[setting.label]
+        masses[(0, 0, atom.label)] += atom.weight * r.b0 * r.a0_given_b0
+        masses[(1, 0, atom.label)] += atom.weight * r.b0 * (1 - r.a0_given_b0)
+        masses[(0, 1, atom.label)] += atom.weight * (1 - r.b0) * r.a0_given_b1
+        masses[(1, 1, atom.label)] += atom.weight * (1 - r.b0) * (1 - r.a0_given_b1)
+    return masses
+
+
+def _model_joints(payload: Payload, family: SettingsFamily) -> dict[str, tuple[Fraction, ...]]:
+    """Predicted (a, b) statistics per setting, as raw 4-tuples in 00,01,10,11 order."""
+    out: dict[str, tuple[Fraction, ...]] = {}
+    for i, s in enumerate(family.settings):
+        if isinstance(payload, OutcomeAtomModel):
+            cells = dict.fromkeys(_OUTCOME_PAIRS, Fraction(0))
             for atom in payload.atoms:
                 cells[atom.assignments[i]] += atom.weight
-            out[s.label] = tuple(cells[(a, b)] for a in (0, 1) for b in (0, 1))
-    else:
-        for s in family.settings:
-            e00 = e01 = e10 = e11 = Fraction(0)
-            for atom in payload.atoms:
-                r = atom.responses[s.label]
-                e00 += atom.weight * r.b0 * r.a0_given_b0
-                e01 += atom.weight * (1 - r.b0) * r.a0_given_b1
-                e10 += atom.weight * r.b0 * (1 - r.a0_given_b0)
-                e11 += atom.weight * (1 - r.b0) * (1 - r.a0_given_b1)
-            out[s.label] = (e00, e01, e10, e11)
+            out[s.label] = tuple(cells.values())
+        else:
+            masses = _branch_masses(payload, s)
+            out[s.label] = tuple(masses[(a, b, "p")] + masses[(a, b, "w")] for a, b in _OUTCOME_PAIRS)
     return out
 
 
-def _check_structure(model: WitnessModel, family: SettingsFamily) -> None:
-    payload = model.payload
-    expected = _EXPECTED_PAYLOAD[model.mode]
-    if not isinstance(payload, expected):
-        raise MalformedModel(
-            f"mode {model.mode.value} expects a {expected.__name__} payload, got {type(payload).__name__}"
-        )
+def _check_structure(payload: Payload, family: SettingsFamily) -> None:
     if isinstance(payload, PerSettingTables):
         have = set(payload.tables)
         want = set(family.labels)
@@ -440,47 +432,17 @@ def _check_structure(model: WitnessModel, family: SettingsFamily) -> None:
                 raise MalformedModel(f"atom {atom.name!r} lacks responses for setting {missing[0]!r}")
 
 
-def _adequacy_check(model: WitnessModel, family: SettingsFamily) -> AssumptionCheck:
-    joints = _model_joints(model, family)
+def _adequacy_check(payload: Payload, family: SettingsFamily) -> tuple[bool, str]:
+    joints = _model_joints(payload, family)
     for s in family.settings:
         want = family.joint_for(s).entries
-        got = joints[s.label]
-        for (a, b), w, g in zip(_OUTCOME_PAIRS, want, got):
+        for (a, b), w, g in zip(_OUTCOME_PAIRS, want, joints[s.label]):
             if g != w:
-                return AssumptionCheck(
-                    "adequacy",
-                    True,
-                    False,
-                    f"setting {s.label!r}: model gives p(a={a},b={b}) = {g}, observed {w}",
-                )
-    return AssumptionCheck("adequacy", True, True, "every setting's joint reproduced exactly")
+                return False, f"setting {s.label!r}: model gives p(a={a},b={b}) = {g}, observed {w}"
+    return True, "every setting's joint reproduced exactly"
 
 
-def _branch_masses(model: WitnessModel, family: SettingsFamily, setting: Setting):
-    """p(a, b, lam) masses for label-carrying payloads, as a dict."""
-    payload = model.payload
-    masses = {}
-    if isinstance(payload, PerSettingTables):
-        table = payload.tables[setting.label]
-        for a in (0, 1):
-            for b in (0, 1):
-                for lam in ("p", "w"):
-                    masses[(a, b, lam)] = table.mass(a, b, lam)
-    else:  # StochasticResponseModel
-        for a in (0, 1):
-            for b in (0, 1):
-                for lam in ("p", "w"):
-                    masses[(a, b, lam)] = Fraction(0)
-        for atom in payload.atoms:
-            r = atom.responses[setting.label]
-            masses[(0, 0, atom.label)] += atom.weight * r.b0 * r.a0_given_b0
-            masses[(1, 0, atom.label)] += atom.weight * r.b0 * (1 - r.a0_given_b0)
-            masses[(0, 1, atom.label)] += atom.weight * (1 - r.b0) * r.a0_given_b1
-            masses[(1, 1, atom.label)] += atom.weight * (1 - r.b0) * (1 - r.a0_given_b1)
-    return masses
-
-
-def _objectivity_check(model: WitnessModel, family: SettingsFamily) -> AssumptionCheck:
+def _objectivity_check(payload: Payload, family: SettingsFamily) -> tuple[bool, str]:
     """Support-sensitive revelation check.
 
     For each setting and each apparatus outcome that occurs at all, the
@@ -489,85 +451,67 @@ def _objectivity_check(model: WitnessModel, family: SettingsFamily) -> Assumptio
     that never accompanies its own apparatus outcome makes the revelation
     equation unsatisfiable, not vacuous.
     """
-    retained = model.mode is not WitnessMode.DROP_OBJECTIVITY
-    if isinstance(model.payload, OutcomeAtomModel):
-        return AssumptionCheck(
-            "objectivity", retained, False, "model carries no wave/particle labels"
-        )
+    if isinstance(payload, OutcomeAtomModel):
+        return False, "model carries no wave/particle labels"
     expectations = (
         (0, "p", family.e_p, "p-statistics revelation at b=0"),
         (1, "w", family.e_w, "w-statistics revelation at b=1"),
     )
     for s in family.settings:
-        masses = _branch_masses(model, family, s)
+        masses = _branch_masses(payload, s)
         for b, lam, e_target, constraint in expectations:
             outcome_mass = sum(masses[(a, b, l)] for a in (0, 1) for l in ("p", "w"))
             if outcome_mass == 0:
                 continue  # the apparatus never shows this outcome; nothing to reveal
             match_mass = masses[(0, b, lam)] + masses[(1, b, lam)]
             if match_mass == 0:
-                return AssumptionCheck(
-                    "objectivity",
-                    retained,
-                    False,
+                return False, (
                     f"setting {s.label!r}: outcome b={b} occurs but never with label {lam!r}; "
-                    f"{constraint} cannot hold",
+                    f"{constraint} cannot hold"
                 )
             if masses[(0, b, lam)] * (1 - e_target) != masses[(1, b, lam)] * e_target:
                 got = masses[(0, b, lam)] / match_mass
-                return AssumptionCheck(
-                    "objectivity",
-                    retained,
-                    False,
-                    f"setting {s.label!r}: {constraint} fails; p(a=0|b={b},lam={lam}) = {got}, expected {e_target}",
+                return False, (
+                    f"setting {s.label!r}: {constraint} fails; p(a=0|b={b},lam={lam}) = {got}, expected {e_target}"
                 )
-    return AssumptionCheck(
-        "objectivity", retained, True, "each label reveals its matching statistics in its matching outcome"
-    )
+    return True, "each label reveals its matching statistics in its matching outcome"
 
 
-def _determinism_check(model: WitnessModel, family: SettingsFamily) -> AssumptionCheck:
-    retained = model.mode is not WitnessMode.DROP_DETERMINISM
-    payload = model.payload
+def _determinism_check(payload: Payload, family: SettingsFamily) -> tuple[bool, str]:
     if isinstance(payload, (PerSettingTables, OutcomeAtomModel)):
-        return AssumptionCheck(
-            "determinism", retained, True, "all probability mass sits on atoms with pinned outcomes"
-        )
+        return True, "all probability mass sits on atoms with pinned outcomes"
     for atom in payload.atoms:
         for label in family.labels:
             r = atom.responses[label]
             for field_name, v in (("b0", r.b0), ("a0_given_b0", r.a0_given_b0), ("a0_given_b1", r.a0_given_b1)):
                 if v != 0 and v != 1:
-                    return AssumptionCheck(
-                        "determinism",
-                        retained,
-                        False,
+                    return False, (
                         f"atom {atom.name!r}, setting {label!r}: response {field_name} = {v} "
-                        "is strictly between 0 and 1",
+                        "is strictly between 0 and 1"
                     )
-    return AssumptionCheck("determinism", retained, True, "all responses are 0 or 1")
+    return True, "all responses are 0 or 1"
 
 
-def _independence_check(model: WitnessModel, family: SettingsFamily) -> AssumptionCheck:
-    retained = model.mode is not WitnessMode.DROP_INDEPENDENCE
-    payload = model.payload
+def _independence_check(payload: Payload, family: SettingsFamily) -> tuple[bool, str]:
     if isinstance(payload, PerSettingTables):
         marginals = {s.label: lambda_marginal(payload.tables[s.label]).p0 for s in family.settings}
-        values = set(marginals.values())
-        if len(values) > 1:
+        if len(set(marginals.values())) > 1:
             listing = ", ".join(f"{lbl}: {format_rational(v)}" for lbl, v in marginals.items())
-            return AssumptionCheck(
-                "independence", retained, False, f"label marginal p(lam=p) depends on the setting ({listing})"
-            )
-        return AssumptionCheck("independence", retained, True, "hidden-state distribution identical across settings")
+            return False, f"label marginal p(lam=p) depends on the setting ({listing})"
+        return True, "hidden-state distribution identical across settings"
     total = sum(atom.weight for atom in payload.atoms)
     if total != 1:
-        return AssumptionCheck(
-            "independence", retained, False, f"atom weights sum to {total}, not a probability distribution"
-        )
-    return AssumptionCheck(
-        "independence", retained, True, "one fixed atom-weight vector serves every setting"
-    )
+        return False, f"atom weights sum to {total}, not a probability distribution"
+    return True, "one fixed atom-weight vector serves every setting"
+
+
+#: Adequacy, then the three assumptions, in report order.
+_CHECKS = (
+    ("adequacy", _adequacy_check),
+    ("determinism", _determinism_check),
+    ("independence", _independence_check),
+    ("objectivity", _objectivity_check),
+)
 
 
 def validate_witness(model: WitnessModel, family: SettingsFamily) -> WitnessReport:
@@ -577,14 +521,12 @@ def validate_witness(model: WitnessModel, family: SettingsFamily) -> WitnessRepo
     (``retained = False``); it is expected to fail for honest witnesses.
 
     Raises :class:`MalformedModel` when the payload does not structurally
-    match the mode or the family.
+    match the family.
     """
-    _check_structure(model, family)
-    checks = (
-        _adequacy_check(model, family),
-        _determinism_check(model, family),
-        _independence_check(model, family),
-        _objectivity_check(model, family),
+    _check_structure(model.payload, family)
+    dropped = model.mode.value.removeprefix("Drop").lower()  # "DropIndependence" -> "independence"
+    checks = tuple(
+        AssumptionCheck(name, name != dropped, *check(model.payload, family)) for name, check in _CHECKS
     )
     return WitnessReport(model.mode, checks)
 

@@ -199,3 +199,28 @@ class TestUsageErrors:
     def test_missing_required_flag(self):
         result = run_cli("quantum", "--alpha", "0")
         assert result.returncode == 1
+
+    @pytest.mark.parametrize("args", [
+        ("quantum", "--alpha", "9" * 400 + "*pi", "--phi", "0"),
+        (
+            "sweep", "--alpha", "0", "--phi-start=-1e308", "--phi-end", "1e308",
+            "--steps", "3", "--shots", "10", "--seed", "1",
+        ),
+        (
+            "sweep", "--alpha", "0", "--phi-start", "0", "--phi-end", "1",
+            "--steps", "2", "--shots", "10", "--seed", str(2**128),
+        ),
+    ], ids=["infinite_pi_angle", "non_finite_sweep_grid", "seed_beyond_philox_key"])
+    def test_rejected_with_one_error_line(self, args):
+        result = run_cli(*args)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_largest_seed_is_accepted(self):
+        result = run_cli(
+            "sweep", "--alpha", "0", "--phi-start", "0", "--phi-end", "1",
+            "--steps", "2", "--shots", "10", "--seed", str(2**128 - 1),
+        )
+        assert result.returncode == 0

@@ -24,19 +24,11 @@ from hvnogo import (
     solve_family,
     special_solution,
 )
+from hvnogo.acceptance import _interior_params as interior_params
 
 F = Fraction
 
 PARAMS = GeneralParams(F(1, 3), F(1, 2), F(1, 4))
-
-
-def interior_fraction(rng, max_den=12):
-    den = int(rng.integers(2, max_den + 1))
-    return F(int(rng.integers(1, den)), den)
-
-
-def interior_params(rng):
-    return GeneralParams(interior_fraction(rng), interior_fraction(rng), interior_fraction(rng))
 
 
 class TestSolveFamily:

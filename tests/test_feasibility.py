@@ -28,6 +28,7 @@ from hvnogo import (
     validate_witness,
     verify_certificate,
 )
+from hvnogo.acceptance import _interior_fraction as interior_fraction
 from hvnogo.feasibility import OutcomeAtom, OutcomeAtomModel, PerSettingTables
 
 F = Fraction
@@ -41,11 +42,6 @@ PROBABILITIES = st.one_of(
 TWO_SETTINGS = SettingsFamily(
     F(1, 2), F(1, 4), (Setting("alpha1", F(1, 3)), Setting("alpha2", F(2, 3)))
 )
-
-
-def interior_fraction(rng, max_den=12):
-    den = int(rng.integers(2, max_den + 1))
-    return F(int(rng.integers(1, den)), den)
 
 
 def random_family(rng, distinct_x, k=None):
@@ -159,7 +155,7 @@ class TestDropIndependence:
             label: OnticTable(table.entries[4:] + table.entries[:4])
             for label, table in model.payload.tables.items()
         }
-        corrupted = WitnessModel(WitnessMode.DROP_INDEPENDENCE, PerSettingTables(swapped))
+        corrupted = WitnessModel(PerSettingTables(swapped))
         report = validate_witness(corrupted, TWO_SETTINGS)
         assert report.check("adequacy").passed  # the observed joint is label-blind
         objectivity = report.check("objectivity")
@@ -233,7 +229,7 @@ class TestDropObjectivity:
             model.payload.setting_labels,
             tuple(OutcomeAtom(atom.assignments, F(0)) for atom in model.payload.atoms),
         )
-        report = validate_witness(WitnessModel(WitnessMode.DROP_OBJECTIVITY, zeroed), TWO_SETTINGS)
+        report = validate_witness(WitnessModel(zeroed), TWO_SETTINGS)
         assert not report.check("adequacy").passed
         assert not report.overall_pass
 
@@ -266,11 +262,15 @@ class TestWitnessValidationAcrossFamilies:
             for build in (model_drop_independence, model_drop_objectivity, model_drop_determinism):
                 assert validate_witness(build(family), family).overall_pass, build.__name__
 
-    def test_mode_payload_mismatch(self):
-        model = model_drop_independence(TWO_SETTINGS)
-        wrong = WitnessModel(WitnessMode.DROP_OBJECTIVITY, model.payload)
-        with pytest.raises(MalformedModel):
-            validate_witness(wrong, TWO_SETTINGS)
+    def test_payload_type_fixes_mode(self):
+        for build, mode in (
+            (model_drop_independence, WitnessMode.DROP_INDEPENDENCE),
+            (model_drop_objectivity, WitnessMode.DROP_OBJECTIVITY),
+            (model_drop_determinism, WitnessMode.DROP_DETERMINISM),
+        ):
+            assert WitnessModel(build(TWO_SETTINGS).payload).mode is mode
+        with pytest.raises(TypeError):
+            WitnessModel(model_drop_independence(TWO_SETTINGS).payload.tables)
 
     def test_label_mismatch(self):
         other = SettingsFamily(F(1, 2), F(1, 4), (Setting("zeta", F(1, 3)),))
