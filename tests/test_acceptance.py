@@ -6,10 +6,13 @@ Criteria 1-8 run in-process through :mod:`hvnogo.acceptance` (the same code
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hvnogo import acceptance
+
+SELFTEST_GOLDEN = Path(__file__).parent / "golden" / "selftest.out"
 
 
 def _run(criterion):
@@ -69,6 +72,7 @@ def test_criterion_9_selftest_is_deterministic_and_green():
     assert first.returncode == 0, first.stdout.decode()
     assert second.returncode == 0
     assert first.stdout == second.stdout, "selftest output must be byte-identical between runs"
+    assert first.stdout == SELFTEST_GOLDEN.read_bytes(), "selftest output differs from tests/golden/selftest.out"
     text = first.stdout.decode()
     print("criterion 9 [PASS] CLI selftest: exit 0 and byte-identical reruns")
     for i in range(1, 9):

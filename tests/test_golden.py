@@ -80,6 +80,7 @@ def test_cli_output_matches_golden(name, tmp_path, capsys):
 
 
 def test_every_golden_file_has_a_case():
-    names = {p.stem for p in GOLDEN.glob("*.out")}
+    # selftest.out is checked by tests/test_acceptance.py's criterion 9 test.
+    names = {p.stem for p in GOLDEN.glob("*.out")} - {"selftest"}
     statuses = json.loads((GOLDEN / "exit_status.json").read_text(encoding="utf-8"))
     assert names == set(CASES) == set(statuses)
