@@ -1,13 +1,16 @@
 """Self-contained acceptance checks, shared by the test suite and the CLI.
 
 Each criterion function is deterministic (fixed seeds, no timing inside
-the detail text) and returns a :class:`CriterionResult`; ``run_all`` is
+the detail text) and returns a :class:`CriterionResult`.  Its body returns
+``(passed, detail)`` at the first failure, and ``_criterion`` times it and
+builds the result; ``run_all`` is
 what ``hvnogo selftest`` prints.  The stated runtime limits live in
 ``RUNTIME_LIMITS`` and are enforced by the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -91,58 +94,57 @@ def _random_family(rng: Generator, *, distinct_x: bool, max_settings: int = 4) -
     return SettingsFamily(e_p, e_w, settings)
 
 
-def criterion_1() -> CriterionResult:
+def _criterion(index: int, name: str):
+    """Time a body that returns ``(passed, detail)`` and wrap it in a :class:`CriterionResult`."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def run() -> CriterionResult:
+            start = time.perf_counter()
+            passed, detail = body()
+            return CriterionResult(index, name, passed, detail, time.perf_counter() - start)
+
+        return run
+
+    return wrap
+
+
+def _grid_worst(left, right) -> float:
+    """Largest entrywise gap between two joints of (alpha, phi) over the 11x11 grid."""
+    return max(
+        abs(p - q)
+        for alpha in _GRID_11
+        for phi in _GRID_11
+        for p, q in zip(left(alpha, phi).entries, right(alpha, phi).entries)
+    )
+
+
+@_criterion(1, "Born-rule/closed-form agreement")
+def criterion_1():
     """Squared amplitudes equal the closed-form joint on an 11x11 grid."""
-    start = time.perf_counter()
-    worst = 0.0
-    for alpha in _GRID_11:
-        for phi in _GRID_11:
-            born = joint_state(alpha, phi).probabilities()
-            closed = quantum_joint(alpha, phi)
-            worst = max(worst, max(abs(p - q) for p, q in zip(born.entries, closed.entries)))
-    passed = worst <= REAL_TOL
-    return CriterionResult(
-        1,
-        "Born-rule/closed-form agreement",
-        passed,
-        f"max entrywise |amplitude^2 - closed form| = {worst!r} over 121 grid points",
-        time.perf_counter() - start,
-    )
+    worst = _grid_worst(lambda alpha, phi: joint_state(alpha, phi).probabilities(), quantum_joint)
+    return worst <= REAL_TOL, f"max entrywise |amplitude^2 - closed form| = {worst!r} over 121 grid points"
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "parameter reduction through (x, e_p, e_w)")
+def criterion_2():
     """The closed-form joint factorizes through (x, e_p, e_w) on the grid."""
-    start = time.perf_counter()
-    worst = 0.0
-    for alpha in _GRID_11:
-        for phi in _GRID_11:
-            direct = quantum_joint(alpha, phi)
-            via_params = joint_from_params(quantum_params(alpha, phi))
-            worst = max(worst, max(abs(p - q) for p, q in zip(direct.entries, via_params.entries)))
-    passed = worst <= REAL_TOL
-    return CriterionResult(
-        2,
-        "parameter reduction through (x, e_p, e_w)",
-        passed,
-        f"max entrywise reduction error = {worst!r} over 121 grid points",
-        time.perf_counter() - start,
-    )
+    worst = _grid_worst(quantum_joint, lambda alpha, phi: joint_from_params(quantum_params(alpha, phi)))
+    return worst <= REAL_TOL, f"max entrywise reduction error = {worst!r} over 121 grid points"
 
 
 _ST_GRID = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "two-parameter solution family")
+def criterion_3():
     """Rank 6, exact members, and no basic feasible point outside the family."""
-    start = time.perf_counter()
     rng = _rng(301)
-    problems = []
     for trial in range(200):
         params = _interior_params(rng)
         system = constraint_system(params)
         if matrix_rank(system.matrix) != 6:
-            problems.append(f"trial {trial}: rank != 6 for {params}")
-            break
+            return False, f"trial {trial}: rank != 6 for {params}"
         family = solve_family(params)
         s_max = family.s_range[1]
         t_max = family.t_range[1]
@@ -150,27 +152,20 @@ def criterion_3() -> CriterionResult:
             for v in _ST_GRID:
                 member = instantiate(family, u * s_max, v * t_max)
                 if any(r != 0 for r in residual(system, member.entries)):
-                    problems.append(f"trial {trial}: nonzero residual at (s,t) grid point")
-                    break
+                    return False, f"trial {trial}: nonzero residual at (s,t) grid point"
         for point in enumerate_basic_solutions(system):
             s, t = point[4], point[1]
             if not (0 <= s <= s_max and 0 <= t <= t_max):
-                problems.append(f"trial {trial}: enumerated vertex outside the (s, t) ranges")
-                break
+                return False, f"trial {trial}: enumerated vertex outside the (s, t) ranges"
             if instantiate(family, s, t).entries != point:
-                problems.append(f"trial {trial}: enumerated vertex not reproduced by the closed form")
-                break
-        if problems:
-            break
-    detail = problems[0] if problems else "200 parameter triples: rank 6, exact members, enumerator confined to the family"
-    return CriterionResult(3, "two-parameter solution family", not problems, detail, time.perf_counter() - start)
+                return False, f"trial {trial}: enumerated vertex not reproduced by the closed form"
+    return True, "200 parameter triples: rank 6, exact members, enumerator confined to the family"
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "duality collapse identities")
+def criterion_4():
     """Any cross-branch mass detaches the a-statistics from the label."""
-    start = time.perf_counter()
     rng = _rng(401)
-    problems = []
     for trial in range(200):
         params = _interior_params(rng)
         family = solve_family(params)
@@ -179,119 +174,88 @@ def criterion_4() -> CriterionResult:
         for u in (Fraction(1, 3), Fraction(1)):
             member = instantiate(family, u * s_max, u * t_max)
             if conditional_given(member, 0, "w").as_tuple() != (params.e_p, 1 - params.e_p):
-                problems.append(f"trial {trial}: p(a|b=0,lam=w) differs from (e_p, 1-e_p)")
-                break
+                return False, f"trial {trial}: p(a|b=0,lam=w) differs from (e_p, 1-e_p)"
             if conditional_given(member, 1, "p").as_tuple() != (params.e_w, 1 - params.e_w):
-                problems.append(f"trial {trial}: p(a|b=1,lam=p) differs from (e_w, 1-e_w)")
-                break
-        if problems:
-            break
-    detail = problems[0] if problems else (
-        "200 parameter triples: every member with cross-branch mass shows apparatus-only statistics, exactly"
-    )
-    return CriterionResult(4, "duality collapse identities", not problems, detail, time.perf_counter() - start)
+                return False, f"trial {trial}: p(a|b=1,lam=p) differs from (e_w, 1-e_w)"
+    return True, "200 parameter triples: every member with cross-branch mass shows apparatus-only statistics, exactly"
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "special-solution label marginal")
+def criterion_5():
     """The special solution's label marginal equals the apparatus marginal."""
-    start = time.perf_counter()
     rng = _rng(501)
-    problems = []
     for trial in range(200):
         params = GeneralParams(_any_fraction(rng), _any_fraction(rng), _any_fraction(rng))
         marginal = lambda_marginal(special_solution(params))
         if marginal.as_tuple() != (params.x, 1 - params.x):
-            problems.append(f"trial {trial}: label marginal {marginal.as_tuple()} != (x, 1-x) for {params}")
-            break
-    detail = problems[0] if problems else "200 parameter triples (boundary included): p(lam) = (x, 1-x) exactly"
-    return CriterionResult(5, "special-solution label marginal", not problems, detail, time.perf_counter() - start)
+            return False, f"trial {trial}: label marginal {marginal.as_tuple()} != (x, 1-x) for {params}"
+    return True, "200 parameter triples (boundary included): p(lam) = (x, 1-x) exactly"
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "triple infeasibility theorem")
+def criterion_6():
     """Triple infeasibility with verified certificates; constant-x control."""
-    start = time.perf_counter()
     rng = _rng(601)
-    problems = []
     for trial in range(100):
         family = _random_family(rng, distinct_x=True)
         report = check_triple(family)
         if report.feasible:
-            problems.append(f"trial {trial}: distinct-x family reported feasible")
-            break
+            return False, f"trial {trial}: distinct-x family reported feasible"
         if not verify_certificate(triple_system(family), report.certificate):
-            problems.append(f"trial {trial}: certificate rejected by the verifier")
-            break
-    if not problems:
-        for trial in range(100):
-            family = _random_family(rng, distinct_x=False)
-            report = check_triple(family)
-            if not report.feasible:
-                problems.append(f"constant-x trial {trial}: reported infeasible")
-                break
-            system = triple_system(family)
-            if any(r != 0 for r in residual(system, report.witness.entries)):
-                problems.append(f"constant-x trial {trial}: witness has nonzero residual")
-                break
-    detail = problems[0] if problems else (
+            return False, f"trial {trial}: certificate rejected by the verifier"
+    for trial in range(100):
+        family = _random_family(rng, distinct_x=False)
+        report = check_triple(family)
+        if not report.feasible:
+            return False, f"constant-x trial {trial}: reported infeasible"
+        if any(r != 0 for r in residual(triple_system(family), report.witness.entries)):
+            return False, f"constant-x trial {trial}: witness has nonzero residual"
+    return True, (
         "100 distinct-x families infeasible with verified certificates; 100 constant-x families feasible with exact witnesses"
     )
-    return CriterionResult(6, "triple infeasibility theorem", not problems, detail, time.perf_counter() - start)
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "pairwise compatibility witnesses")
+def criterion_7():
     """Dropping any one assumption admits an exactly validated witness."""
-    start = time.perf_counter()
     rng = _rng(701)
-    problems = []
     for trial in range(50):
         family = _random_family(rng, distinct_x=True, max_settings=3)
         for build in (model_drop_independence, model_drop_objectivity, model_drop_determinism):
             report = validate_witness(build(family), family)
             if not report.overall_pass:
                 failed = [c.name for c in report.checks if c.retained and not c.passed]
-                problems.append(f"trial {trial}: {build.__name__} failed {failed}")
-                break
-        if problems:
-            break
-    detail = problems[0] if problems else "50 families: all three pairwise witnesses pass exact validation"
-    return CriterionResult(7, "pairwise compatibility witnesses", not problems, detail, time.perf_counter() - start)
+                return False, f"trial {trial}: {build.__name__} failed {failed}"
+    return True, "50 families: all three pairwise witnesses pass exact validation"
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "Monte Carlo phenomenology")
+def criterion_8():
     """Monte Carlo reproduction of the fringe/flat phenomenology."""
-    start = time.perf_counter()
-    problems = []
     alpha = math.pi / 4.0
     grid = [2.0 * math.pi * i / 16.0 for i in range(17)]
-    rows = fringe_sweep(alpha, grid, 100_000, seed=801)
     worst_wave = 0.0
     worst_flat = 0.0
-    for row in rows:
+    for row in fringe_sweep(alpha, grid, 100_000, seed=801):
         if row.f_a0_given_b1 is None or row.f_a0_given_b0 is None:
-            problems.append(f"phi = {row.phi!r}: a conditioning outcome never fired")
-            break
+            return False, f"phi = {row.phi!r}: a conditioning outcome never fired"
         worst_wave = max(worst_wave, abs(row.f_a0_given_b1 - wave_statistics(row.phi).p0))
         worst_flat = max(worst_flat, abs(row.f_a0_given_b0 - 0.5))
-    if not problems and (worst_wave >= 0.02 or worst_flat >= 0.02):
-        problems.append(f"sweep deviations too large: wave {worst_wave!r}, flat {worst_flat!r}")
-    if not problems:
-        exact = quantum_joint(math.pi / 3.0, math.pi / 4.0)
-        counts = sample_events(exact, 1_000_000, seed=802)
-        empirical = JointDist(tuple(Fraction(c, counts.total) for c in counts.as_tuple()))
-        tv = float(tv_distance(empirical, exact))
-        stat = compare(counts, exact)
-        if tv >= 0.005:
-            problems.append(f"million-shot TV distance {tv!r} not below 0.005")
-        elif not stat.passed:
-            problems.append(f"million-shot z_max {stat.z_max!r} above 5")
-        else:
-            detail = (
-                f"17-point sweep: max fringe deviation {worst_wave!r}, max flat deviation {worst_flat!r}; "
-                f"million-shot TV {tv!r}, z_max {stat.z_max!r}"
-            )
-    if problems:
-        detail = problems[0]
-    return CriterionResult(8, "Monte Carlo phenomenology", not problems, detail, time.perf_counter() - start)
+    if worst_wave >= 0.02 or worst_flat >= 0.02:
+        return False, f"sweep deviations too large: wave {worst_wave!r}, flat {worst_flat!r}"
+    exact = quantum_joint(math.pi / 3.0, math.pi / 4.0)
+    counts = sample_events(exact, 1_000_000, seed=802)
+    empirical = JointDist(tuple(Fraction(c, counts.total) for c in counts.as_tuple()))
+    tv = float(tv_distance(empirical, exact))
+    stat = compare(counts, exact)
+    if tv >= 0.005:
+        return False, f"million-shot TV distance {tv!r} not below 0.005"
+    if not stat.passed:
+        return False, f"million-shot z_max {stat.z_max!r} above 5"
+    return True, (
+        f"17-point sweep: max fringe deviation {worst_wave!r}, max flat deviation {worst_flat!r}; "
+        f"million-shot TV {tv!r}, z_max {stat.z_max!r}"
+    )
 
 
 ALL_CRITERIA = (
