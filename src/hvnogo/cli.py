@@ -10,22 +10,25 @@ Subcommands::
     selftest     run the acceptance criteria and print one line per criterion
 
 Exit status: 0 success (including a feasible triple check), 1 usage or
-parameter errors or an unwritable output file, 2 malformed input file,
-3 infeasible triple check (the expected scientific result, not an
-error), 4 failed selftest or failed witness validation.
+parameter errors or an unwritable output file, 2 malformed input file
+(unreadable, undecodable, or a field missing, unparsable or out of
+range), 3 infeasible triple check (the expected scientific result, not
+an error), 4 failed selftest or failed witness validation.
 
 Angles accept plain radians ("0.7854") or the tokens "pi", "pi/4",
 "3*pi/4" with an optional leading minus (negative values need the
 "--flag=value" form); an angle or sweep grid point that is not finite is a
 usage error.  The sweep's --seed is a Philox key, 0 <= seed < 2**128.
-Rationals use the "p/q" literal format with integer shorthand.  Output is
-deterministic: repeating an invocation (same flags, same --seed)
-reproduces it byte for byte, and nothing is written on failure.
+Rationals use the "p/q" literal format with integer shorthand; one too
+long to print back ("1e-5000") is refused.  Output is deterministic:
+repeating an invocation (same flags, same --seed) reproduces it byte for
+byte, and nothing is written on failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -73,6 +76,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _reason_shown(parse):
+    """argparse reports a type function's ``ValueError`` by the function's
+    name alone; re-raise it as ``ArgumentTypeError`` so the reason is shown."""
+
+    @functools.wraps(parse)
+    def checked(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return checked
+
+
+@_reason_shown
 def parse_angle(text: str) -> float:
     """Radians from a decimal literal or a pi token ("pi", "pi/4", "3*pi/4")."""
     m = _PI_FORM.match(text)
@@ -93,6 +111,7 @@ def parse_angle(text: str) -> float:
     return value
 
 
+@_reason_shown
 def parse_probability(text: str) -> Fraction:
     """Exact rational restricted to [0, 1]."""
     value = parse_rational(text)
@@ -101,21 +120,16 @@ def parse_probability(text: str) -> Fraction:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"expected a nonnegative integer, got {text!r}")
-    return value
-
-
+@_reason_shown
 def _seed(text: str) -> int:
     """A Philox key: an integer in [0, 2**128)."""
-    value = _nonnegative_int(text)
-    if value >= 2**128:
-        raise ValueError(f"seed must be below 2**128, got {text!r}")
+    value = int(text)
+    if not 0 <= value < 2**128:
+        raise ValueError(f"seed must satisfy 0 <= seed < 2**128, got {text!r}")
     return value
 
 
+@_reason_shown
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -129,12 +143,10 @@ def _dump_json(payload) -> str:
 
 def _load_family(path: str) -> SettingsFamily:
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise MalformedInput(f"cannot read input file {path!r}: {exc}") from exc
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise MalformedInput(f"input file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedInput(f"input file {path!r} must hold a JSON object")

@@ -34,6 +34,7 @@ particle-statistics weight and e_w the wave-statistics weight.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -53,11 +54,34 @@ def parse_rational(text: str) -> Fraction:
     Fraction(1, 3)
     >>> parse_rational("2")
     Fraction(2, 1)
+
+    A literal whose numerator or denominator would need more than
+    ``sys.get_int_max_str_digits()`` digits, and so could not be printed
+    back, is refused before it is built.
     """
+    limit = sys.get_int_max_str_digits()
+    if limit and _digit_bound(text.strip()) > limit:
+        raise ValueError(f"rational literal needs more than {limit} digits")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
+
+
+def _digit_bound(literal: str) -> int:
+    """Most digits the numerator or denominator of ``Fraction(literal)`` can
+    have; 0 where ``int`` bounds them ("p/q") or ``Fraction`` rejects it."""
+    mantissa, _, exponent = literal.lower().partition("e")
+    try:
+        shift = int(exponent or 0)
+    except ValueError:
+        return 0
+    if "/" in mantissa:
+        return 0
+    whole, _, decimals = mantissa.partition(".")
+    n_whole = sum(c.isdigit() for c in whole)
+    n_decimals = sum(c.isdigit() for c in decimals)
+    return max(n_whole + n_decimals + max(shift, 0), n_decimals + max(-shift, 0) + 1)
 
 
 def format_rational(value: Fraction) -> str:
@@ -113,12 +137,11 @@ class BinaryDist:
     p1: Scalar
 
     def __post_init__(self):
-        p0, p1 = _coerce_homogeneous((self.p0, self.p1), "BinaryDist")
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "p1", p1)
-        _check_probability(p0, "BinaryDist.p0")
-        _check_probability(p1, "BinaryDist.p1")
-        _check_normalized((p0, p1), "BinaryDist")
+        values = _coerce_homogeneous((self.p0, self.p1), "BinaryDist")
+        for name, value in zip(("p0", "p1"), values):
+            object.__setattr__(self, name, value)
+            _check_probability(value, f"BinaryDist.{name}")
+        _check_normalized(values, "BinaryDist")
 
     @property
     def exact(self) -> bool:
@@ -167,13 +190,10 @@ class GeneralParams:
     e_w: Scalar
 
     def __post_init__(self):
-        x, e_p, e_w = _coerce_homogeneous((self.x, self.e_p, self.e_w), "GeneralParams")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "e_p", e_p)
-        object.__setattr__(self, "e_w", e_w)
-        _check_probability(x, "GeneralParams.x")
-        _check_probability(e_p, "GeneralParams.e_p")
-        _check_probability(e_w, "GeneralParams.e_w")
+        values = _coerce_homogeneous((self.x, self.e_p, self.e_w), "GeneralParams")
+        for name, value in zip(("x", "e_p", "e_w"), values):
+            object.__setattr__(self, name, value)
+            _check_probability(value, f"GeneralParams.{name}")
 
     @property
     def exact(self) -> bool:

@@ -7,6 +7,8 @@ argument types, non-finite angles, and the like).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class HvnogoError(Exception):
     """Base class for all hvnogo domain errors."""
@@ -62,3 +64,12 @@ class EmptySample(HvnogoError, ValueError):
 class MalformedInput(HvnogoError, ValueError):
     """A JSON input file does not match the documented schema.  The message
     names the offending field."""
+
+
+@contextmanager
+def malformed_input(where: str = ""):
+    """Re-raise a ``ValueError`` from the block as :class:`MalformedInput` prefixed with ``where``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise MalformedInput(f"{where}: {exc}" if where else str(exc)) from exc

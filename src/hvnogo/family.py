@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Mapping
 
-from .dist import BinaryDist, GeneralParams, JointDist, format_rational, joint_from_params, parse_rational
+from .dist import BinaryDist, GeneralParams, format_rational, joint_from_params, parse_rational
 from .errors import (
     BoundaryParams,
     ConditionOnNull,
@@ -44,8 +44,9 @@ from .errors import (
     MalformedInput,
     NotASolution,
     OutOfRange,
+    malformed_input,
 )
-from .exactlp import LinearSystem, residual
+from .exactlp import LinearSystem, _as_fraction_row, residual
 
 LambdaLabel = Literal["p", "w"]
 
@@ -85,13 +86,7 @@ class OnticTable:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        raw = tuple(self.entries)
-        if any(isinstance(v, float) for v in raw):
-            raise TypeError("OnticTable entries are exact; floats are not accepted")
-        try:
-            entries = tuple(Fraction(v) for v in raw)
-        except (TypeError, ValueError) as exc:
-            raise TypeError("OnticTable entries must be exact rationals") from exc
+        entries = _as_fraction_row(self.entries, "OnticTable entries")
         if len(entries) != 8:
             raise InvalidDistribution(f"OnticTable needs 8 entries, got {len(entries)}")
         object.__setattr__(self, "entries", entries)
@@ -109,12 +104,6 @@ class OnticTable:
         """Total mass p(b, lam), summed over the a outcome."""
         return self.mass(0, b, lam) + self.mass(1, b, lam)
 
-    def observed_joint(self) -> JointDist:
-        """The (a, b) marginal the experimenter sees."""
-        return JointDist(
-            tuple(self.mass(a, b, "p") + self.mass(a, b, "w") for a in (0, 1) for b in (0, 1))
-        )
-
     def to_json_dict(self) -> dict[str, str]:
         return {key: format_rational(v) for key, v in zip(CELL_KEYS, self.entries)}
 
@@ -125,11 +114,10 @@ class OnticTable:
             raise MalformedInput(f"ontic table is missing field {missing[0]!r}")
         entries = []
         for key in CELL_KEYS:
-            try:
+            with malformed_input(f"ontic table field {key!r}"):
                 entries.append(parse_rational(str(data[key])))
-            except ValueError as exc:
-                raise MalformedInput(f"ontic table field {key!r}: {exc}") from exc
-        return cls(tuple(entries))
+        with malformed_input("ontic table"):
+            return cls(tuple(entries))
 
 
 class CollapseKind(enum.Enum):

@@ -33,10 +33,10 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 from .dist import GeneralParams, JointDist, format_rational, joint_from_params, parse_rational
-from .errors import MalformedInput, MalformedModel
+from .errors import MalformedInput, MalformedModel, malformed_input
 from .exactlp import FeasibilityReport, LinearSystem, lp_feasible
 from .family import CELLS, LambdaLabel, OnticTable, _constraint_rows, lambda_marginal, special_solution
 
@@ -107,14 +107,10 @@ class SettingsFamily:
         for key in ("e_p", "e_w", "settings"):
             if key not in data:
                 raise MalformedInput(f"settings family is missing field {key!r}")
-        try:
+        with malformed_input("field 'e_p'"):
             e_p = parse_rational(str(data["e_p"]))
-        except ValueError as exc:
-            raise MalformedInput(f"field 'e_p': {exc}") from exc
-        try:
+        with malformed_input("field 'e_w'"):
             e_w = parse_rational(str(data["e_w"]))
-        except ValueError as exc:
-            raise MalformedInput(f"field 'e_w': {exc}") from exc
         raw = data["settings"]
         if not isinstance(raw, (list, tuple)) or not raw:
             raise MalformedInput("field 'settings' must be a nonempty list")
@@ -122,15 +118,10 @@ class SettingsFamily:
         for i, item in enumerate(raw):
             if not isinstance(item, Mapping) or "label" not in item or "x" not in item:
                 raise MalformedInput(f"settings[{i}] needs fields 'label' and 'x'")
-            try:
-                x = parse_rational(str(item["x"]))
-            except ValueError as exc:
-                raise MalformedInput(f"settings[{i}].x: {exc}") from exc
-            settings.append(Setting(str(item["label"]), x))
-        try:
+            with malformed_input(f"settings[{i}].x"):
+                settings.append(Setting(str(item["label"]), parse_rational(str(item["x"]))))
+        with malformed_input():
             return cls(e_p, e_w, tuple(settings))
-        except ValueError as exc:
-            raise MalformedInput(str(exc)) from exc
 
 
 def triple_system(family: SettingsFamily) -> LinearSystem:
@@ -174,11 +165,7 @@ def check_triple(family: SettingsFamily) -> FeasibilityReport:
         )
         return FeasibilityReport(True, table, None, narrative)
     clash = ", ".join(format_rational(x) for x in xs)
-    active = [
-        system.label(i)
-        for i in range(system.num_rows)
-        if report.certificate is not None and report.certificate[i] != 0
-    ]
+    active = [system.label(i) for i, y in enumerate(report.certificate) if y != 0]
     narrative = (
         "infeasible: one setting-independent table fixes the b=0 marginal once, "
         f"but the settings demand it equal each of: {clash}. "
@@ -233,6 +220,9 @@ class OutcomeAtomModel:
     atoms: tuple[OutcomeAtom, ...]
 
 
+_RESPONSE_FIELDS = ("b0", "a0_given_b0", "a0_given_b1")
+
+
 @dataclass(frozen=True)
 class SettingResponse:
     """Stochastic responses of one atom under one setting."""
@@ -242,7 +232,7 @@ class SettingResponse:
     a0_given_b1: Fraction
 
     def __post_init__(self):
-        for name in ("b0", "a0_given_b0", "a0_given_b1"):
+        for name in _RESPONSE_FIELDS:
             value = _as_probability_fraction(getattr(self, name), f"SettingResponse.{name}")
             object.__setattr__(self, name, value)
 
@@ -482,8 +472,8 @@ def _determinism_check(payload: Payload, family: SettingsFamily) -> tuple[bool, 
         return True, "all probability mass sits on atoms with pinned outcomes"
     for atom in payload.atoms:
         for label in family.labels:
-            r = atom.responses[label]
-            for field_name, v in (("b0", r.b0), ("a0_given_b0", r.a0_given_b0), ("a0_given_b1", r.a0_given_b1)):
+            for field_name in _RESPONSE_FIELDS:
+                v = getattr(atom.responses[label], field_name)
                 if v != 0 and v != 1:
                     return False, (
                         f"atom {atom.name!r}, setting {label!r}: response {field_name} = {v} "
@@ -556,11 +546,7 @@ def witness_model_to_json(model: WitnessModel) -> dict:
                     "weight": format_rational(atom.weight),
                     "label": atom.label,
                     "responses": {
-                        label: {
-                            "b0": format_rational(r.b0),
-                            "a0_given_b0": format_rational(r.a0_given_b0),
-                            "a0_given_b1": format_rational(r.a0_given_b1),
-                        }
+                        label: {name: format_rational(getattr(r, name)) for name in _RESPONSE_FIELDS}
                         for label, r in sorted(atom.responses.items())
                     },
                 }
@@ -582,13 +568,11 @@ def witness_report_to_json(report: WitnessReport) -> dict:
 
 
 def feasibility_report_to_json(report: FeasibilityReport) -> dict:
-    witness: Optional[object]
-    if report.witness is None:
-        witness = None
-    elif isinstance(report.witness, OnticTable):
-        witness = report.witness.to_json_dict()
-    else:
-        witness = [format_rational(v) for v in report.witness]
+    witness = report.witness
+    if isinstance(witness, OnticTable):
+        witness = witness.to_json_dict()
+    elif witness is not None:
+        witness = [format_rational(v) for v in witness]
     return {
         "feasible": report.feasible,
         "witness": witness,

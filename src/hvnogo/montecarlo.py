@@ -111,12 +111,9 @@ def sample_events(dist: JointDist, n: int, seed: int, first_shot: int = 0) -> Co
     with probability zero or below (down to ``-REAL_TOL``) never receive
     counts.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"sample count must be a nonnegative integer, got {n!r}")
-    if not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not isinstance(first_shot, int) or first_shot < 0:
-        raise ValueError(f"first_shot must be a nonnegative integer, got {first_shot!r}")
+    for name, value in (("sample count", n), ("seed", seed), ("first_shot", first_shot)):
+        if not isinstance(value, int) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     # JointDist admits entries down to -REAL_TOL; searchsorted needs a
     # nondecreasing cumulative, so such rounding residue counts as zero.
     probs = np.maximum(np.array([float(e) for e in dist.entries], dtype=np.float64), 0.0)

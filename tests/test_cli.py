@@ -129,6 +129,24 @@ class TestFeasibility:
         result = run_cli("feasibility", "--input", "/nonexistent/family.json")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("command,content,fragment", [
+        (["feasibility"], json.dumps({**FAMILY_JSON, "settings": [{"label": "a", "x": "5/3"}]}), "settings[0]"),
+        (["demo", "--drop", "objectivity"], json.dumps({**FAMILY_JSON, "settings": [{"label": "a", "x": "5/3"}]}),
+         "settings[0]"),
+        (["feasibility"], b"\xff\xfe{}", "utf-8"),
+        (["feasibility"], json.dumps({**FAMILY_JSON, "settings": [{"label": "a", "x": "1e-5000"}]}), "settings[0].x"),
+        (["feasibility"], '{"e_p": ' + "1" * 5000 + "}", "not valid JSON"),
+        (["feasibility"], "[" * 100_000 + "]" * 100_000, "not valid JSON"),
+    ], ids=["x_out_of_range", "demo_x_out_of_range", "not_utf8", "x_too_long_to_print", "int_too_long", "deep_nesting"])
+    def test_rejected_with_one_error_line(self, tmp_path, command, content, fragment):
+        path = tmp_path / "family.json"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+        result = run_cli(*command, "--input", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
+
 
 class TestDemo:
     @pytest.mark.parametrize("drop", ["independence", "objectivity", "determinism"])
@@ -186,6 +204,7 @@ class TestUsageErrors:
         result = run_cli("quantum", "--alpha", "three", "--phi", "0")
         assert result.returncode == 1
         assert "--alpha" in result.stderr
+        assert "expected radians or a pi token" in result.stderr
         assert result.stdout == ""
 
     def test_bad_probability(self):
@@ -210,13 +229,26 @@ class TestUsageErrors:
             "sweep", "--alpha", "0", "--phi-start", "0", "--phi-end", "1",
             "--steps", "2", "--shots", "10", "--seed", str(2**128),
         ),
-    ], ids=["infinite_pi_angle", "non_finite_sweep_grid", "seed_beyond_philox_key"])
+        ("family", "--x", "1/2", "--ep", "1/2", "--ew", "1/2", "--s", "1e-5000", "--t", "0"),
+        ("family", "--x", "1e-5000", "--ep", "1/2", "--ew", "1/2"),
+    ], ids=[
+        "infinite_pi_angle", "non_finite_sweep_grid", "seed_beyond_philox_key", "s_too_long_to_print",
+        "x_too_long_to_print",
+    ])
     def test_rejected_with_one_error_line(self, args):
         result = run_cli(*args)
         assert result.returncode == 1
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_seed_error_states_the_bound(self):
+        result = run_cli(
+            "sweep", "--alpha", "0", "--phi-start", "0", "--phi-end", "1",
+            "--steps", "2", "--shots", "10", "--seed", str(2**128),
+        )
+        assert result.returncode == 1
+        assert "2**128" in result.stderr
 
     def test_largest_seed_is_accepted(self):
         result = run_cli(

@@ -202,6 +202,17 @@ class TestRationalLiterals:
         with pytest.raises(ValueError):
             parse_rational("one third")
 
+    @pytest.mark.parametrize("longest,refused", [
+        ("1e4299", "1e4300"),
+        (".1e-4298", ".1e-4299"),
+        ("1" * 2150 + "." + "1" * 2150, "1" * 2150 + "." + "1" * 2151),
+    ], ids=["exponent", "negative_exponent", "decimal"])
+    def test_literals_too_long_to_print_are_refused(self, longest, refused):
+        value = parse_rational(longest)
+        assert parse_rational(format_rational(value)) == value
+        with pytest.raises(ValueError, match="digits"):
+            parse_rational(refused)
+
     @pytest.mark.parametrize("value,text", [(F(1, 3), "1/3"), (F(2), "2"), (F(0), "0")])
     def test_format(self, value, text):
         assert format_rational(value) == text

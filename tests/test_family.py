@@ -217,3 +217,9 @@ class TestOnticTableJson:
         data["00p"] = "zero"
         with pytest.raises(MalformedInput):
             OnticTable.from_json_dict(data)
+
+    def test_entries_not_summing_to_one(self):
+        data = special_solution(PARAMS).to_json_dict()
+        data["00p"] = "1"
+        with pytest.raises(MalformedInput, match="ontic table"):
+            OnticTable.from_json_dict(data)
