@@ -77,8 +77,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _reason_shown(parse):
-    """argparse reports a type function's ``ValueError`` by the function's
-    name alone; re-raise it as ``ArgumentTypeError`` so the reason is shown."""
+    """Re-raise a type function's ``ValueError`` as ``ArgumentTypeError``, whose reason argparse prints."""
 
     @functools.wraps(parse)
     def checked(text: str):
@@ -290,15 +289,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         status, text = args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, HvnogoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MalformedInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED_INPUT
-    except HvnogoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_MALFORMED_INPUT if isinstance(exc, MalformedInput) else EXIT_USAGE
     if args.output:
         try:
             Path(args.output).write_text(text, encoding="utf-8")

@@ -84,7 +84,14 @@ def joint_state(alpha: float, phi: float) -> StateVector4:
     phase_half = cmath.exp(0.5j * phi)
     particle_amp = (inv_sqrt2, cmath.exp(1j * phi) * inv_sqrt2)
     wave_amp = (phase_half * math.cos(half), phase_half * (-1j) * math.sin(half))
-    return StateVector4((ca * particle_amp[0], sa * wave_amp[0], ca * particle_amp[1], sa * wave_amp[1]))
+    return StateVector4(
+        (
+            ca * particle_amp[0],
+            sa * wave_amp[0],
+            ca * particle_amp[1],
+            sa * wave_amp[1],
+        )
+    )
 
 
 def quantum_joint(alpha: float, phi: float) -> JointDist:
