@@ -2,10 +2,10 @@
 
 Each criterion function is deterministic (fixed seeds, no timing inside
 the detail text) and returns a :class:`CriterionResult`.  Its body returns
-``(passed, detail)`` at the first failure, and ``_criterion`` times it and
-builds the result; ``run_all`` is
-what ``hvnogo selftest`` prints.  The stated runtime limits live in
-``RUNTIME_LIMITS`` and are enforced by the test suite.
+``(passed, detail)`` at the first failure; ``_criterion`` times it and
+builds the result.  ``run_all`` is what ``hvnogo selftest`` prints.  The
+stated runtime limits live in ``RUNTIME_LIMITS`` and are enforced by the
+test suite.
 """
 
 from __future__ import annotations
