@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from numpy.random import Generator, Philox
-
 from .dist import REAL_TOL, GeneralParams, JointDist, joint_from_params, tv_distance
 from .exactlp import enumerate_basic_solutions, matrix_rank, residual, verify_certificate
 from .family import (
@@ -58,6 +56,8 @@ _GRID_11 = [i * math.pi / 10.0 for i in range(11)]
 
 
 def _rng(seed: int) -> Generator:
+    from numpy.random import Generator, Philox
+
     return Generator(Philox(key=seed))
 
 

@@ -75,6 +75,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:  # quoted, so an argument holding a line break keeps the error on one line
+            self.error(f"unrecognized arguments: {' '.join(map(repr, extra))}")
+        return args
+
 
 def _reason_shown(parse):
     """Re-raise a type function's ``ValueError`` as ``ArgumentTypeError``, whose reason argparse prints."""

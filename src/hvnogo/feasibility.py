@@ -118,8 +118,10 @@ class SettingsFamily:
         for i, item in enumerate(raw):
             if not isinstance(item, Mapping) or "label" not in item or "x" not in item:
                 raise MalformedInput(f"settings[{i}] needs fields 'label' and 'x'")
+            if not isinstance(item["label"], str):
+                raise MalformedInput(f"settings[{i}].label: expected a string, got {type(item['label']).__name__}")
             with malformed_input(f"settings[{i}].x"):
-                settings.append(Setting(str(item["label"]), parse_rational(str(item["x"]))))
+                settings.append(Setting(item["label"], parse_rational(str(item["x"]))))
         with malformed_input():
             return cls(e_p, e_w, tuple(settings))
 

@@ -28,15 +28,16 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-from numpy.random import Generator, Philox
-
 from .dist import JointDist
 from .errors import EmptySample
 from .quantum import quantum_joint
 
 #: compare() fails when any standardized cell deviation exceeds this.
 Z_THRESHOLD = 5.0
+
+#: sample_events draws at most this many shots at a time, so its memory
+#: does not grow with the shot count.
+_CHUNK_SHOTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,8 @@ def _uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
     Philox advances in blocks of four words, so the block before ``lo`` is
     entered and the leftover words are discarded.
     """
+    from numpy.random import Generator, Philox
+
     bit_gen = Philox(key=seed)
     bit_gen.advance(lo // 4)
     skip = lo % 4
@@ -114,16 +117,20 @@ def sample_events(dist: JointDist, n: int, seed: int, first_shot: int = 0) -> Co
     for name, value in (("sample count", n), ("seed", seed), ("first_shot", first_shot)):
         if not isinstance(value, int) or value < 0:
             raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    import numpy as np
+
     # JointDist admits entries down to -REAL_TOL; searchsorted needs a
     # nondecreasing cumulative, so such rounding residue counts as zero.
     probs = np.maximum(np.array([float(e) for e in dist.entries], dtype=np.float64), 0.0)
     cumulative = np.cumsum(probs)
     cumulative /= cumulative[3]  # exact 1.0 endpoint; zero-probability cells stay zero width
-    if n == 0:
-        return Counts4(0, 0, 0, 0)
-    u = _uniforms(seed, first_shot, first_shot + n)
-    cells = np.searchsorted(cumulative[:3], u, side="right")
-    counts = np.bincount(cells, minlength=4)
+    counts = np.zeros(4, dtype=np.int64)
+    lo, hi = first_shot, first_shot + n
+    while lo < hi:
+        stop = min(hi, (lo // _CHUNK_SHOTS + 1) * _CHUNK_SHOTS)
+        cells = np.searchsorted(cumulative[:3], _uniforms(seed, lo, stop), side="right")
+        counts += np.bincount(cells, minlength=4)
+        lo = stop
     return Counts4(*(int(c) for c in counts))
 
 

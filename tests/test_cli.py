@@ -1,10 +1,21 @@
 """CLI contract: schemas, exit statuses, byte-level determinism."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hvnogo.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FAMILY_JSON = {
     "e_p": "1/2",
@@ -137,7 +148,12 @@ class TestFeasibility:
         (["feasibility"], json.dumps({**FAMILY_JSON, "settings": [{"label": "a", "x": "1e-5000"}]}), "settings[0].x"),
         (["feasibility"], '{"e_p": ' + "1" * 5000 + "}", "not valid JSON"),
         (["feasibility"], "[" * 100_000 + "]" * 100_000, "not valid JSON"),
-    ], ids=["x_out_of_range", "demo_x_out_of_range", "not_utf8", "x_too_long_to_print", "int_too_long", "deep_nesting"])
+        (["feasibility"], json.dumps({**FAMILY_JSON, "settings": [{"label": {"a": 1}, "x": "1/3"}]}),
+         "settings[0].label"),
+    ], ids=[
+        "x_out_of_range", "demo_x_out_of_range", "not_utf8", "x_too_long_to_print", "int_too_long", "deep_nesting",
+        "label_not_a_string",
+    ])
     def test_rejected_with_one_error_line(self, tmp_path, command, content, fragment):
         path = tmp_path / "family.json"
         path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
@@ -256,3 +272,157 @@ class TestUsageErrors:
             "--steps", "2", "--shots", "10", "--seed", str(2**128 - 1),
         )
         assert result.returncode == 0
+
+
+class TestLazyNumpy:
+    """Only the sampling paths load numpy; the exact layers never do."""
+
+    SCRIPT = textwrap.dedent("""
+        import contextlib, io, sys
+        from hvnogo import Counts4, StatReport, SweepRow, compare, fringe_sweep, sample_events, sweep_to_csv
+        from hvnogo.cli import main
+
+        family = sys.argv[1]
+        exact_runs = [
+            (["quantum", "--alpha", "pi/3", "--phi", "pi/4"], 0),
+            (["family", "--x", "1/3", "--ep", "1/2", "--ew", "1/4", "--s", "0", "--t", "0"], 0),
+            (["feasibility", "--input", family], 3),
+        ] + [(["demo", "--drop", drop, "--input", family], 0) for drop in ("independence", "objectivity", "determinism")]
+        for argv, expected in exact_runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == expected, argv
+            assert "numpy" not in sys.modules, argv
+        sweep = ["sweep", "--alpha", "pi/4", "--phi-start", "0", "--phi-end", "1", "--steps", "2", "--shots", "10", "--seed", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(sweep) == 0
+        assert "numpy" in sys.modules
+    """)
+
+    def test_only_the_sampler_loads_numpy(self, family_file):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, family_file], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+
+
+#: flag -> (values that parse, values that are rejected or fail later)
+_ANGLES = (("0", "pi", "pi/4", "3*pi/4", "0.7854", "1e308"), ("-pi/2", "9" * 400 + "*pi", "pi/0", "three"))
+_RATIONALS = (("1/2", "1/3", "1/4", "1/12", "2/3", "0.25"), ("0", "1", "5/3", "-1/2", "1e-5000", "1/0"))
+_VALUES = {
+    "--alpha": _ANGLES,
+    "--phi": _ANGLES,
+    "--phi-start": _ANGLES,
+    "--phi-end": _ANGLES,
+    "--x": _RATIONALS,
+    "--ep": _RATIONALS,
+    "--ew": _RATIONALS,
+    "--s": _RATIONALS,
+    "--t": _RATIONALS,
+    "--steps": (("1", "2", "5"), ("0", "-1")),
+    "--shots": (("1", "10", "200"), ("0",)),
+    "--seed": (("0", "9", str(2**128 - 1)), (str(2**128), "-1")),
+    "--drop": (("independence", "objectivity", "determinism"), ("honesty",)),
+    # paths under the test's directory, written "@DIR@/<name>"; "@DIR@" is the directory itself
+    "--input": (("@DIR@/family.json", "@DIR@/constant.json", "@DIR@/random.json"), ("@DIR@/missing.json", "@DIR@")),
+    "--output": (("@DIR@/out.csv",), ("@DIR@/missing/out.csv", "@DIR@")),
+}
+_VALUES["-o"] = _VALUES["--output"]
+_FLAGS = {
+    "quantum": ("--alpha", "--phi"),
+    "family": ("--x", "--ep", "--ew", "--s", "--t"),
+    "feasibility": ("--input",),
+    "demo": ("--drop", "--input"),
+    "sweep": ("--alpha", "--phi-start", "--phi-end", "--steps", "--shots", "--seed"),
+}
+
+
+def _small_or_not_an_int(text):
+    try:
+        return int(text) <= 200
+    except ValueError:
+        return True
+
+
+# A random token never starts with "-", so it cannot act as a flag (nor,
+# by argparse's prefix matching, as --output); it is neither an absolute
+# path nor holds "..", so as a file name it stays in the test's working
+# directory; and it never asks for more than 200 sweep steps or shots.
+# Line breaks are drawn on purpose: an error line must not split on one.
+_TOKENS = (st.text(max_size=12) | st.sampled_from(["a\nb", "\n", "pi\r"])).filter(
+    lambda t: not t.startswith(("-", "/")) and ".." not in t and _small_or_not_an_int(t)
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_FAMILY_JSON = st.fixed_dictionaries({
+    "e_p": st.sampled_from(_RATIONALS[0]) | _JSON,
+    "e_w": st.sampled_from(_RATIONALS[0]) | _JSON,
+    "settings": st.lists(
+        st.fixed_dictionaries({"label": st.text(max_size=4) | _JSON, "x": st.sampled_from(sum(_RATIONALS, ())) | _JSON}),
+        max_size=3,
+    ) | _JSON,
+})
+
+
+_BAD = sorted({value for _, bad in _VALUES.values() for value in bad})
+_STRAYS = st.sampled_from([*_VALUES, "--help", "-h", *_BAD]) | _TOKENS
+
+
+@st.composite
+def _argv(draw):
+    """A valid invocation, then up to three mutations: a token replaced by
+    a rejected value or a random token, a token dropped, or a stray flag,
+    --help, value or token inserted."""
+    command = draw(st.sampled_from(list(_FLAGS)))
+    flags = [flag for flag in _FLAGS[command] if flag not in ("--s", "--t")]
+    if command == "family" and draw(st.booleans()):
+        flags += ["--s", "--t"]
+    if draw(st.booleans()):
+        flags.append(draw(st.sampled_from(["--output", "-o"])))
+    argv = [command]
+    for flag in flags:
+        value = draw(st.sampled_from(_VALUES[flag][0]))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv) - 1))
+        mutation = draw(st.sampled_from(["replace", "drop", "insert"]))
+        if mutation == "replace":
+            argv[i] = draw(st.sampled_from(_BAD) | _TOKENS)
+        elif mutation == "drop":
+            del argv[i]
+        else:
+            argv.insert(i, draw(_STRAYS))
+        if not argv:
+            break
+    return argv
+
+
+class TestTotality:
+    """Every argv ends in an exit status 0-4; an error is one line on stderr."""
+
+    @given(argv=_argv(), content=st.binary(max_size=40) | _FAMILY_JSON.map(lambda d: json.dumps(d).encode()))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_argv_exits_zero_to_four(self, tmp_path, monkeypatch, argv, content):
+        monkeypatch.chdir(tmp_path)  # a mutated file flag may take a relative name
+        (tmp_path / "family.json").write_text(json.dumps(FAMILY_JSON), encoding="utf-8")
+        (tmp_path / "constant.json").write_text(json.dumps(CONSTANT_JSON), encoding="utf-8")
+        (tmp_path / "random.json").write_bytes(content)
+        out = tmp_path / "out.csv"
+        out.unlink(missing_ok=True)
+        argv = [token.replace("@DIR@", str(tmp_path)) for token in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                status = main(argv)
+            except SystemExit as exc:  # --help
+                status = exc.code
+        assert status in (0, 1, 2, 3, 4), argv
+        err = stderr.getvalue()
+        if status in (1, 2):
+            assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, (argv, err)
+            assert not out.exists(), argv
+        else:
+            assert err == "", (argv, err)

@@ -297,6 +297,7 @@ class TestSettingsFamilyJson:
         (lambda d: d.update(settings=[{"label": "a"}]), "settings[0]"),
         (lambda d: d.update(settings=[{"label": "a", "x": "x"}]), "settings[0].x"),
         (lambda d: d.update(settings=[{"label": "a", "x": "5/3"}]), "settings[0].x:"),
+        (lambda d: d.update(settings=[{"label": None, "x": "1/3"}]), "settings[0].label"),
     ])
     def test_malformed_inputs_name_the_field(self, mutate, fragment):
         data = TWO_SETTINGS.to_json_dict()

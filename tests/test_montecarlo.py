@@ -1,8 +1,10 @@
 """Counter-based sampling: reproducibility, conservation, statistics."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from hvnogo import (
     sweep_to_csv,
     wave_statistics,
 )
-from hvnogo.montecarlo import SWEEP_CSV_HEADER, _uniforms
+from hvnogo.montecarlo import _CHUNK_SHOTS, SWEEP_CSV_HEADER, _uniforms
 
 F = Fraction
 FIXED = quantum_joint(math.pi / 3, math.pi / 4)
@@ -69,6 +71,23 @@ class TestSampleEvents:
             tail = sample_events(FIXED, n - cut, 42, first_shot=cut)
             merged = tuple(h + t for h, t in zip(head.as_tuple(), tail.as_tuple()))
             assert merged == whole.as_tuple(), f"cut at {cut}"
+
+    def test_draw_across_chunk_boundaries_matches_the_uniforms(self):
+        lo, hi = _CHUNK_SHOTS - 1, 2 * _CHUNK_SHOTS + 3
+        cumulative = np.cumsum([float(e) for e in FIXED.entries])
+        cells = np.searchsorted(cumulative[:3] / cumulative[3], _uniforms(42, lo, hi), side="right")
+        direct = tuple(int(c) for c in np.bincount(cells, minlength=4))
+        assert sample_events(FIXED, hi - lo, 42, first_shot=lo).as_tuple() == direct
+
+    def test_memory_does_not_grow_with_the_shot_count(self):
+        tracemalloc.start()
+        try:
+            counts = sample_events(FIXED, 10**7, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.total == 10**7
+        assert peak < 64 * 2**20
 
     @given(st.integers(min_value=0, max_value=3000), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=40, deadline=None)
