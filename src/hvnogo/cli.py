@@ -301,7 +301,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.output:
         try:
             Path(args.output).write_text(text, encoding="utf-8")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             print(f"error: cannot write output file {args.output!r}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
