@@ -8,10 +8,13 @@ to change nothing.
 """
 
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from hvnogo import Setting, SettingsFamily, check_triple
 from hvnogo.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -80,7 +83,63 @@ def test_cli_output_matches_golden(name, tmp_path, capsys):
 
 
 def test_every_golden_file_has_a_case():
-    # selftest.out is checked by tests/test_acceptance.py's criterion 9 test.
-    names = {p.stem for p in GOLDEN.glob("*.out")} - {"selftest"}
+    # selftest.out is checked by tests/test_acceptance.py's criterion 9 test,
+    # check_triple.out by test_check_triple_reports_match_golden below.
+    names = {p.stem for p in GOLDEN.glob("*.out")} - {"selftest", "check_triple"}
     statuses = json.loads((GOLDEN / "exit_status.json").read_text(encoding="utf-8"))
     assert names == set(CASES) == set(statuses)
+
+
+#: (k, large denominators, distinct x) for each family in check_triple.out.
+TRIPLE_FAMILIES = (
+    (1, False, False),
+    (2, False, True), (3, False, True), (5, False, True), (8, False, True),
+    (16, False, True), (32, False, True), (64, False, True), (128, False, True),
+    (2, True, True), (4, True, True), (8, True, True), (16, True, True),
+    (32, True, True), (64, True, True), (128, True, True),
+    (4, False, False), (16, True, False), (32, False, False), (64, True, False),
+)
+
+
+def _triple_fraction(rng: random.Random, large: bool) -> Fraction:
+    den = rng.randint(10**5, 10**6) if large else rng.randint(2, 12)
+    return Fraction(rng.randint(1, den - 1), den)
+
+
+def triple_family(index: int) -> SettingsFamily:
+    """The seeded family behind entry ``index`` of check_triple.out."""
+    k, large, distinct = TRIPLE_FAMILIES[index]
+    rng = random.Random(f"check_triple/{index}")
+    e_p = _triple_fraction(rng, large)
+    e_w = _triple_fraction(rng, large)
+    while e_w == e_p:
+        e_w = _triple_fraction(rng, large)
+    xs = [_triple_fraction(rng, large) for _ in range(k)]
+    if distinct:
+        while xs[1] == xs[0]:
+            xs[1] = _triple_fraction(rng, large)
+    else:
+        xs = [xs[0]] * k
+    return SettingsFamily(e_p, e_w, tuple(Setting(f"s{i}", x) for i, x in enumerate(xs)))
+
+
+def render_triple_reports() -> str:
+    """check_triple's verdict, exact evidence and narrative for every family."""
+    out = []
+    for index in range(len(TRIPLE_FAMILIES)):
+        family = triple_family(index)
+        report = check_triple(family)
+        evidence = report.witness.entries if report.feasible else report.certificate
+        out += [
+            f"family {index}: k = {len(family.settings)}, e_p = {family.e_p}, e_w = {family.e_w}",
+            "x: " + " ".join(str(s.x) for s in family.settings),
+            f"feasible: {report.feasible}",
+            ("witness: " if report.feasible else "certificate: ") + " ".join(str(v) for v in evidence),
+            f"narrative: {report.narrative}",
+            "",
+        ]
+    return "\n".join(out)
+
+
+def test_check_triple_reports_match_golden():
+    assert render_triple_reports() == (GOLDEN / "check_triple.out").read_text(encoding="utf-8")
