@@ -9,9 +9,12 @@ arithmetic.  The answer always comes with checkable evidence:
   ``y^T A w <= 0 < y^T b``).
 
 The engine is a phase-one simplex over ``fractions.Fraction`` with Bland's
-anti-cycling rule; certificates are the phase-one duals.  Systems in this
-package have at most a few dozen rows and eight genuine variables, so
-clarity and exactness trump all performance concerns.
+anti-cycling rule; certificates are the phase-one duals.  Triple systems
+reach 4k + 2 rows (514 at k = 128) over eight genuine variables, and their
+rows and pivot rows are mostly zero, so every loop here skips zero entries.
+Skipping never changes a value (``x - f * 0 == x`` exactly), so the simplex
+makes the same Bland pivots and returns the same certificates as a dense
+tableau would.
 
 A brute-force basic-solution enumerator (:func:`enumerate_basic_solutions`)
 is provided as an independent cross-check: it shares no code with the
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch
 
@@ -99,7 +102,7 @@ def residual(system: LinearSystem, point: Sequence) -> tuple[Fraction, ...]:
     w = _as_fraction_row(point, "point")
     if len(w) != system.num_vars:
         raise DimensionMismatch(f"point has {len(w)} entries, system has {system.num_vars} variables")
-    return tuple(sum(c * v for c, v in zip(row, w)) - b for row, b in zip(system.matrix, system.rhs))
+    return tuple(sum(c * v for c, v in zip(row, w) if c) - b for row, b in zip(system.matrix, system.rhs))
 
 
 def verify_certificate(system: LinearSystem, y: Sequence) -> bool:
@@ -110,10 +113,15 @@ def verify_certificate(system: LinearSystem, y: Sequence) -> bool:
     yv = _as_fraction_row(y, "certificate")
     if len(yv) != system.num_rows:
         raise DimensionMismatch(f"certificate has {len(yv)} entries, system has {system.num_rows} rows")
-    for j in range(system.num_vars):
-        if sum(yv[i] * system.matrix[i][j] for i in range(system.num_rows)) > 0:
-            return False
-    return sum(yv[i] * system.rhs[i] for i in range(system.num_rows)) > 0
+    support = [i for i, v in enumerate(yv) if v]
+    totals = [ZERO] * system.num_vars
+    for i in support:
+        for j, a in enumerate(system.matrix[i]):
+            if a:
+                totals[j] += yv[i] * a
+    if any(t > 0 for t in totals):
+        return False
+    return sum(yv[i] * system.rhs[i] for i in support) > 0
 
 
 def lp_feasible(system: LinearSystem) -> FeasibilityReport:
@@ -153,16 +161,23 @@ def lp_feasible(system: LinearSystem) -> FeasibilityReport:
         if best is None:
             raise AssertionError("phase-one objective is bounded; no pivot row means a bug")
         row = best[1]
-        pivot = tab[row][entering]
-        tab[row] = [v / pivot for v in tab[row]]
+        prow = tab[row]
+        pivot = prow[entering]
+        # Only the pivot row's nonzero columns can change any entry.
+        support = [j for j, v in enumerate(prow) if v != 0]
+        for j in support:
+            prow[j] /= pivot
         rhs[row] /= pivot
         for i in range(m):
-            if i != row and tab[i][entering] != 0:
-                factor = tab[i][entering]
-                tab[i] = [v - factor * p for v, p in zip(tab[i], tab[row])]
+            factor = tab[i][entering]
+            if i != row and factor != 0:
+                target = tab[i]
+                for j in support:
+                    target[j] -= factor * prow[j]
                 rhs[i] -= factor * rhs[row]
-        factor = red[entering]
-        red = [v - factor * p for v, p in zip(red, tab[row])]
+        factor = red[entering]  # negative, since the column entered
+        for j in support:
+            red[j] -= factor * prow[j]
         basis[row] = entering
 
     infeasibility = sum(rhs[i] for i in range(m) if basis[i] >= n)
@@ -186,6 +201,24 @@ def lp_feasible(system: LinearSystem) -> FeasibilityReport:
     return FeasibilityReport(False, None, y, narrative)
 
 
+def _eliminate(work: list[list[Fraction]], r: int, col: int) -> None:
+    """Scale row r so ``work[r][col] == 1`` and clear column col from every other row.
+
+    Gauss-Jordan step for :func:`matrix_rank` and the enumerator, in place;
+    only row r's nonzero columns are touched.
+    """
+    prow = work[r]
+    pivot = prow[col]
+    support = [j for j, v in enumerate(prow) if v != 0]
+    for j in support:
+        prow[j] /= pivot
+    for i, target in enumerate(work):
+        factor = target[col]
+        if i != r and factor != 0:
+            for j in support:
+                target[j] -= factor * prow[j]
+
+
 def matrix_rank(rows: Sequence[Sequence]) -> int:
     """Rank of an exact rational matrix by Gaussian elimination."""
     work = [list(_as_fraction_row(r, "matrix")) for r in rows]
@@ -198,12 +231,7 @@ def matrix_rank(rows: Sequence[Sequence]) -> int:
         if pivot_row is None:
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = work[rank][col]
-        work[rank] = [v / inv for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [v - factor * p for v, p in zip(work[i], work[rank])]
+        _eliminate(work, rank, col)
         rank += 1
         if rank == len(work):
             break
@@ -225,17 +253,36 @@ def _solve_unique(columns: list[list[Fraction]], rhs: list[Fraction]) -> Optiona
         if pivot_row is None:
             return None  # rank-deficient column set: not a basis
         aug[pivots], aug[pivot_row] = aug[pivot_row], aug[pivots]
-        inv = aug[pivots][col]
-        aug[pivots] = [v / inv for v in aug[pivots]]
-        for i in range(m):
-            if i != pivots and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [v - factor * p for v, p in zip(aug[i], aug[pivots])]
+        _eliminate(aug, pivots, col)
         pivots += 1
     for i in range(pivots, m):
         if aug[i][k] != 0:
             return None  # inconsistent
     return [aug[i][k] for i in range(k)]
+
+
+def _basic_solutions(system: LinearSystem) -> Iterator[tuple[Fraction, ...]]:
+    """Yield each nonnegative basic solution once per basis that gives it.
+
+    Tries every size-rank(A) column subset in lexicographic order and
+    solves it exactly.
+    """
+    m, n = system.num_rows, system.num_vars
+    r = matrix_rank(system.matrix)
+    if r == 0:
+        if all(b == 0 for b in system.rhs):
+            yield tuple([ZERO] * n)
+        return
+    rhs = list(system.rhs)
+    for subset in combinations(range(n), r):
+        cols = [[system.matrix[i][j] for i in range(m)] for j in subset]
+        solution = _solve_unique(cols, rhs)
+        if solution is None or any(v < 0 for v in solution):
+            continue
+        point = [ZERO] * n
+        for j, v in zip(subset, solution):
+            point[j] = v
+        yield tuple(point)
 
 
 def enumerate_basic_solutions(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:
@@ -248,26 +295,10 @@ def enumerate_basic_solutions(system: LinearSystem) -> tuple[tuple[Fraction, ...
 
     Intended for small systems only (the search is combinatorial).
     """
-    m, n = system.num_rows, system.num_vars
-    r = matrix_rank(system.matrix)
-    if r == 0:
-        if all(b == 0 for b in system.rhs):
-            return (tuple([ZERO] * n),)
-        return ()
-    rhs = list(system.rhs)
-    found: set[tuple[Fraction, ...]] = set()
-    for subset in combinations(range(n), r):
-        cols = [[system.matrix[i][j] for i in range(m)] for j in subset]
-        solution = _solve_unique(cols, rhs)
-        if solution is None or any(v < 0 for v in solution):
-            continue
-        point = [ZERO] * n
-        for j, v in zip(subset, solution):
-            point[j] = v
-        found.add(tuple(point))
-    return tuple(sorted(found))
+    return tuple(sorted(set(_basic_solutions(system))))
 
 
 def brute_force_feasible(system: LinearSystem) -> bool:
-    """Feasibility by exhaustive basis enumeration; independent of the simplex."""
-    return len(enumerate_basic_solutions(system)) > 0
+    """Feasibility by basis enumeration, stopping at the first basic feasible
+    solution; independent of the simplex."""
+    return next(_basic_solutions(system), None) is not None

@@ -92,6 +92,14 @@ class TestCheckTriple:
             assert report.feasible
             assert all(r == 0 for r in residual(triple_system(family), report.witness.entries))
 
+    def test_certificate_at_256_settings(self):
+        family = random_family(Generator(Philox(key=64)), distinct_x=True, k=256)
+        system = triple_system(family)
+        report = check_triple(family)
+        assert not report.feasible
+        assert system.num_rows == 4 * 256 + 2 and len(report.certificate) == system.num_rows
+        assert verify_certificate(system, report.certificate)
+
     def test_boundary_x_values_behave_like_any_other(self):
         boundary = SettingsFamily(F(1, 2), F(1, 4), (Setting("open", F(0)), Setting("closed", F(1))))
         report = check_triple(boundary)
