@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import re
@@ -148,9 +149,12 @@ def _dump_json(payload) -> str:
 
 def _load_family(path: str) -> SettingsFamily:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+        raw = Path(path).read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise MalformedInput(f"cannot read input file {path!r}: {exc}") from exc
+    try:
+        # Decoded as Path.read_text would, universal newlines included.
+        data = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise MalformedInput(f"input file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -150,17 +150,22 @@ class TestFeasibility:
         (["feasibility"], "[" * 100_000 + "]" * 100_000, "not valid JSON"),
         (["feasibility"], json.dumps({**FAMILY_JSON, "settings": [{"label": {"a": 1}, "x": "1/3"}]}),
          "settings[0].label"),
+        (["feasibility"], None, "cannot read input file"),
     ], ids=[
         "x_out_of_range", "demo_x_out_of_range", "not_utf8", "x_too_long_to_print", "int_too_long", "deep_nesting",
-        "label_not_a_string",
+        "label_not_a_string", "nul_byte_in_path",
     ])
-    def test_rejected_with_one_error_line(self, tmp_path, command, content, fragment):
+    def test_rejected_with_one_error_line(self, tmp_path, capsys, command, content, fragment):
+        # In-process, because no subprocess argv can carry a NUL byte.
         path = tmp_path / "family.json"
-        path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
-        result = run_cli(*command, "--input", str(path))
-        assert result.returncode == 2
-        assert result.stdout == ""
-        lines = result.stderr.splitlines()
+        if content is None:
+            path = tmp_path / "fam\x00ily.json"
+        else:
+            path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+        assert main([*command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
 
 
