@@ -140,7 +140,8 @@ def lp_feasible(system: LinearSystem) -> FeasibilityReport:
     rhs = [signs[i] * system.rhs[i] for i in range(m)]
     # Artificial variable i occupies column n + i and starts basic in row i.
     for i in range(m):
-        tab[i].extend(ONE if k == i else ZERO for k in range(m))
+        tab[i].extend([ZERO] * m)
+        tab[i][n + i] = ONE
     basis = [n + i for i in range(m)]
 
     # Reduced costs for minimizing the sum of artificials.
