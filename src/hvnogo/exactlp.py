@@ -300,6 +300,5 @@ def enumerate_basic_solutions(system: LinearSystem) -> tuple[tuple[Fraction, ...
 
 
 def brute_force_feasible(system: LinearSystem) -> bool:
-    """Feasibility by basis enumeration, stopping at the first basic feasible
-    solution; independent of the simplex."""
+    """Feasibility by basis enumeration, stopped at the first vertex; independent of the simplex."""
     return next(_basic_solutions(system), None) is not None
