@@ -157,10 +157,10 @@ class TestFeasibility:
     ])
     def test_rejected_with_one_error_line(self, tmp_path, capsys, command, content, fragment):
         # In-process, because no subprocess argv can carry a NUL byte.
-        path = tmp_path / "family.json"
         if content is None:
             path = tmp_path / "fam\x00ily.json"
         else:
+            path = tmp_path / "family.json"
             path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
         assert main([*command, "--input", str(path)]) == 2
         captured = capsys.readouterr()

@@ -4,7 +4,9 @@ Each case runs ``hvnogo.cli.main(argv)`` in-process and compares the
 captured stdout byte for byte with ``tests/golden/<name>.out`` and the exit
 status with ``tests/golden/exit_status.json``.  The goldens lock the CLI's
 observable behaviour so that refactors of the layers below it can be shown
-to change nothing.
+to change nothing.  ``tests/golden/check_triple.out`` likewise pins
+``check_triple``'s full report, exact certificate included, for seeded
+families with up to 128 settings.
 """
 
 import json
