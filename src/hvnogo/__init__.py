@@ -25,6 +25,7 @@ from .dist import (
     marginal_b,
     params_from_joint,
     parse_rational,
+    to_json,
     tv_distance,
 )
 from .errors import (

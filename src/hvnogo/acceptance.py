@@ -61,15 +61,19 @@ def _rng(seed: int) -> Generator:
     return Generator(Philox(key=seed))
 
 
-def _interior_fraction(rng: Generator, max_den: int = 12) -> Fraction:
-    den = int(rng.integers(2, max_den + 1))
+#: Largest denominator of the rationals the criteria draw.
+_MAX_DEN = 12
+
+
+def _interior_fraction(rng: Generator) -> Fraction:
+    den = int(rng.integers(2, _MAX_DEN + 1))
     num = int(rng.integers(1, den))
     return Fraction(num, den)
 
 
-def _any_fraction(rng: Generator, max_den: int = 12) -> Fraction:
+def _any_fraction(rng: Generator) -> Fraction:
     """A rational in [0, 1], boundary included."""
-    den = int(rng.integers(1, max_den + 1))
+    den = int(rng.integers(1, _MAX_DEN + 1))
     num = int(rng.integers(0, den + 1))
     return Fraction(num, den)
 

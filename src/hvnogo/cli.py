@@ -18,7 +18,9 @@ an error), 4 failed selftest or failed witness validation.
 Angles accept plain radians ("0.7854") or the tokens "pi", "pi/4",
 "3*pi/4" with an optional leading minus (negative values need the
 "--flag=value" form); an angle or sweep grid point that is not finite is a
-usage error.  The sweep's --seed is a Philox key, 0 <= seed < 2**128.
+usage error.  The sweep's --seed is a Philox key, 0 <= seed < 2**128.  The
+sweep takes at most 10**5 --steps (about 7 s of work) and at most 10**9
+shots in all, --steps times --shots (about 40 s); more is a usage error.
 Rationals use the "p/q" literal format with integer shorthand; one too
 long to print back ("1e-5000") is refused.  Output is deterministic:
 repeating an invocation (same flags, same --seed) reproduces it byte for
@@ -39,19 +41,16 @@ from pathlib import Path
 from typing import Optional
 
 from . import acceptance
-from .dist import GeneralParams, format_rational, parse_rational
+from .dist import GeneralParams, parse_rational, to_json
 from .errors import HvnogoError, MalformedInput
 from .family import classify, instantiate, lambda_marginal, solve_family
 from .feasibility import (
     SettingsFamily,
     check_triple,
-    feasibility_report_to_json,
     model_drop_determinism,
     model_drop_independence,
     model_drop_objectivity,
     validate_witness,
-    witness_model_to_json,
-    witness_report_to_json,
 )
 from .montecarlo import fringe_sweep, sweep_to_csv
 from .quantum import joint_state, quantum_joint, quantum_params
@@ -61,6 +60,10 @@ EXIT_USAGE = 1
 EXIT_MALFORMED_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_FAILED_CHECK = 4
+
+#: Sweep limits: grid points, and shots summed over the grid.
+MAX_SWEEP_STEPS = 10**5
+MAX_SWEEP_SHOTS = 10**9
 
 _PI_FORM = re.compile(r"^\s*([+-]?)(?:(\d+)\s*\*\s*)?pi(?:\s*/\s*(\d+))?\s*$", re.IGNORECASE)
 
@@ -173,7 +176,7 @@ def _cmd_quantum(args) -> tuple[int, str]:
             key: [z.real, z.imag] for key, z in zip(("00", "01", "10", "11"), state.amplitudes)
         },
         "joint": {key: v for key, v in zip(("00", "01", "10", "11"), joint.entries)},
-        "params": {"x": params.x, "e_p": params.e_p, "e_w": params.e_w},
+        "params": to_json(params),
     }
     return EXIT_OK, _dump_json(payload)
 
@@ -181,26 +184,16 @@ def _cmd_quantum(args) -> tuple[int, str]:
 def _cmd_family(args) -> tuple[int, str]:
     if (args.s is None) != (args.t is None):
         raise _UsageError("--s and --t must be given together")
-    params = GeneralParams(args.x, args.ep, args.ew)
-    family = solve_family(params)
-    payload = {
-        "params": {"x": format_rational(params.x), "e_p": format_rational(params.e_p), "e_w": format_rational(params.e_w)},
-        "s_range": [format_rational(v) for v in family.s_range],
-        "t_range": [format_rational(v) for v in family.t_range],
-    }
+    family = solve_family(GeneralParams(args.x, args.ep, args.ew))
+    payload = to_json(family)
     if args.s is not None:
         table = instantiate(family, args.s, args.t)
-        verdict = classify(table, params)
         marginal = lambda_marginal(table)
-        payload["instance"] = table.to_json_dict()
-        payload["classification"] = {
-            "kind": verdict.kind.value,
-            "indistinguishable": verdict.indistinguishable,
-        }
-        payload["lambda_marginal"] = {
-            "p": format_rational(marginal.p0),
-            "w": format_rational(marginal.p1),
-        }
+        payload |= to_json({
+            "instance": table,
+            "classification": classify(table, family.params),
+            "lambda_marginal": {"p": marginal.p0, "w": marginal.p1},
+        })
     return EXIT_OK, _dump_json(payload)
 
 
@@ -208,7 +201,7 @@ def _cmd_feasibility(args) -> tuple[int, str]:
     family = _load_family(args.input)
     report = check_triple(family)
     status = EXIT_OK if report.feasible else EXIT_INFEASIBLE
-    return status, _dump_json(feasibility_report_to_json(report))
+    return status, _dump_json(to_json(report))
 
 
 _DROP_BUILDERS = {
@@ -222,12 +215,21 @@ def _cmd_demo(args) -> tuple[int, str]:
     family = _load_family(args.input)
     model = _DROP_BUILDERS[args.drop](family)
     report = validate_witness(model, family)
-    payload = {"model": witness_model_to_json(model), "validation": witness_report_to_json(report)}
+    payload = {
+        "model": {**to_json(model), "mode": to_json(model.mode)},
+        "validation": {**to_json(report), "overall_pass": report.overall_pass},
+    }
     status = EXIT_OK if report.overall_pass else EXIT_FAILED_CHECK
     return status, _dump_json(payload)
 
 
 def _cmd_sweep(args) -> tuple[int, str]:
+    if args.steps > MAX_SWEEP_STEPS:
+        raise _UsageError(f"--steps must be at most {MAX_SWEEP_STEPS}, got {args.steps}")
+    if args.steps * args.shots > MAX_SWEEP_SHOTS:
+        raise _UsageError(
+            f"--steps times --shots must be at most {MAX_SWEEP_SHOTS}, got {args.steps} * {args.shots}"
+        )
     if args.steps == 1:
         grid = [args.phi_start]
     else:

@@ -33,9 +33,10 @@ particle-statistics weight and e_w the wave-statistics weight.
 
 from __future__ import annotations
 
+import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -87,6 +88,30 @@ def _digit_bound(literal: str) -> int:
 def format_rational(value: Fraction) -> str:
     """Inverse of :func:`parse_rational`; integers print without "/1"."""
     return str(Fraction(value))
+
+
+def to_json(value):
+    """The JSON form of a result; the CLI writes its JSON output through it.
+
+    A Fraction becomes its "p/q" string, an enum its value, a value with a
+    ``to_json_dict`` method that method's dict, a dataclass an object keyed
+    by its field names, a tuple or list a list, and a dict a dict; each
+    part is rendered the same way.  Anything else (str, int, float, bool,
+    None) is already JSON and is returned as it is.
+    """
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {key: to_json(v) for key, v in value.items()}
+    return value
 
 
 def _coerce_homogeneous(values, what: str) -> tuple[Scalar, ...]:

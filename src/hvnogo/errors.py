@@ -22,9 +22,9 @@ class DegenerateMarginal(HvnogoError, ValueError):
     """A joint distribution puts all mass on one detector-b outcome, so one
     of the conditional parameters is unidentifiable."""
 
-    def __init__(self, parameter: str, message: str | None = None):
+    def __init__(self, parameter: str):
         self.parameter = parameter
-        super().__init__(message or f"parameter {parameter!r} is undefined for this joint")
+        super().__init__(f"parameter {parameter!r} is undefined for this joint")
 
 
 class ConditionOnNull(HvnogoError, ValueError):
@@ -35,9 +35,9 @@ class BoundaryParams(HvnogoError, ValueError):
     """A solution-family request with x, e_p, or e_w at 0 or 1, where the
     two-parameter description breaks down."""
 
-    def __init__(self, parameter: str, message: str | None = None):
+    def __init__(self, parameter: str):
         self.parameter = parameter
-        super().__init__(message or f"parameter {parameter!r} is at the boundary; the family is only two-dimensional for interior parameters")
+        super().__init__(f"parameter {parameter!r} is at the boundary; the family is only two-dimensional for interior parameters")
 
 
 class OutOfRange(HvnogoError, ValueError):

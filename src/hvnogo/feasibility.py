@@ -22,8 +22,14 @@ witness against the two retained assumptions in exact arithmetic.  A
 fixes its ``mode``, and with it which assumption is dropped.
 
 In the triple check the deterministic responses are taken
-setting-independent; setting-indexed responses are only granted to the
-drop-objectivity witness, where they are the whole point.
+setting-independent: one table serves every setting, so it fixes one b=0
+marginal for all of them.  With one setting-independent table, adequacy
+alone refutes distinct x values; the certificate needs no objectivity row.
+Each witness uses its own model class.  Drop-independence uses labelled
+per-setting tables (:class:`PerSettingTables`).  Drop-objectivity uses
+setting-indexed deterministic outcomes (:class:`OutcomeAtomModel`), where
+the setting index is the whole point.  Drop-determinism uses labelled
+atoms with stochastic responses (:class:`StochasticResponseModel`).
 """
 
 from __future__ import annotations
@@ -94,13 +100,6 @@ class SettingsFamily:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(s.label for s in self.settings)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "e_p": format_rational(self.e_p),
-            "e_w": format_rational(self.e_w),
-            "settings": [{"label": s.label, "x": format_rational(s.x)} for s in self.settings],
-        }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SettingsFamily":
@@ -522,62 +521,3 @@ def validate_witness(model: WitnessModel, family: SettingsFamily) -> WitnessRepo
     )
     return WitnessReport(model.mode, checks)
 
-
-# ---------------------------------------------------------------------------
-# JSON forms
-# ---------------------------------------------------------------------------
-
-
-def witness_model_to_json(model: WitnessModel) -> dict:
-    payload = model.payload
-    if isinstance(payload, PerSettingTables):
-        body = {"tables": {label: table.to_json_dict() for label, table in sorted(payload.tables.items())}}
-    elif isinstance(payload, OutcomeAtomModel):
-        body = {
-            "setting_labels": list(payload.setting_labels),
-            "atoms": [
-                {"assignments": [list(pair) for pair in atom.assignments], "weight": format_rational(atom.weight)}
-                for atom in payload.atoms
-            ],
-        }
-    else:
-        body = {
-            "atoms": [
-                {
-                    "name": atom.name,
-                    "weight": format_rational(atom.weight),
-                    "label": atom.label,
-                    "responses": {
-                        label: {name: format_rational(getattr(r, name)) for name in _RESPONSE_FIELDS}
-                        for label, r in sorted(atom.responses.items())
-                    },
-                }
-                for atom in payload.atoms
-            ]
-        }
-    return {"mode": model.mode.value, "payload": body}
-
-
-def witness_report_to_json(report: WitnessReport) -> dict:
-    return {
-        "mode": report.mode.value,
-        "overall_pass": report.overall_pass,
-        "checks": [
-            {"name": c.name, "retained": c.retained, "passed": c.passed, "detail": c.detail}
-            for c in report.checks
-        ],
-    }
-
-
-def feasibility_report_to_json(report: FeasibilityReport) -> dict:
-    witness = report.witness
-    if isinstance(witness, OnticTable):
-        witness = witness.to_json_dict()
-    elif witness is not None:
-        witness = [format_rational(v) for v in witness]
-    return {
-        "feasible": report.feasible,
-        "witness": witness,
-        "certificate": None if report.certificate is None else [format_rational(v) for v in report.certificate],
-        "narrative": report.narrative,
-    }

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hvnogo import cli
 from hvnogo.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -260,9 +261,17 @@ class TestUsageErrors:
         ),
         ("family", "--x", "1/2", "--ep", "1/2", "--ew", "1/2", "--s", "1e-5000", "--t", "0"),
         ("family", "--x", "1e-5000", "--ep", "1/2", "--ew", "1/2"),
+        (
+            "sweep", "--alpha", "0", "--phi-start", "0", "--phi-end", "1",
+            "--steps", "100001", "--shots", "1", "--seed", "1",
+        ),
+        (
+            "sweep", "--alpha", "0", "--phi-start", "0", "--phi-end", "1",
+            "--steps", "100000", "--shots", "10001", "--seed", "1",
+        ),
     ], ids=[
         "infinite_pi_angle", "non_finite_sweep_grid", "seed_beyond_philox_key", "s_too_long_to_print",
-        "x_too_long_to_print",
+        "x_too_long_to_print", "sweep_steps_above_limit", "sweep_shots_in_all_above_limit",
     ])
     def test_rejected_with_one_error_line(self, args):
         result = run_cli(*args)
@@ -278,6 +287,19 @@ class TestUsageErrors:
         )
         assert result.returncode == 1
         assert "2**128" in result.stderr
+
+    def test_largest_sweep_is_accepted(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "fringe_sweep", lambda alpha, grid, shots, seed: calls.append((len(grid), shots)) or [])
+        argv = ["sweep", "--alpha", "0", "--phi-start", "0", "--phi-end", "1", "--seed", "1"]
+        assert main([*argv, "--steps", "100000", "--shots", "10000"]) == 0
+        assert main([*argv, "--steps", "100000", "--shots", "10001"]) == 1
+        assert main([*argv, "--steps", "100001", "--shots", "1"]) == 1
+        assert calls == [(100000, 10000)]
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --steps times --shots must be at most 1000000000, got 100000 * 10001",
+            "error: --steps must be at most 100000, got 100001",
+        ]
 
     def test_largest_seed_is_accepted(self):
         result = run_cli(

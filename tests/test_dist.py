@@ -1,5 +1,6 @@
 """Distribution primitives: frozen examples plus algebraic property tests."""
 
+import enum
 import math
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from hvnogo import (
     marginal_b,
     params_from_joint,
     parse_rational,
+    to_json,
     tv_distance,
 )
 from hvnogo.quantum import quantum_joint
@@ -220,3 +222,24 @@ class TestRationalLiterals:
     @given(rational_prob(max_den=997))
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
+
+
+class TestToJson:
+    def test_dataclass_fields_become_keys_and_fractions_strings(self):
+        assert to_json(GeneralParams(F(1, 3), F(1, 2), 1)) == {"x": "1/3", "e_p": "1/2", "e_w": "1"}
+
+    def test_real_mode_values_pass_through(self):
+        assert to_json(GeneralParams(0.25, 0.5, 1.0)) == {"x": 0.25, "e_p": 0.5, "e_w": 1.0}
+
+    def test_containers_enums_and_own_forms(self):
+        class Kind(enum.Enum):
+            A = "Alpha"
+
+        class Own:
+            def to_json_dict(self):
+                return {"own": "form"}
+
+        value = {"pair": (F(1, 2), [True, None]), "kind": Kind.A, "own": Own(), "n": 3, "s": "text"}
+        assert to_json(value) == {
+            "pair": ["1/2", [True, None]], "kind": "Alpha", "own": {"own": "form"}, "n": 3, "s": "text",
+        }

@@ -9,6 +9,7 @@ from numpy.random import Generator, Philox
 
 from hvnogo import (
     GeneralParams,
+    LinearSystem,
     MalformedInput,
     MalformedModel,
     OnticTable,
@@ -19,16 +20,19 @@ from hvnogo import (
     brute_force_feasible,
     check_triple,
     lambda_marginal,
+    lp_feasible,
     model_drop_determinism,
     model_drop_independence,
     model_drop_objectivity,
     residual,
     special_solution,
+    to_json,
     triple_system,
     validate_witness,
     verify_certificate,
 )
 from hvnogo.acceptance import _interior_fraction as interior_fraction
+from hvnogo.acceptance import _random_family
 from hvnogo.feasibility import OutcomeAtom, OutcomeAtomModel, PerSettingTables
 
 F = Fraction
@@ -99,6 +103,18 @@ class TestCheckTriple:
         assert not report.feasible
         assert system.num_rows == 4 * 256 + 2 and len(report.certificate) == system.num_rows
         assert verify_certificate(system, report.certificate)
+
+    def test_adequacy_alone_refutes_distinct_x(self):
+        """One setting-independent table cannot meet two x values, objectivity or not."""
+        rng = Generator(Philox(key=65))
+        for _ in range(40):
+            family = _random_family(rng, distinct_x=True, max_settings=8)
+            system = triple_system(family)
+            assert all(label.startswith("objectivity") for label in system.labels[-2:])
+            adequacy = LinearSystem(system.matrix[:-2], system.rhs[:-2], system.labels[:-2])
+            report = lp_feasible(adequacy)
+            assert not report.feasible, family
+            assert verify_certificate(adequacy, report.certificate)
 
     def test_boundary_x_values_behave_like_any_other(self):
         boundary = SettingsFamily(F(1, 2), F(1, 4), (Setting("open", F(0)), Setting("closed", F(1))))
@@ -289,7 +305,7 @@ class TestWitnessValidationAcrossFamilies:
 
 class TestSettingsFamilyJson:
     def test_round_trip(self):
-        data = TWO_SETTINGS.to_json_dict()
+        data = to_json(TWO_SETTINGS)
         assert data == {
             "e_p": "1/2",
             "e_w": "1/4",
@@ -308,7 +324,7 @@ class TestSettingsFamilyJson:
         (lambda d: d.update(settings=[{"label": None, "x": "1/3"}]), "settings[0].label"),
     ])
     def test_malformed_inputs_name_the_field(self, mutate, fragment):
-        data = TWO_SETTINGS.to_json_dict()
+        data = to_json(TWO_SETTINGS)
         mutate(data)
         with pytest.raises(MalformedInput) as info:
             SettingsFamily.from_json_dict(data)
