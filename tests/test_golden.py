@@ -6,7 +6,7 @@ status with ``tests/golden/exit_status.json``.  The goldens lock the CLI's
 observable behaviour so that refactors of the layers below it can be shown
 to change nothing.  ``tests/golden/check_triple.out`` likewise pins
 ``check_triple``'s full report, exact certificate included, for seeded
-families with up to 128 settings.
+families with up to 512 settings.
 """
 
 import json
@@ -100,6 +100,7 @@ TRIPLE_FAMILIES = (
     (2, True, True), (4, True, True), (8, True, True), (16, True, True),
     (32, True, True), (64, True, True), (128, True, True),
     (4, False, False), (16, True, False), (32, False, False), (64, True, False),
+    (256, False, True), (512, True, True),
 )
 
 
