@@ -82,15 +82,14 @@ def _interior_params(rng: Generator) -> GeneralParams:
     return GeneralParams(_interior_fraction(rng), _interior_fraction(rng), _interior_fraction(rng))
 
 
-def _random_family(rng: Generator, *, distinct_x: bool, max_settings: int = 4) -> SettingsFamily:
-    k = int(rng.integers(2, max_settings + 1))
+def _random_family(rng: Generator, *, distinct_x: bool, k: int) -> SettingsFamily:
     e_p = _interior_fraction(rng)
     e_w = _interior_fraction(rng)
     while e_w == e_p:
         e_w = _interior_fraction(rng)
     xs = [_interior_fraction(rng) for _ in range(k)]
     if distinct_x:
-        while xs[1] == xs[0]:
+        while k > 1 and xs[1] == xs[0]:
             xs[1] = _interior_fraction(rng)
     else:
         xs = [xs[0]] * k
@@ -201,14 +200,14 @@ def criterion_6():
     """Triple infeasibility with verified certificates; constant-x control."""
     rng = _rng(601)
     for trial in range(100):
-        family = _random_family(rng, distinct_x=True)
+        family = _random_family(rng, distinct_x=True, k=int(rng.integers(2, 5)))
         report = check_triple(family)
         if report.feasible:
             return False, f"trial {trial}: distinct-x family reported feasible"
         if not verify_certificate(triple_system(family), report.certificate):
             return False, f"trial {trial}: certificate rejected by the verifier"
     for trial in range(100):
-        family = _random_family(rng, distinct_x=False)
+        family = _random_family(rng, distinct_x=False, k=int(rng.integers(2, 5)))
         report = check_triple(family)
         if not report.feasible:
             return False, f"constant-x trial {trial}: reported infeasible"
@@ -224,7 +223,7 @@ def criterion_7():
     """Dropping any one assumption admits an exactly validated witness."""
     rng = _rng(701)
     for trial in range(50):
-        family = _random_family(rng, distinct_x=True, max_settings=3)
+        family = _random_family(rng, distinct_x=True, k=int(rng.integers(2, 4)))
         for build in (model_drop_independence, model_drop_objectivity, model_drop_determinism):
             report = validate_witness(build(family), family)
             if not report.overall_pass:

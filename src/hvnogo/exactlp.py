@@ -9,12 +9,11 @@ arithmetic.  The answer always comes with checkable evidence:
   ``y^T A w <= 0 < y^T b``).
 
 The engine is a phase-one simplex over ``fractions.Fraction`` with Bland's
-anti-cycling rule; certificates are the phase-one duals.  Triple systems
-reach 4k + 2 rows (514 at k = 128) over eight genuine variables, and their
-rows and pivot rows are mostly zero, so every loop here skips zero entries.
-Skipping never changes a value (``x - f * 0 == x`` exactly), so the simplex
-makes the same Bland pivots and returns the same certificates as a dense
-tableau would.
+anti-cycling rule; certificates are the phase-one duals.  Its tableau rows
+are sparse: each maps a column to its nonzero entry.  Triple systems reach
+4k + 2 rows over eight genuine variables plus one artificial per row, and
+each row starts with two genuine nonzeros and its artificial, so memory
+grows with the nonzeros instead of as the square of the row count.
 
 A brute-force basic-solution enumerator (:func:`enumerate_basic_solutions`)
 is provided as an independent cross-check: it shares no code with the
@@ -136,16 +135,14 @@ def lp_feasible(system: LinearSystem) -> FeasibilityReport:
     # Normalize so every right-hand side is nonnegative; remember the signs
     # to map dual multipliers back to the original row order.
     signs = [ONE if system.rhs[i] >= 0 else -ONE for i in range(m)]
-    tab = [[signs[i] * system.matrix[i][j] for j in range(n)] for i in range(m)]
+    # Row i maps each column to its nonzero entry.  Artificial variable i
+    # occupies column n + i and starts basic in row i.
+    tab = [{j: signs[i] * a for j, a in enumerate(system.matrix[i]) if a} | {n + i: ONE} for i in range(m)]
     rhs = [signs[i] * system.rhs[i] for i in range(m)]
-    # Artificial variable i occupies column n + i and starts basic in row i.
-    for i in range(m):
-        tab[i].extend([ZERO] * m)
-        tab[i][n + i] = ONE
     basis = [n + i for i in range(m)]
 
     # Reduced costs for minimizing the sum of artificials.
-    red = [-sum(tab[i][j] for i in range(m)) for j in range(n)] + [ZERO] * m
+    red = [-sum(row.get(j, ZERO) for row in tab) for j in range(n)] + [ZERO] * m
 
     while True:
         entering = next((j for j in range(n + m) if red[j] < 0), None)
@@ -153,8 +150,8 @@ def lp_feasible(system: LinearSystem) -> FeasibilityReport:
             break
         # Ratio test; Bland's rule breaks ties by smallest basic variable.
         best = None
-        for i in range(m):
-            coeff = tab[i][entering]
+        for i, entries in enumerate(tab):
+            coeff = entries.get(entering, ZERO)
             if coeff > 0:
                 ratio = rhs[i] / coeff
                 if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
@@ -162,23 +159,22 @@ def lp_feasible(system: LinearSystem) -> FeasibilityReport:
         if best is None:
             raise AssertionError("phase-one objective is bounded; no pivot row means a bug")
         row = best[1]
-        prow = tab[row]
-        pivot = prow[entering]
-        # Only the pivot row's nonzero columns can change any entry.
-        support = [j for j, v in enumerate(prow) if v != 0]
-        for j in support:
-            prow[j] /= pivot
+        pivot = tab[row][entering]
+        prow = tab[row] = {j: v / pivot for j, v in tab[row].items()}
         rhs[row] /= pivot
-        for i in range(m):
-            factor = tab[i][entering]
-            if i != row and factor != 0:
-                target = tab[i]
-                for j in support:
-                    target[j] -= factor * prow[j]
+        for i, target in enumerate(tab):
+            factor = target.get(entering)
+            if i != row and factor is not None:
+                for j, v in prow.items():
+                    entry = target.get(j, ZERO) - factor * v
+                    if entry:
+                        target[j] = entry
+                    else:
+                        del target[j]
                 rhs[i] -= factor * rhs[row]
         factor = red[entering]  # negative, since the column entered
-        for j in support:
-            red[j] -= factor * prow[j]
+        for j, v in prow.items():
+            red[j] -= factor * v
         basis[row] = entering
 
     infeasibility = sum(rhs[i] for i in range(m) if basis[i] >= n)

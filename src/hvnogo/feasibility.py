@@ -43,19 +43,14 @@ from typing import Mapping, Union
 
 from .dist import GeneralParams, JointDist, format_rational, joint_from_params, parse_rational
 from .errors import MalformedInput, MalformedModel, malformed_input
-from .exactlp import FeasibilityReport, LinearSystem, lp_feasible
+from .exactlp import FeasibilityReport, LinearSystem, _as_fraction_row, lp_feasible
 from .family import CELLS, LambdaLabel, OnticTable, _constraint_rows, lambda_marginal, special_solution
 
 _OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _as_probability_fraction(value, what: str) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(f"{what}: floats are inexact; pass a Fraction, int, or rational string")
-    try:
-        v = Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise TypeError(f"{what} must be an exact rational") from exc
+    (v,) = _as_fraction_row((value,), what)
     if v < 0 or v > 1:
         raise ValueError(f"{what} = {v} outside [0, 1]")
     return v

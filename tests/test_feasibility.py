@@ -1,5 +1,6 @@
 """Triple check, certificates, and the three pairwise witness models."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -48,21 +49,6 @@ TWO_SETTINGS = SettingsFamily(
 )
 
 
-def random_family(rng, distinct_x, k=None):
-    k = k or int(rng.integers(2, 5))
-    e_p = interior_fraction(rng)
-    e_w = interior_fraction(rng)
-    while e_w == e_p:
-        e_w = interior_fraction(rng)
-    xs = [interior_fraction(rng) for _ in range(k)]
-    if distinct_x and k >= 2:
-        while xs[1] == xs[0]:
-            xs[1] = interior_fraction(rng)
-    elif not distinct_x:
-        xs = [xs[0]] * k
-    return SettingsFamily(e_p, e_w, tuple(Setting(f"alpha{i + 1}", x) for i, x in enumerate(xs)))
-
-
 class TestCheckTriple:
     def test_two_distinct_settings_are_infeasible(self):
         report = check_triple(TWO_SETTINGS)
@@ -86,29 +72,42 @@ class TestCheckTriple:
     def test_theorem_over_random_families(self):
         rng = Generator(Philox(key=61))
         for _ in range(25):
-            family = random_family(rng, distinct_x=True)
+            family = _random_family(rng, distinct_x=True, k=int(rng.integers(2, 5)))
             report = check_triple(family)
             assert not report.feasible
             assert verify_certificate(triple_system(family), report.certificate)
         for _ in range(25):
-            family = random_family(rng, distinct_x=False)
+            family = _random_family(rng, distinct_x=False, k=int(rng.integers(2, 5)))
             report = check_triple(family)
             assert report.feasible
             assert all(r == 0 for r in residual(triple_system(family), report.witness.entries))
 
     def test_certificate_at_256_settings(self):
-        family = random_family(Generator(Philox(key=64)), distinct_x=True, k=256)
+        family = _random_family(Generator(Philox(key=64)), distinct_x=True, k=256)
         system = triple_system(family)
         report = check_triple(family)
         assert not report.feasible
         assert system.num_rows == 4 * 256 + 2 and len(report.certificate) == system.num_rows
         assert verify_certificate(system, report.certificate)
 
+    def test_simplex_memory_is_linear_in_k(self):
+        k = 500
+        settings = tuple(Setting(f"s{i}", F(i + 1, k + 2)) for i in range(k))
+        system = triple_system(SettingsFamily(F(1, 2), F(1, 4), settings))
+        tracemalloc.start()
+        try:
+            report = lp_feasible(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not report.feasible
+        assert peak < 8 * 2**20
+
     def test_adequacy_alone_refutes_distinct_x(self):
         """One setting-independent table cannot meet two x values, objectivity or not."""
         rng = Generator(Philox(key=65))
         for _ in range(40):
-            family = _random_family(rng, distinct_x=True, max_settings=8)
+            family = _random_family(rng, distinct_x=True, k=int(rng.integers(2, 9)))
             system = triple_system(family)
             assert all(label.startswith("objectivity") for label in system.labels[-2:])
             adequacy = LinearSystem(system.matrix[:-2], system.rhs[:-2], system.labels[:-2])
@@ -132,14 +131,14 @@ class TestCheckTriple:
     def test_agrees_with_brute_force_enumeration(self):
         rng = Generator(Philox(key=63))
         for trial in range(12):
-            family = random_family(rng, distinct_x=trial % 2 == 0)
+            family = _random_family(rng, distinct_x=trial % 2 == 0, k=int(rng.integers(2, 5)))
             system = triple_system(family)
             assert check_triple(family).feasible == brute_force_feasible(system)
 
     def test_adding_a_fresh_setting_never_restores_feasibility(self):
         rng = Generator(Philox(key=62))
         for _ in range(15):
-            family = random_family(rng, distinct_x=True)
+            family = _random_family(rng, distinct_x=True, k=int(rng.integers(2, 5)))
             assert not check_triple(family).feasible
             fresh_x = interior_fraction(rng)
             while any(s.x == fresh_x for s in family.settings):
@@ -242,7 +241,7 @@ class TestDropObjectivity:
 
     def test_sixty_four_settings(self):
         rng = Generator(Philox(key=64))
-        family = random_family(rng, distinct_x=True, k=64)
+        family = _random_family(rng, distinct_x=True, k=64)
         model = model_drop_objectivity(family)
         assert len(model.payload.atoms) <= 3 * 64 + 1
         assert validate_witness(model, family).overall_pass
@@ -282,7 +281,7 @@ class TestWitnessValidationAcrossFamilies:
     def test_all_three_witnesses_validate(self):
         rng = Generator(Philox(key=71))
         for _ in range(15):
-            family = random_family(rng, distinct_x=True, k=int(rng.integers(1, 4)))
+            family = _random_family(rng, distinct_x=True, k=int(rng.integers(1, 4)))
             for build in (model_drop_independence, model_drop_objectivity, model_drop_determinism):
                 assert validate_witness(build(family), family).overall_pass, build.__name__
 
