@@ -142,7 +142,7 @@ def lp_feasible(system: LinearSystem) -> FeasibilityReport:
     basis = [n + i for i in range(m)]
 
     # Reduced costs for minimizing the sum of artificials.
-    red = [-sum(row.get(j, ZERO) for row in tab) for j in range(n)] + [ZERO] * m
+    red = [-sum((row[j] for row in tab if j in row), ZERO) for j in range(n)] + [ZERO] * m
 
     while True:
         entering = next((j for j in range(n + m) if red[j] < 0), None)
