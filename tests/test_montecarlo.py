@@ -79,6 +79,21 @@ class TestSampleEvents:
         direct = tuple(int(c) for c in np.bincount(cells, minlength=4))
         assert sample_events(FIXED, hi - lo, 42, first_shot=lo).as_tuple() == direct
 
+    @pytest.mark.parametrize(
+        ("dist", "n", "seed", "first_shot", "expected"),
+        [
+            (FIXED, 2_121_849, 17, _CHUNK_SHOTS - 12_345, Counts4(265371, 1358674, 264490, 233314)),
+            (JointDist((0.0, 0.7, 0.3, 0.0)), 200_000, 23, 5, Counts4(0, 140070, 59930, 0)),
+            (JointDist((0.5, 0.0, 0.5, 0.0)), 200_000, 23, 5, Counts4(100034, 0, 99966, 0)),
+            (FIXED, 10**7, 3, 0, Counts4(1250775, 6403319, 1247982, 1097924)),
+        ],
+        ids=["unaligned-across-two-chunk-boundaries", "zero-outer-cells", "zero-inner-cell", "ten-million"],
+    )
+    def test_pinned_counts(self, dist, n, seed, first_shot, expected):
+        # Literal counts written by the searchsorted + bincount sampler; the
+        # randomness contract makes them a pure function of these arguments.
+        assert sample_events(dist, n, seed, first_shot=first_shot) == expected
+
     def test_memory_does_not_grow_with_the_shot_count(self):
         tracemalloc.start()
         try:
