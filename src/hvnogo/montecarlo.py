@@ -14,6 +14,13 @@ function of (distribution, shot range, seed), identical on every platform,
 and disjoint shot ranges can be sampled in parallel and merged: the result
 equals the sequential run bit for bit.
 
+Cells are counted by threshold, not per shot: with normalized breakpoints
+c_0 <= c_1 <= c_2, a draw counts ``below_j = #{u < c_j}`` for each j, and
+the four cells hold ``below_0``, ``below_1 - below_0``,
+``below_2 - below_1`` and ``n - below_2``.  A uniform equal to a
+breakpoint lands in the upper cell, exactly where
+``searchsorted(breakpoints, u, side="right")`` puts it.
+
 A sweep over phase values reuses one seed, giving point ``j`` the shot
 range ``[j*shots, (j+1)*shots)``.
 
@@ -113,25 +120,33 @@ def sample_events(dist: JointDist, n: int, seed: int, first_shot: int = 0) -> Co
     split a run across workers; the default covers shots [0, n).  Cells
     with probability zero or below (down to ``-REAL_TOL``) never receive
     counts.
+
+    Each chunk of at most ``_CHUNK_SHOTS`` uniforms is compared against the
+    three normalized breakpoints, and only the number below each is kept;
+    no per-shot cell index is built.  The counts equal those of binning
+    every shot with ``searchsorted(..., side="right")``.
     """
     for name, value in (("sample count", n), ("seed", seed), ("first_shot", first_shot)):
         if not isinstance(value, int) or value < 0:
             raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     import numpy as np
 
-    # JointDist admits entries down to -REAL_TOL; searchsorted needs a
-    # nondecreasing cumulative, so such rounding residue counts as zero.
+    # JointDist admits entries down to -REAL_TOL; threshold differences are
+    # cell counts only for nondecreasing breakpoints, so such rounding
+    # residue counts as zero.
     probs = np.maximum(np.array([float(e) for e in dist.entries], dtype=np.float64), 0.0)
     cumulative = np.cumsum(probs)
     cumulative /= cumulative[3]  # exact 1.0 endpoint; zero-probability cells stay zero width
-    counts = np.zeros(4, dtype=np.int64)
+    breakpoints = cumulative[:3]
+    below = [0, 0, 0]
     lo, hi = first_shot, first_shot + n
     while lo < hi:
         stop = min(hi, (lo // _CHUNK_SHOTS + 1) * _CHUNK_SHOTS)
-        cells = np.searchsorted(cumulative[:3], _uniforms(seed, lo, stop), side="right")
-        counts += np.bincount(cells, minlength=4)
+        u = _uniforms(seed, lo, stop)
+        for j, c in enumerate(breakpoints):
+            below[j] += int(np.count_nonzero(u < c))
         lo = stop
-    return Counts4(*(int(c) for c in counts))
+    return Counts4(below[0], below[1] - below[0], below[2] - below[1], n - below[2])
 
 
 def compare(counts: Counts4, exact: JointDist) -> StatReport:

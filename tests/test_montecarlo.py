@@ -79,6 +79,16 @@ class TestSampleEvents:
         direct = tuple(int(c) for c in np.bincount(cells, minlength=4))
         assert sample_events(FIXED, hi - lo, 42, first_shot=lo).as_tuple() == direct
 
+    def test_a_uniform_on_a_breakpoint_lands_in_the_upper_cell(self):
+        # Shot 0 of seed 9 equals the first normalized breakpoint exactly;
+        # searchsorted(side="right") puts it in cell 01, and so must the sampler.
+        u0 = float(_uniforms(9, 0, 1)[0])
+        tie = JointDist((u0, 1.0 - u0, 0.0, 0.0))
+        cumulative = np.cumsum([float(e) for e in tie.entries])
+        assert cumulative[0] / cumulative[3] == u0
+        assert np.searchsorted(cumulative[:3] / cumulative[3], u0, side="right") == 1
+        assert sample_events(tie, 1, 9) == Counts4(0, 1, 0, 0)
+
     @pytest.mark.parametrize(
         ("dist", "n", "seed", "first_shot", "expected"),
         [
@@ -102,7 +112,8 @@ class TestSampleEvents:
         finally:
             tracemalloc.stop()
         assert counts.total == 10**7
-        assert peak < 64 * 2**20
+        # One 2^20-shot chunk of uniforms is 8 MiB; no per-shot index array.
+        assert peak < 20 * 2**20
 
     @given(st.integers(min_value=0, max_value=3000), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=40, deadline=None)
