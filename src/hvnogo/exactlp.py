@@ -38,7 +38,8 @@ def _as_fraction_row(row, what: str) -> tuple[Fraction, ...]:
     if any(isinstance(v, float) for v in values):
         raise TypeError(f"{what}: floats are inexact; pass Fraction or int entries")
     try:
-        return tuple(Fraction(v) for v in values)
+        # Fractions are immutable, so those given pass through uncopied.
+        return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
     except (TypeError, ValueError) as exc:
         raise TypeError(f"{what}: entries must be exact rationals") from exc
 

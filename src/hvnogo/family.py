@@ -162,23 +162,18 @@ _ADEQUACY_ROWS = tuple(
 _ADEQUACY_LABELS = tuple(f"adequacy(a={a},b={b})" for a in (0, 1) for b in (0, 1))
 
 
-def _constraint_rows(params: GeneralParams) -> tuple[list[tuple[Fraction, ...]], list[Fraction], list[str]]:
-    """Rows, right-hand sides and labels of :func:`constraint_system`, unwrapped.
-
-    The first four rows are adequacy, the last two objectivity, so callers
-    that stack several settings can take each part separately.
-    """
-    e_p, e_w = params.e_p, params.e_w
+def _objectivity_rows(e_p: Fraction, e_w: Fraction) -> tuple[tuple, tuple[Fraction, ...], tuple[str, ...]]:
+    """Rows, right-hand sides and labels of the two multiplied-out objectivity
+    equations; they depend on (e_p, e_w) alone, so settings sharing them
+    share these rows."""
     p_row = [Fraction(0)] * 8
     p_row[cell_index(0, 0, "p")] = 1 - e_p
     p_row[cell_index(1, 0, "p")] = -e_p
     w_row = [Fraction(0)] * 8
     w_row[cell_index(0, 1, "w")] = 1 - e_w
     w_row[cell_index(1, 1, "w")] = -e_w
-    rows = [*_ADEQUACY_ROWS, tuple(p_row), tuple(w_row)]
-    rhs = [*joint_from_params(params).entries, Fraction(0), Fraction(0)]
-    labels = [*_ADEQUACY_LABELS, "objectivity(p-statistics at b=0)", "objectivity(w-statistics at b=1)"]
-    return rows, rhs, labels
+    labels = ("objectivity(p-statistics at b=0)", "objectivity(w-statistics at b=1)")
+    return (tuple(p_row), tuple(w_row)), (Fraction(0), Fraction(0)), labels
 
 
 def constraint_system(params: GeneralParams) -> LinearSystem:
@@ -189,8 +184,10 @@ def constraint_system(params: GeneralParams) -> LinearSystem:
     a side condition carried by the feasibility machinery; normalization is
     implied by adequacy.
     """
-    rows, rhs, labels = _constraint_rows(_exact_params(params, "constraint_system"))
-    return LinearSystem(tuple(rows), tuple(rhs), tuple(labels))
+    params = _exact_params(params, "constraint_system")
+    o_rows, o_rhs, o_labels = _objectivity_rows(params.e_p, params.e_w)
+    rhs = joint_from_params(params).entries + o_rhs
+    return LinearSystem(_ADEQUACY_ROWS + o_rows, rhs, _ADEQUACY_LABELS + o_labels)
 
 
 def solve_family(params: GeneralParams) -> SolutionFamily:

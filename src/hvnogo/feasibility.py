@@ -44,7 +44,16 @@ from typing import Mapping, Union
 from .dist import GeneralParams, JointDist, format_rational, joint_from_params, parse_rational
 from .errors import MalformedInput, MalformedModel, malformed_input
 from .exactlp import FeasibilityReport, LinearSystem, _as_fraction_row, lp_feasible
-from .family import CELLS, LambdaLabel, OnticTable, _constraint_rows, lambda_marginal, special_solution
+from .family import (
+    CELLS,
+    LambdaLabel,
+    OnticTable,
+    _ADEQUACY_LABELS,
+    _ADEQUACY_ROWS,
+    _objectivity_rows,
+    lambda_marginal,
+    special_solution,
+)
 
 _OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -131,15 +140,12 @@ def triple_system(family: SettingsFamily) -> LinearSystem:
     rhs: list[Fraction] = []
     labels: list[str] = []
     for setting in family.settings:
-        s_rows, s_rhs, s_labels = _constraint_rows(family.params_for(setting))
-        rows += s_rows[:4]
-        rhs += s_rhs[:4]
-        labels += (f"adequacy[{setting.label}]" + label.removeprefix("adequacy") for label in s_labels[:4])
-    # e_p and e_w are shared, so every setting yields the same objectivity rows
-    rows += s_rows[4:]
-    rhs += s_rhs[4:]
-    labels += s_labels[4:]
-    return LinearSystem(tuple(rows), tuple(rhs), tuple(labels))
+        rows += _ADEQUACY_ROWS
+        rhs += family.joint_for(setting).entries
+        labels += (f"adequacy[{setting.label}]" + label.removeprefix("adequacy") for label in _ADEQUACY_LABELS)
+    # e_p and e_w are shared, so one pair of objectivity rows serves every setting
+    o_rows, o_rhs, o_labels = _objectivity_rows(family.e_p, family.e_w)
+    return LinearSystem((*rows, *o_rows), (*rhs, *o_rhs), (*labels, *o_labels))
 
 
 def check_triple(family: SettingsFamily) -> FeasibilityReport:
