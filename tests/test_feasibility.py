@@ -32,6 +32,7 @@ from hvnogo import (
     validate_witness,
     verify_certificate,
 )
+from hvnogo import feasibility
 from hvnogo.acceptance import _interior_fraction as interior_fraction
 from hvnogo.acceptance import _random_family
 from hvnogo.feasibility import OutcomeAtom, OutcomeAtomModel, PerSettingTables
@@ -300,6 +301,52 @@ class TestWitnessValidationAcrossFamilies:
         model = model_drop_independence(TWO_SETTINGS)
         with pytest.raises(MalformedModel):
             validate_witness(model, other)
+
+
+FIVE_SETTINGS = SettingsFamily(
+    F(1, 2), F(1, 4), tuple(Setting(f"s{i}", F(i + 1, 7)) for i in range(5))
+)
+
+BUILDERS = (model_drop_independence, model_drop_objectivity, model_drop_determinism)
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Wrap ``hvnogo.feasibility.<name>`` so that each call appends to the returned list."""
+    original = getattr(feasibility, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(feasibility, name, counted)
+    return calls
+
+
+class TestSharedWork:
+    def test_each_joint_is_built_once_per_family(self, monkeypatch):
+        # a new family, so that no earlier test has asked for its joints
+        family = SettingsFamily(FIVE_SETTINGS.e_p, FIVE_SETTINGS.e_w, FIVE_SETTINGS.settings)
+        calls = _count_calls(monkeypatch, "joint_from_params")
+        check_triple(family)
+        triple_system(family)
+        models = [build(family) for build in BUILDERS]
+        for model in models:
+            assert validate_witness(model, family).overall_pass
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("build,per_setting", [
+        (model_drop_independence, 1),
+        (model_drop_objectivity, 0),
+        (model_drop_determinism, 1),
+    ])
+    def test_branch_masses_once_per_setting_per_validation(self, monkeypatch, build, per_setting):
+        model = build(FIVE_SETTINGS)
+        calls = _count_calls(monkeypatch, "_branch_masses")
+        validate_witness(model, FIVE_SETTINGS)
+        assert len(calls) == per_setting * 5
+        validate_witness(model, FIVE_SETTINGS)
+        assert len(calls) == 2 * per_setting * 5
 
 
 class TestSettingsFamilyJson:
