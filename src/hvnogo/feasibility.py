@@ -39,6 +39,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Union
 
 from .dist import GeneralParams, JointDist, format_rational, joint_from_params, parse_rational
@@ -78,7 +79,13 @@ class Setting:
 
 @dataclass(frozen=True)
 class SettingsFamily:
-    """Settings sharing (e_p, e_w); only the apparatus marginal x varies."""
+    """Settings sharing (e_p, e_w); only the apparatus marginal x varies.
+
+    Each setting's :class:`GeneralParams` and :class:`JointDist` are built
+    the first time any of them is asked for, then kept for the family's
+    lifetime.  The kept values are not fields: equality, hashing and repr
+    see only (e_p, e_w, settings).
+    """
 
     e_p: Fraction
     e_w: Fraction
@@ -88,6 +95,9 @@ class SettingsFamily:
         object.__setattr__(self, "e_p", _as_probability_fraction(self.e_p, "e_p"))
         object.__setattr__(self, "e_w", _as_probability_fraction(self.e_w, "e_w"))
         settings = tuple(self.settings)
+        for i, s in enumerate(settings):
+            if not isinstance(s, Setting):
+                raise TypeError(f"settings[{i}] must be a Setting, got {type(s).__name__}")
         if not settings:
             raise ValueError("a settings family needs at least one setting")
         labels = [s.label for s in settings]
@@ -95,11 +105,26 @@ class SettingsFamily:
             raise ValueError(f"setting labels must be unique, got {labels}")
         object.__setattr__(self, "settings", settings)
 
+    @cached_property
+    def _built(self) -> dict[str, tuple[Setting, GeneralParams, JointDist]]:
+        """Each setting with its validated params and joint, keyed by label."""
+        built = {}
+        for s in self.settings:
+            params = GeneralParams(s.x, self.e_p, self.e_w)
+            built[s.label] = (s, params, joint_from_params(params))
+        return built
+
+    def _own(self, setting: Setting) -> tuple[Setting, GeneralParams, JointDist]:
+        entry = self._built.get(setting.label)
+        if entry is None or entry[0] != setting:
+            raise ValueError(f"setting {setting.label!r} is not one of this family's settings")
+        return entry
+
     def params_for(self, setting: Setting) -> GeneralParams:
-        return GeneralParams(setting.x, self.e_p, self.e_w)
+        return self._own(setting)[1]
 
     def joint_for(self, setting: Setting) -> JointDist:
-        return joint_from_params(self.params_for(setting))
+        return self._own(setting)[2]
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -371,7 +396,11 @@ class WitnessReport:
         raise KeyError(name)
 
 
-def _branch_masses(payload: Payload, setting: Setting) -> dict[tuple[int, int, LambdaLabel], Fraction]:
+#: p(a, b, lam) masses of one setting, keyed by (a, b, lam).
+_BranchMasses = dict[tuple[int, int, LambdaLabel], Fraction]
+
+
+def _branch_masses(payload: Payload, setting: Setting) -> _BranchMasses:
     """p(a, b, lam) masses for label-carrying payloads, keyed by (a, b, lam)."""
     if isinstance(payload, PerSettingTables):
         return dict(zip(CELLS, payload.tables[setting.label].entries))
@@ -385,18 +414,21 @@ def _branch_masses(payload: Payload, setting: Setting) -> dict[tuple[int, int, L
     return masses
 
 
-def _model_joints(payload: Payload, family: SettingsFamily) -> dict[str, tuple[Fraction, ...]]:
+def _model_joints(
+    payload: Payload, family: SettingsFamily, branch_masses: Mapping[str, _BranchMasses] | None
+) -> dict[str, tuple[Fraction, ...]]:
     """Predicted (a, b) statistics per setting, as raw 4-tuples in 00,01,10,11 order."""
+    if not isinstance(payload, OutcomeAtomModel):
+        return {
+            label: tuple(m[(a, b, "p")] + m[(a, b, "w")] for a, b in _OUTCOME_PAIRS)
+            for label, m in branch_masses.items()
+        }
     out: dict[str, tuple[Fraction, ...]] = {}
     for i, s in enumerate(family.settings):
-        if isinstance(payload, OutcomeAtomModel):
-            cells = dict.fromkeys(_OUTCOME_PAIRS, Fraction(0))
-            for atom in payload.atoms:
-                cells[atom.assignments[i]] += atom.weight
-            out[s.label] = tuple(cells.values())
-        else:
-            masses = _branch_masses(payload, s)
-            out[s.label] = tuple(masses[(a, b, "p")] + masses[(a, b, "w")] for a, b in _OUTCOME_PAIRS)
+        cells = dict.fromkeys(_OUTCOME_PAIRS, Fraction(0))
+        for atom in payload.atoms:
+            cells[atom.assignments[i]] += atom.weight
+        out[s.label] = tuple(cells.values())
     return out
 
 
@@ -424,8 +456,10 @@ def _check_structure(payload: Payload, family: SettingsFamily) -> None:
                 raise MalformedModel(f"atom {atom.name!r} lacks responses for setting {missing[0]!r}")
 
 
-def _adequacy_check(payload: Payload, family: SettingsFamily) -> tuple[bool, str]:
-    joints = _model_joints(payload, family)
+def _adequacy_check(
+    payload: Payload, family: SettingsFamily, branch_masses: Mapping[str, _BranchMasses] | None
+) -> tuple[bool, str]:
+    joints = _model_joints(payload, family, branch_masses)
     for s in family.settings:
         want = family.joint_for(s).entries
         for (a, b), w, g in zip(_OUTCOME_PAIRS, want, joints[s.label]):
@@ -434,7 +468,9 @@ def _adequacy_check(payload: Payload, family: SettingsFamily) -> tuple[bool, str
     return True, "every setting's joint reproduced exactly"
 
 
-def _objectivity_check(payload: Payload, family: SettingsFamily) -> tuple[bool, str]:
+def _objectivity_check(
+    payload: Payload, family: SettingsFamily, branch_masses: Mapping[str, _BranchMasses] | None
+) -> tuple[bool, str]:
     """Support-sensitive revelation check.
 
     For each setting and each apparatus outcome that occurs at all, the
@@ -450,7 +486,7 @@ def _objectivity_check(payload: Payload, family: SettingsFamily) -> tuple[bool, 
         (1, "w", family.e_w, "w-statistics revelation at b=1"),
     )
     for s in family.settings:
-        masses = _branch_masses(payload, s)
+        masses = branch_masses[s.label]
         for b, lam, e_target, constraint in expectations:
             outcome_mass = sum(masses[(a, b, l)] for a in (0, 1) for l in ("p", "w"))
             if outcome_mass == 0:
@@ -469,7 +505,9 @@ def _objectivity_check(payload: Payload, family: SettingsFamily) -> tuple[bool, 
     return True, "each label reveals its matching statistics in its matching outcome"
 
 
-def _determinism_check(payload: Payload, family: SettingsFamily) -> tuple[bool, str]:
+def _determinism_check(
+    payload: Payload, family: SettingsFamily, branch_masses: Mapping[str, _BranchMasses] | None
+) -> tuple[bool, str]:
     if isinstance(payload, (PerSettingTables, OutcomeAtomModel)):
         return True, "all probability mass sits on atoms with pinned outcomes"
     for atom in payload.atoms:
@@ -484,7 +522,9 @@ def _determinism_check(payload: Payload, family: SettingsFamily) -> tuple[bool, 
     return True, "all responses are 0 or 1"
 
 
-def _independence_check(payload: Payload, family: SettingsFamily) -> tuple[bool, str]:
+def _independence_check(
+    payload: Payload, family: SettingsFamily, branch_masses: Mapping[str, _BranchMasses] | None
+) -> tuple[bool, str]:
     if isinstance(payload, PerSettingTables):
         marginals = {s.label: lambda_marginal(payload.tables[s.label]).p0 for s in family.settings}
         if len(set(marginals.values())) > 1:
@@ -497,7 +537,9 @@ def _independence_check(payload: Payload, family: SettingsFamily) -> tuple[bool,
     return True, "one fixed atom-weight vector serves every setting"
 
 
-#: Adequacy, then the three assumptions, in report order.
+#: Adequacy, then the three assumptions, in report order.  Each check takes
+#: the payload, the family and the per-setting branch masses (None for an
+#: :class:`OutcomeAtomModel`, which carries no labels).
 _CHECKS = (
     ("adequacy", _adequacy_check),
     ("determinism", _determinism_check),
@@ -515,10 +557,17 @@ def validate_witness(model: WitnessModel, family: SettingsFamily) -> WitnessRepo
     Raises :class:`MalformedModel` when the payload does not structurally
     match the family.
     """
-    _check_structure(model.payload, family)
+    payload = model.payload
+    _check_structure(payload, family)
+    # adequacy and objectivity both read each setting's branch masses
+    branch_masses = (
+        None
+        if isinstance(payload, OutcomeAtomModel)
+        else {s.label: _branch_masses(payload, s) for s in family.settings}
+    )
     dropped = model.mode.value.removeprefix("Drop").lower()  # "DropIndependence" -> "independence"
     checks = tuple(
-        AssumptionCheck(name, name != dropped, *check(model.payload, family)) for name, check in _CHECKS
+        AssumptionCheck(name, name != dropped, *check(payload, family, branch_masses)) for name, check in _CHECKS
     )
     return WitnessReport(model.mode, checks)
 

@@ -1,5 +1,6 @@
 """Triple check, certificates, and the three pairwise witness models."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -48,6 +49,25 @@ PROBABILITIES = st.one_of(
 TWO_SETTINGS = SettingsFamily(
     F(1, 2), F(1, 4), (Setting("alpha1", F(1, 3)), Setting("alpha2", F(2, 3)))
 )
+
+FIVE_SETTINGS = SettingsFamily(
+    F(1, 2), F(1, 4), tuple(Setting(f"s{i}", F(i + 1, 7)) for i in range(5))
+)
+
+BUILDERS = (model_drop_independence, model_drop_objectivity, model_drop_determinism)
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Wrap ``hvnogo.feasibility.<name>`` so that each call appends to the returned list."""
+    original = getattr(feasibility, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(feasibility, name, counted)
+    return calls
 
 
 class TestCheckTriple:
@@ -286,6 +306,16 @@ class TestWitnessValidationAcrossFamilies:
             for build in (model_drop_independence, model_drop_objectivity, model_drop_determinism):
                 assert validate_witness(build(family), family).overall_pass, build.__name__
 
+    def test_sixty_four_distinct_interior_settings(self):
+        k = 64
+        family = SettingsFamily(F(1, 2), F(1, 4), tuple(Setting(f"s{i}", F(i + 1, k + 1)) for i in range(k)))
+        for build, dropped in zip(BUILDERS, ("independence", "objectivity", "determinism")):
+            model = build(family)
+            report = validate_witness(model, family)
+            assert report.overall_pass, build.__name__
+            assert not report.check(dropped).retained and not report.check(dropped).passed, build.__name__
+        assert len(model_drop_objectivity(family).payload.atoms) <= 3 * k + 1
+
     def test_payload_type_fixes_mode(self):
         for build, mode in (
             (model_drop_independence, WitnessMode.DROP_INDEPENDENCE),
@@ -301,26 +331,6 @@ class TestWitnessValidationAcrossFamilies:
         model = model_drop_independence(TWO_SETTINGS)
         with pytest.raises(MalformedModel):
             validate_witness(model, other)
-
-
-FIVE_SETTINGS = SettingsFamily(
-    F(1, 2), F(1, 4), tuple(Setting(f"s{i}", F(i + 1, 7)) for i in range(5))
-)
-
-BUILDERS = (model_drop_independence, model_drop_objectivity, model_drop_determinism)
-
-
-def _count_calls(monkeypatch, name: str) -> list:
-    """Wrap ``hvnogo.feasibility.<name>`` so that each call appends to the returned list."""
-    original = getattr(feasibility, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(feasibility, name, counted)
-    return calls
 
 
 class TestSharedWork:
@@ -347,6 +357,27 @@ class TestSharedWork:
         assert len(calls) == per_setting * 5
         validate_witness(model, FIVE_SETTINGS)
         assert len(calls) == 2 * per_setting * 5
+
+    def test_cached_joints_are_invisible(self):
+        family = SettingsFamily(F(1, 2), F(1, 4), FIVE_SETTINGS.settings)
+        fresh = SettingsFamily(F(1, 2), F(1, 4), FIVE_SETTINGS.settings)
+        before = repr(family)
+        for s in family.settings:
+            family.joint_for(s)
+        assert family == fresh and hash(family) == hash(fresh)
+        assert repr(family) == before == repr(fresh)
+        moved = dataclasses.replace(family, e_p=F(1, 3))
+        for s in family.settings:
+            assert moved.params_for(s) == GeneralParams(s.x, F(1, 3), F(1, 4))
+            assert moved.joint_for(s).entry(0, 0) == s.x * F(1, 3)
+            assert family.joint_for(s).entry(0, 0) == s.x * F(1, 2)
+
+    def test_a_foreign_setting_is_rejected_by_label(self):
+        for foreign in (Setting("zeta", F(1, 3)), Setting("alpha1", F(1, 5))):
+            with pytest.raises(ValueError, match=repr(foreign.label)):
+                TWO_SETTINGS.params_for(foreign)
+            with pytest.raises(ValueError, match=repr(foreign.label)):
+                TWO_SETTINGS.joint_for(foreign)
 
 
 class TestSettingsFamilyJson:
@@ -386,3 +417,7 @@ class TestSettingsFamilyJson:
             Setting("a", 0.5)
         with pytest.raises(TypeError):
             SettingsFamily(0.5, F(1, 4), (Setting("a", F(1, 3)),))
+
+    def test_a_non_setting_is_rejected_by_index(self):
+        with pytest.raises(TypeError, match=r"settings\[1\]"):
+            SettingsFamily(F(1, 2), F(1, 4), (Setting("a", F(1, 3)), ("b", F(1, 3))))
