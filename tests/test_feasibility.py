@@ -338,12 +338,14 @@ class TestSharedWork:
         # a new family, so that no earlier test has asked for its joints
         family = SettingsFamily(FIVE_SETTINGS.e_p, FIVE_SETTINGS.e_w, FIVE_SETTINGS.settings)
         calls = _count_calls(monkeypatch, "joint_from_params")
-        check_triple(family)
-        triple_system(family)
         models = [build(family) for build in BUILDERS]
         for model in models:
             assert validate_witness(model, family).overall_pass
         assert len(calls) == 5
+        # the stacked system builds its right-hand sides afresh on each call
+        check_triple(family)
+        triple_system(family)
+        assert len(calls) == 15
 
     @pytest.mark.parametrize("build,per_setting", [
         (model_drop_independence, 1),
