@@ -51,6 +51,7 @@ CASES = {
         ["family", "--x", "1/3", "--ep", "1/2", "--ew", "1/4", "--s", "1/12", "--t", "1/12"],
         None,
     ),
+    "quantum": (["quantum", "--alpha", "pi/3", "--phi", "pi/4"], None),
     "feasibility_k2": (["feasibility"], "k2"),
     "feasibility_constant": (["feasibility"], "constant"),
     "feasibility_k4": (["feasibility"], "k4"),
