@@ -81,10 +81,11 @@ class Setting:
 class SettingsFamily:
     """Settings sharing (e_p, e_w); only the apparatus marginal x varies.
 
-    Each setting's :class:`GeneralParams` and :class:`JointDist` are built
-    the first time any of them is asked for, then kept for the family's
-    lifetime.  The kept values are not fields: equality, hashing and repr
-    see only (e_p, e_w, settings).
+    :attr:`params` and :attr:`joints` hold each setting's
+    :class:`GeneralParams` and :class:`JointDist`, in the order of
+    ``settings``.  Each tuple is built on first use and kept for the
+    family's lifetime.  They are not fields: equality, hashing and repr see
+    only (e_p, e_w, settings).
     """
 
     e_p: Fraction
@@ -106,25 +107,12 @@ class SettingsFamily:
         object.__setattr__(self, "settings", settings)
 
     @cached_property
-    def _built(self) -> dict[str, tuple[Setting, GeneralParams, JointDist]]:
-        """Each setting with its validated params and joint, keyed by label."""
-        built = {}
-        for s in self.settings:
-            params = GeneralParams(s.x, self.e_p, self.e_w)
-            built[s.label] = (s, params, joint_from_params(params))
-        return built
+    def params(self) -> tuple[GeneralParams, ...]:
+        return tuple(GeneralParams(s.x, self.e_p, self.e_w) for s in self.settings)
 
-    def _own(self, setting: Setting) -> tuple[Setting, GeneralParams, JointDist]:
-        entry = self._built.get(setting.label)
-        if entry is None or entry[0] != setting:
-            raise ValueError(f"setting {setting.label!r} is not one of this family's settings")
-        return entry
-
-    def params_for(self, setting: Setting) -> GeneralParams:
-        return self._own(setting)[1]
-
-    def joint_for(self, setting: Setting) -> JointDist:
-        return self._own(setting)[2]
+    @cached_property
+    def joints(self) -> tuple[JointDist, ...]:
+        return tuple(joint_from_params(params) for params in self.params)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -165,7 +153,7 @@ def triple_system(family: SettingsFamily) -> LinearSystem:
     family's kept joints.  Sharing them made the ``exact`` benchmark
     workload faster, and that alone can move its tail from p90 to p99,
     since the rank still depends on how many jobs a run completes
-    (ROADMAP item 5).  Read ``family.joint_for`` here once it does not.
+    (ROADMAP item 5).  Read ``family.joints`` here once it does not.
     """
     rows: list[tuple[Fraction, ...]] = []
     rhs: list[Fraction] = []
@@ -328,7 +316,7 @@ def model_drop_independence(family: SettingsFamily) -> WitnessModel:
     """Keep determinism and objectivity; let the hidden state depend on the
     setting.  Each setting gets its own perfectly-correlated special table,
     so the label marginal tracks (x, 1-x) and varies with the setting."""
-    tables = {s.label: special_solution(family.params_for(s)) for s in family.settings}
+    tables = {s.label: special_solution(params) for s, params in zip(family.settings, family.params)}
     return WitnessModel(PerSettingTables(tables))
 
 
@@ -343,7 +331,7 @@ def model_drop_objectivity(family: SettingsFamily) -> WitnessModel:
     there are at most 3k+1 of them; an atom's weight is its interval's
     length, and each setting's cells collect exactly their joint entries.
     """
-    cumulatives = [tuple(itertools.accumulate(family.joint_for(s).entries)) for s in family.settings]
+    cumulatives = [tuple(itertools.accumulate(joint.entries)) for joint in family.joints]
     cuts = sorted({Fraction(0)}.union(*cumulatives))
     atoms = tuple(
         OutcomeAtom(tuple(_OUTCOME_PAIRS[bisect.bisect_right(cum, lo)] for cum in cumulatives), hi - lo)
@@ -420,21 +408,16 @@ def _branch_masses(payload: Payload, setting: Setting) -> _BranchMasses:
     return masses
 
 
-def _model_joints(
-    payload: Payload, family: SettingsFamily, branch_masses: Mapping[str, _BranchMasses] | None
-) -> dict[str, tuple[Fraction, ...]]:
+def _model_joints(payload: Payload, branch_masses: list[_BranchMasses] | None) -> list[tuple[Fraction, ...]]:
     """Predicted (a, b) statistics per setting, as raw 4-tuples in 00,01,10,11 order."""
     if not isinstance(payload, OutcomeAtomModel):
-        return {
-            label: tuple(m[(a, b, "p")] + m[(a, b, "w")] for a, b in _OUTCOME_PAIRS)
-            for label, m in branch_masses.items()
-        }
-    out: dict[str, tuple[Fraction, ...]] = {}
-    for i, s in enumerate(family.settings):
+        return [tuple(m[(a, b, "p")] + m[(a, b, "w")] for a, b in _OUTCOME_PAIRS) for m in branch_masses]
+    out = []
+    for i in range(len(payload.setting_labels)):
         cells = dict.fromkeys(_OUTCOME_PAIRS, Fraction(0))
         for atom in payload.atoms:
             cells[atom.assignments[i]] += atom.weight
-        out[s.label] = tuple(cells.values())
+        out.append(tuple(cells.values()))
     return out
 
 
@@ -462,37 +445,31 @@ def _check_structure(payload: Payload, family: SettingsFamily) -> None:
                 raise MalformedModel(f"atom {atom.name!r} lacks responses for setting {missing[0]!r}")
 
 
-def _adequacy_check(
-    payload: Payload, family: SettingsFamily, branch_masses: Mapping[str, _BranchMasses] | None
-) -> tuple[bool, str]:
-    joints = _model_joints(payload, family, branch_masses)
-    for s in family.settings:
-        want = family.joint_for(s).entries
-        for (a, b), w, g in zip(_OUTCOME_PAIRS, want, joints[s.label]):
+def _adequacy_check(family: SettingsFamily, model_joints: list[tuple[Fraction, ...]]) -> tuple[bool, str]:
+    for s, joint, got in zip(family.settings, family.joints, model_joints):
+        for (a, b), w, g in zip(_OUTCOME_PAIRS, joint.entries, got):
             if g != w:
                 return False, f"setting {s.label!r}: model gives p(a={a},b={b}) = {g}, observed {w}"
     return True, "every setting's joint reproduced exactly"
 
 
-def _objectivity_check(
-    payload: Payload, family: SettingsFamily, branch_masses: Mapping[str, _BranchMasses] | None
-) -> tuple[bool, str]:
+def _objectivity_check(family: SettingsFamily, branch_masses: list[_BranchMasses] | None) -> tuple[bool, str]:
     """Support-sensitive revelation check.
 
     For each setting and each apparatus outcome that occurs at all, the
     matching label must occur with it, and conditioning on (outcome,
     matching label) must reveal exactly the matching statistics.  A label
     that never accompanies its own apparatus outcome makes the revelation
-    equation unsatisfiable, not vacuous.
+    equation unsatisfiable, not vacuous.  ``branch_masses`` is None for a
+    payload that carries no labels.
     """
-    if isinstance(payload, OutcomeAtomModel):
+    if branch_masses is None:
         return False, "model carries no wave/particle labels"
     expectations = (
         (0, "p", family.e_p, "p-statistics revelation at b=0"),
         (1, "w", family.e_w, "w-statistics revelation at b=1"),
     )
-    for s in family.settings:
-        masses = branch_masses[s.label]
+    for s, masses in zip(family.settings, branch_masses):
         for b, lam, e_target, constraint in expectations:
             outcome_mass = sum(masses[(a, b, l)] for a in (0, 1) for l in ("p", "w"))
             if outcome_mass == 0:
@@ -511,9 +488,7 @@ def _objectivity_check(
     return True, "each label reveals its matching statistics in its matching outcome"
 
 
-def _determinism_check(
-    payload: Payload, family: SettingsFamily, branch_masses: Mapping[str, _BranchMasses] | None
-) -> tuple[bool, str]:
+def _determinism_check(payload: Payload, family: SettingsFamily) -> tuple[bool, str]:
     if isinstance(payload, (PerSettingTables, OutcomeAtomModel)):
         return True, "all probability mass sits on atoms with pinned outcomes"
     for atom in payload.atoms:
@@ -528,9 +503,7 @@ def _determinism_check(
     return True, "all responses are 0 or 1"
 
 
-def _independence_check(
-    payload: Payload, family: SettingsFamily, branch_masses: Mapping[str, _BranchMasses] | None
-) -> tuple[bool, str]:
+def _independence_check(payload: Payload, family: SettingsFamily) -> tuple[bool, str]:
     if isinstance(payload, PerSettingTables):
         marginals = {s.label: lambda_marginal(payload.tables[s.label]).p0 for s in family.settings}
         if len(set(marginals.values())) > 1:
@@ -541,17 +514,6 @@ def _independence_check(
     if total != 1:
         return False, f"atom weights sum to {total}, not a probability distribution"
     return True, "one fixed atom-weight vector serves every setting"
-
-
-#: Adequacy, then the three assumptions, in report order.  Each check takes
-#: the payload, the family and the per-setting branch masses (None for an
-#: :class:`OutcomeAtomModel`, which carries no labels).
-_CHECKS = (
-    ("adequacy", _adequacy_check),
-    ("determinism", _determinism_check),
-    ("independence", _independence_check),
-    ("objectivity", _objectivity_check),
-)
 
 
 def validate_witness(model: WitnessModel, family: SettingsFamily) -> WitnessReport:
@@ -567,13 +529,14 @@ def validate_witness(model: WitnessModel, family: SettingsFamily) -> WitnessRepo
     _check_structure(payload, family)
     # adequacy and objectivity both read each setting's branch masses
     branch_masses = (
-        None
-        if isinstance(payload, OutcomeAtomModel)
-        else {s.label: _branch_masses(payload, s) for s in family.settings}
+        None if isinstance(payload, OutcomeAtomModel) else [_branch_masses(payload, s) for s in family.settings]
     )
     dropped = model.mode.value.removeprefix("Drop").lower()  # "DropIndependence" -> "independence"
-    checks = tuple(
-        AssumptionCheck(name, name != dropped, *check(payload, family, branch_masses)) for name, check in _CHECKS
+    results = (
+        ("adequacy", _adequacy_check(family, _model_joints(payload, branch_masses))),
+        ("determinism", _determinism_check(payload, family)),
+        ("independence", _independence_check(payload, family)),
+        ("objectivity", _objectivity_check(family, branch_masses)),
     )
-    return WitnessReport(model.mode, checks)
+    return WitnessReport(model.mode, tuple(AssumptionCheck(name, name != dropped, *r) for name, r in results))
 

@@ -230,8 +230,7 @@ class TestDropObjectivity:
 
     def test_marginals_reproduce_each_setting(self):
         model = model_drop_objectivity(TWO_SETTINGS)
-        for i, setting in enumerate(TWO_SETTINGS.settings):
-            want = TWO_SETTINGS.joint_for(setting)
+        for i, want in enumerate(TWO_SETTINGS.joints):
             for a in (0, 1):
                 for b in (0, 1):
                     got = sum(
@@ -364,22 +363,14 @@ class TestSharedWork:
         family = SettingsFamily(F(1, 2), F(1, 4), FIVE_SETTINGS.settings)
         fresh = SettingsFamily(F(1, 2), F(1, 4), FIVE_SETTINGS.settings)
         before = repr(family)
-        for s in family.settings:
-            family.joint_for(s)
+        assert len(family.joints) == len(family.settings)
         assert family == fresh and hash(family) == hash(fresh)
         assert repr(family) == before == repr(fresh)
         moved = dataclasses.replace(family, e_p=F(1, 3))
-        for s in family.settings:
-            assert moved.params_for(s) == GeneralParams(s.x, F(1, 3), F(1, 4))
-            assert moved.joint_for(s).entry(0, 0) == s.x * F(1, 3)
-            assert family.joint_for(s).entry(0, 0) == s.x * F(1, 2)
-
-    def test_a_foreign_setting_is_rejected_by_label(self):
-        for foreign in (Setting("zeta", F(1, 3)), Setting("alpha1", F(1, 5))):
-            with pytest.raises(ValueError, match=repr(foreign.label)):
-                TWO_SETTINGS.params_for(foreign)
-            with pytest.raises(ValueError, match=repr(foreign.label)):
-                TWO_SETTINGS.joint_for(foreign)
+        for i, s in enumerate(family.settings):
+            assert moved.params[i] == GeneralParams(s.x, F(1, 3), F(1, 4))
+            assert moved.joints[i].entry(0, 0) == s.x * F(1, 3)
+            assert family.joints[i].entry(0, 0) == s.x * F(1, 2)
 
 
 class TestSettingsFamilyJson:
