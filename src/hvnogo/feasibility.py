@@ -172,13 +172,16 @@ def check_triple(family: SettingsFamily) -> FeasibilityReport:
 
     Feasible exactly when every setting shares one apparatus marginal x.
     Infeasible runs return a Farkas certificate over the stacked system
-    (:func:`triple_system` rebuilds it for auditing).
+    (:func:`triple_system` rebuilds it for auditing).  Feasible runs return
+    the closed-form :func:`special_solution` at that x, not the simplex's
+    vertex: the vertex can leave a label without its own apparatus outcome,
+    which the objectivity check rejects.
     """
     system = triple_system(family)
     report = lp_feasible(system)
     xs = sorted({s.x for s in family.settings})
     if report.feasible:
-        table = OnticTable(report.witness)
+        table = special_solution(GeneralParams(xs[0], family.e_p, family.e_w))
         narrative = (
             f"feasible: all settings share the apparatus marginal x = {format_rational(xs[0])}; "
             "the witness table reproduces every setting's statistics while keeping "

@@ -35,7 +35,7 @@ from hvnogo import (
 )
 from hvnogo import feasibility
 from hvnogo.acceptance import _interior_fraction as interior_fraction
-from hvnogo.acceptance import _random_family
+from hvnogo.acceptance import _random_family, _rng
 from hvnogo.feasibility import OutcomeAtom, OutcomeAtomModel, PerSettingTables
 
 F = Fraction
@@ -102,6 +102,17 @@ class TestCheckTriple:
             report = check_triple(family)
             assert report.feasible
             assert all(r == 0 for r in residual(triple_system(family), report.witness.entries))
+
+    def test_constant_x_witness_keeps_all_three_assumptions(self):
+        rng = _rng(601)  # criterion 6's draws: 100 distinct-x families, then the constant-x ones
+        for _ in range(100):
+            _random_family(rng, distinct_x=True, k=int(rng.integers(2, 5)))
+        for _ in range(100):
+            family = _random_family(rng, distinct_x=False, k=int(rng.integers(2, 5)))
+            witness = check_triple(family).witness
+            report = validate_witness(WitnessModel(PerSettingTables(dict.fromkeys(family.labels, witness))), family)
+            assert all(c.passed for c in report.checks), report
+            assert all(r == 0 for r in residual(triple_system(family), witness.entries))
 
     def test_certificate_at_256_settings(self):
         family = _random_family(Generator(Philox(key=64)), distinct_x=True, k=256)
