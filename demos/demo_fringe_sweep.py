@@ -11,6 +11,7 @@ function of the seed and replays identically.
 import math
 
 from hvnogo import compare, fringe_sweep, quantum_joint, sample_events, wave_statistics
+from hvnogo.montecarlo import NKL_THRESHOLD
 
 ALPHA = math.pi / 4
 GRID = [2 * math.pi * i / 16 for i in range(17)]
@@ -34,8 +35,8 @@ exact = quantum_joint(math.pi / 3, math.pi / 4)
 counts = sample_events(exact, 1_000_000, seed=802)
 report = compare(counts, exact)
 print(f"counts = {counts.as_tuple()}")
-print(f"TV(empirical, exact) = {report.tv:.6f}, largest standardized cell deviation = {report.z_max:.3f}")
-print(f"5-sigma acceptance: {'PASS' if report.passed else 'FAIL'}")
+print(f"TV(empirical, exact) = {report.tv:.6f}, largest cell n*KL(c/n || q) = {report.nkl_max:.3f}")
+print(f"Chernoff acceptance (n*KL <= {NKL_THRESHOLD:.2f}): {'PASS' if report.passed else 'FAIL'}")
 
 print("\nreplay check: the same seed reproduces the same counts")
 again = sample_events(exact, 1_000_000, seed=802)

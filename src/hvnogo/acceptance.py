@@ -36,7 +36,7 @@ from .feasibility import (
     triple_system,
     validate_witness,
 )
-from .montecarlo import compare, fringe_sweep, sample_events
+from .montecarlo import NKL_THRESHOLD, compare, fringe_sweep, sample_events
 from .quantum import joint_state, quantum_joint, quantum_params, wave_statistics
 
 
@@ -254,10 +254,10 @@ def criterion_8():
     if tv >= 0.005:
         return False, f"million-shot TV distance {tv!r} not below 0.005"
     if not stat.passed:
-        return False, f"million-shot z_max {stat.z_max!r} above 5"
+        return False, f"million-shot n*KL {stat.nkl_max!r} above {NKL_THRESHOLD!r}"
     return True, (
         f"17-point sweep: max fringe deviation {worst_wave!r}, max flat deviation {worst_flat!r}; "
-        f"million-shot TV {tv!r}, z_max {stat.z_max!r}"
+        f"million-shot TV {tv!r}, max n*KL {stat.nkl_max!r}"
     )
 
 

@@ -24,9 +24,9 @@ breakpoint lands in the upper cell, exactly where
 A sweep over phase values reuses one seed, giving point ``j`` the shot
 range ``[j*shots, (j+1)*shots)``.
 
-The per-cell acceptance threshold in :func:`compare` is five standard
-deviations: loose enough that a correct implementation essentially never
-trips it, tight enough to catch any term confusion in the predictions.
+:func:`compare` bounds its false-alarm rate with the Chernoff bound
+rather than a normal approximation, so the bound holds even for cells
+that expect far less than one count.
 """
 
 from __future__ import annotations
@@ -39,8 +39,11 @@ from .dist import JointDist
 from .errors import EmptySample
 from .quantum import quantum_joint
 
-#: compare() fails when any standardized cell deviation exceeds this.
-Z_THRESHOLD = 5.0
+#: compare() fails when any cell's n·KL(c/n || q) exceeds this.  By the
+#: Chernoff bound each of the eight one-sided cell tails passes it with
+#: probability at most exp(-threshold), so a correct sample fails with
+#: probability at most 5.7e-7, the two-sided 5-sigma normal tail.
+NKL_THRESHOLD = math.log(8 / 5.7e-7)
 
 #: sample_events draws at most this many shots at a time, so its memory
 #: does not grow with the shot count.
@@ -95,7 +98,7 @@ class StatReport:
     """Agreement between counts and an exact joint."""
 
     tv: float
-    z_max: float
+    nkl_max: float
     passed: bool
 
 
@@ -149,12 +152,27 @@ def sample_events(dist: JointDist, n: int, seed: int, first_shot: int = 0) -> Co
     return Counts4(below[0], below[1] - below[0], below[2] - below[1], n - below[2])
 
 
-def compare(counts: Counts4, exact: JointDist) -> StatReport:
-    """Total-variation distance and worst standardized cell deviation.
+def _binary_kl(f: float, q: float) -> float:
+    """KL divergence of Bernoulli(f) from Bernoulli(q), in nats; infinite
+    when f puts mass where q puts none."""
+    kl = 0.0
+    for fi, qi in ((f, q), (1.0 - f, 1.0 - q)):
+        if fi > 0.0:
+            kl += fi * math.log(fi / qi) if qi > 0.0 else math.inf
+    return kl
 
-    A cell with exact probability zero contributes only if it collected
-    counts, which is an immediate failure.  Raises :class:`EmptySample`
-    when there are no events to compare.
+
+def compare(counts: Counts4, exact: JointDist) -> StatReport:
+    """Total-variation distance and the largest cell divergence n·KL(c/n || q).
+
+    A draw passes when no cell's n·KL exceeds :data:`NKL_THRESHOLD`.  The
+    Chernoff bound (Chernoff 1952) caps the false-alarm rate at 5.7e-7
+    for any shot count and any cell probability, including cells that
+    expect far less than one count.  A cell with exact probability zero
+    that collected counts gives an infinite divergence, an immediate
+    failure.  The cost is some power at large counts: there n·KL is about
+    z^2/2, so the threshold sits near a standardized deviation of 5.7.
+    Raises :class:`EmptySample` when there are no events to compare.
     """
     n = counts.total
     if n == 0:
@@ -162,15 +180,8 @@ def compare(counts: Counts4, exact: JointDist) -> StatReport:
     q = [float(e) for e in exact.entries]
     f = counts.frequencies()
     tv = 0.5 * sum(abs(fi - qi) for fi, qi in zip(f, q))
-    z_max = 0.0
-    for ci, qi in zip(counts.as_tuple(), q):
-        if qi == 0.0:
-            if ci > 0:
-                z_max = math.inf
-        elif qi < 1.0:
-            z = abs(ci - n * qi) / math.sqrt(n * qi * (1.0 - qi))
-            z_max = max(z_max, z)
-    return StatReport(tv=tv, z_max=z_max, passed=z_max <= Z_THRESHOLD)
+    nkl_max = max(n * _binary_kl(fi, qi) for fi, qi in zip(f, q))
+    return StatReport(tv=tv, nkl_max=nkl_max, passed=nkl_max <= NKL_THRESHOLD)
 
 
 def fringe_sweep(

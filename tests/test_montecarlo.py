@@ -23,7 +23,7 @@ from hvnogo import (
     sweep_to_csv,
     wave_statistics,
 )
-from hvnogo.montecarlo import _CHUNK_SHOTS, SWEEP_CSV_HEADER, _uniforms
+from hvnogo.montecarlo import _CHUNK_SHOTS, NKL_THRESHOLD, SWEEP_CSV_HEADER, _uniforms
 
 F = Fraction
 FIXED = quantum_joint(math.pi / 3, math.pi / 4)
@@ -141,22 +141,30 @@ class TestCompare:
     def test_exactly_proportional_counts(self):
         report = compare(Counts4(250, 250, 250, 250), JointDist((0.25,) * 4))
         assert report.tv == 0.0
-        assert report.z_max == 0.0
+        assert report.nkl_max == 0.0
         assert report.passed
 
     def test_gross_mismatch_fails(self):
         report = compare(Counts4(1000, 0, 0, 0), JointDist((0.25,) * 4))
         assert not report.passed
-        assert report.z_max > 5
+        assert report.nkl_max > NKL_THRESHOLD
 
     def test_counts_in_a_null_cell_fail(self):
         report = compare(Counts4(999, 1, 0, 0), JointDist((1.0, 0.0, 0.0, 0.0)))
         assert not report.passed
-        assert report.z_max == math.inf
+        assert report.nkl_max == math.inf
 
     def test_null_cells_without_counts_are_fine(self):
         report = compare(Counts4(1000, 0, 0, 0), JointDist((1.0, 0.0, 0.0, 0.0)))
         assert report.passed
+
+    @pytest.mark.parametrize("seed", [42, 80])
+    def test_a_few_counts_in_a_near_empty_cell_pass(self, seed):
+        # three counts where 0.25 are expected: z = 5.5, yet a correct draw
+        exact = quantum_joint(math.pi / 4, 0.01)
+        counts = sample_events(exact, 20_000, seed)
+        assert counts.n11 == 3 and 20_000 * exact.entries[3] < 0.26
+        assert compare(counts, exact).passed
 
     def test_empty_sample(self):
         with pytest.raises(EmptySample):
