@@ -39,7 +39,7 @@ from .dist import JointDist
 from .errors import EmptySample
 from .quantum import quantum_joint
 
-#: compare() fails when any cell's n·KL(c/n || q) exceeds this.  By the
+#: compare() fails when any cell's n*KL(c/n || q) exceeds this.  By the
 #: Chernoff bound each of the eight one-sided cell tails passes it with
 #: probability at most exp(-threshold), so a correct sample fails with
 #: probability at most 5.7e-7, the two-sided 5-sigma normal tail.
@@ -163,16 +163,15 @@ def _binary_kl(f: float, q: float) -> float:
 
 
 def compare(counts: Counts4, exact: JointDist) -> StatReport:
-    """Total-variation distance and the largest cell divergence n·KL(c/n || q).
+    """Total-variation distance and the largest cell divergence n*KL(c/n || q).
 
-    A draw passes when no cell's n·KL exceeds :data:`NKL_THRESHOLD`.  The
-    Chernoff bound (Chernoff 1952) caps the false-alarm rate at 5.7e-7
-    for any shot count and any cell probability, including cells that
-    expect far less than one count.  A cell with exact probability zero
-    that collected counts gives an infinite divergence, an immediate
-    failure.  The cost is some power at large counts: there n·KL is about
-    z^2/2, so the threshold sits near a standardized deviation of 5.7.
-    Raises :class:`EmptySample` when there are no events to compare.
+    A draw passes when no cell's n*KL exceeds :data:`NKL_THRESHOLD`, which
+    caps the false-alarm rate for any shot count, even in cells that
+    expect far less than one count (Chernoff 1952).  A cell with exact
+    probability zero that collected counts diverges, an immediate failure.
+    The cost is some power at large counts: there n*KL is about z^2/2, so
+    the threshold sits near a standardized deviation of 5.7.  Raises
+    :class:`EmptySample` when there are no events to compare.
     """
     n = counts.total
     if n == 0:
