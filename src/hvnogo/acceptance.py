@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dist import REAL_TOL, GeneralParams, JointDist, joint_from_params, tv_distance
-from .exactlp import enumerate_basic_solutions, matrix_rank, residual, verify_certificate
+from .exactlp import enumerate_basic_solutions, lp_feasible, matrix_rank, residual, verify_certificate
 from .family import (
     conditional_given,
     constraint_system,
@@ -211,8 +211,12 @@ def criterion_6():
         report = check_triple(family)
         if not report.feasible:
             return False, f"constant-x trial {trial}: reported infeasible"
-        if any(r != 0 for r in residual(triple_system(family), report.witness.entries)):
+        system = triple_system(family)
+        if any(r != 0 for r in residual(system, report.witness.entries)):
             return False, f"constant-x trial {trial}: witness has nonzero residual"
+        # check_triple decides constant x without the simplex; cross-check it here
+        if not lp_feasible(system).feasible:
+            return False, f"constant-x trial {trial}: the simplex finds no table"
     return True, (
         "100 distinct-x families infeasible with verified certificates; 100 constant-x families feasible with exact witnesses"
     )

@@ -34,9 +34,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Mapping
+from typing import Iterable, Literal, Mapping
 
-from .dist import BinaryDist, GeneralParams, format_rational, joint_from_params, parse_rational
+from .dist import BinaryDist, GeneralParams, JointDist, format_rational, joint_from_params, parse_rational
 from .errors import (
     BoundaryParams,
     ConditionOnNull,
@@ -159,21 +159,29 @@ class SolutionFamily:
 _ADEQUACY_ROWS = tuple(
     tuple(Fraction(int((ca, cb) == (a, b))) for ca, cb, _ in CELLS) for a in (0, 1) for b in (0, 1)
 )
-_ADEQUACY_LABELS = tuple(f"adequacy(a={a},b={b})" for a in (0, 1) for b in (0, 1))
 
 
-def _objectivity_rows(e_p: Fraction, e_w: Fraction) -> tuple[tuple, tuple[Fraction, ...], tuple[str, ...]]:
-    """Rows, right-hand sides and labels of the two multiplied-out objectivity
-    equations; they depend on (e_p, e_w) alone, so settings sharing them
-    share these rows."""
+def _stacked_system(e_p: Fraction, e_w: Fraction, tagged_joints: Iterable[tuple[str, JointDist]]) -> LinearSystem:
+    """Four adequacy rows per ``(tag, joint)``, labelled ``adequacy<tag>(a=..,b=..)``,
+    then the two objectivity rows, which depend on (e_p, e_w) alone."""
+    rows: list[tuple[Fraction, ...]] = []
+    rhs: list[Fraction] = []
+    labels: list[str] = []
+    for tag, joint in tagged_joints:
+        rows += _ADEQUACY_ROWS
+        rhs += joint.entries
+        labels += (f"adequacy{tag}(a={a},b={b})" for a in (0, 1) for b in (0, 1))
     p_row = [Fraction(0)] * 8
     p_row[cell_index(0, 0, "p")] = 1 - e_p
     p_row[cell_index(1, 0, "p")] = -e_p
     w_row = [Fraction(0)] * 8
     w_row[cell_index(0, 1, "w")] = 1 - e_w
     w_row[cell_index(1, 1, "w")] = -e_w
-    labels = ("objectivity(p-statistics at b=0)", "objectivity(w-statistics at b=1)")
-    return (tuple(p_row), tuple(w_row)), (Fraction(0), Fraction(0)), labels
+    return LinearSystem(
+        (*rows, tuple(p_row), tuple(w_row)),
+        (*rhs, Fraction(0), Fraction(0)),
+        (*labels, "objectivity(p-statistics at b=0)", "objectivity(w-statistics at b=1)"),
+    )
 
 
 def constraint_system(params: GeneralParams) -> LinearSystem:
@@ -185,9 +193,7 @@ def constraint_system(params: GeneralParams) -> LinearSystem:
     implied by adequacy.
     """
     params = _exact_params(params, "constraint_system")
-    o_rows, o_rhs, o_labels = _objectivity_rows(params.e_p, params.e_w)
-    rhs = joint_from_params(params).entries + o_rhs
-    return LinearSystem(_ADEQUACY_ROWS + o_rows, rhs, _ADEQUACY_LABELS + o_labels)
+    return _stacked_system(params.e_p, params.e_w, (("", joint_from_params(params)),))
 
 
 def solve_family(params: GeneralParams) -> SolutionFamily:

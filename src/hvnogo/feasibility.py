@@ -12,9 +12,11 @@ x.  The three classical assumptions are formalized as:
 * objectivity: each atom carries a fixed binary label in {p, w}, revealed
   as the matching conditional statistics in the matching apparatus outcome.
 
-:func:`check_triple` stacks all three over every setting and decides
-feasibility with an exact certificate: with two different x values the
-system is infeasible, and that is the no-go theorem.  The three
+:func:`check_triple` decides all three over every setting by the x
+values.  Equal x values are feasible, with the closed-form special
+solution as witness and no simplex.  Distinct x values are infeasible:
+the simplex refutes :func:`triple_system`, stacked over the family's kept
+joints, with an exact certificate, and that is the no-go theorem.  The three
 ``model_drop_*`` constructors then witness that dropping any single
 assumption restores consistency, and :func:`validate_witness` audits each
 witness against the two retained assumptions in exact arithmetic.  A
@@ -45,16 +47,7 @@ from typing import Mapping, Union
 from .dist import GeneralParams, JointDist, format_rational, joint_from_params, parse_rational
 from .errors import MalformedInput, MalformedModel, malformed_input
 from .exactlp import FeasibilityReport, LinearSystem, _as_fraction_row, lp_feasible
-from .family import (
-    CELLS,
-    LambdaLabel,
-    OnticTable,
-    _ADEQUACY_LABELS,
-    _ADEQUACY_ROWS,
-    _objectivity_rows,
-    lambda_marginal,
-    special_solution,
-)
+from .family import CELLS, LambdaLabel, OnticTable, _stacked_system, lambda_marginal, special_solution
 
 _OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -146,48 +139,35 @@ def triple_system(family: SettingsFamily) -> LinearSystem:
     """All three assumptions stacked across the family's settings.
 
     Variables: one shared eight-cell table (independence + determinism).
-    Rows: four adequacy equations per setting, then the two objectivity
-    product equations (shared, since e_p and e_w are setting-independent).
-
-    Each call builds every setting's joint afresh instead of reading the
-    family's kept joints.  Sharing them made the ``exact`` benchmark
-    workload faster, and that alone can move its tail from p90 to p99,
-    since the rank still depends on how many jobs a run completes
-    (ROADMAP item 5).  Read ``family.joints`` here once it does not.
+    Rows: four adequacy equations per setting, read from the family's kept
+    joints, then the two objectivity product equations (shared, since e_p
+    and e_w are setting-independent).
     """
-    rows: list[tuple[Fraction, ...]] = []
-    rhs: list[Fraction] = []
-    labels: list[str] = []
-    for setting in family.settings:
-        rows += _ADEQUACY_ROWS
-        rhs += joint_from_params(GeneralParams(setting.x, family.e_p, family.e_w)).entries
-        labels += (f"adequacy[{setting.label}]" + label.removeprefix("adequacy") for label in _ADEQUACY_LABELS)
-    # e_p and e_w are shared, so one pair of objectivity rows serves every setting
-    o_rows, o_rhs, o_labels = _objectivity_rows(family.e_p, family.e_w)
-    return LinearSystem((*rows, *o_rows), (*rhs, *o_rhs), (*labels, *o_labels))
+    tagged = ((f"[{s.label}]", joint) for s, joint in zip(family.settings, family.joints))
+    return _stacked_system(family.e_p, family.e_w, tagged)
 
 
 def check_triple(family: SettingsFamily) -> FeasibilityReport:
     """Can determinism, independence, and objectivity coexist over the family?
 
-    Feasible exactly when every setting shares one apparatus marginal x.
-    Infeasible runs return a Farkas certificate over the stacked system
-    (:func:`triple_system` rebuilds it for auditing).  Feasible runs return
-    the closed-form :func:`special_solution` at that x, not the simplex's
-    vertex: the vertex can leave a label without its own apparatus outcome,
-    which the objectivity check rejects.
+    Feasible exactly when every setting shares one apparatus marginal x, so
+    equal x values decide it without the simplex; the witness is the
+    closed-form :func:`special_solution` at that x.  Only when x values
+    differ does the simplex run on :func:`triple_system`, and its Farkas
+    certificate is audited against that same system.
     """
-    system = triple_system(family)
-    report = lp_feasible(system)
     xs = sorted({s.x for s in family.settings})
-    if report.feasible:
-        table = special_solution(GeneralParams(xs[0], family.e_p, family.e_w))
+    if len(xs) == 1:
         narrative = (
             f"feasible: all settings share the apparatus marginal x = {format_rational(xs[0])}; "
             "the witness table reproduces every setting's statistics while keeping "
             "determinism, independence, and objectivity"
         )
-        return FeasibilityReport(True, table, None, narrative)
+        return FeasibilityReport(True, special_solution(family.params[0]), None, narrative)
+    system = triple_system(family)
+    report = lp_feasible(system)
+    if report.feasible:
+        raise AssertionError("simplex found a table for distinct x values; this is a bug")
     clash = ", ".join(format_rational(x) for x in xs)
     active = [system.label(i) for i, y in enumerate(report.certificate) if y != 0]
     narrative = (

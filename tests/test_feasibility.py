@@ -21,6 +21,7 @@ from hvnogo import (
     WitnessModel,
     brute_force_feasible,
     check_triple,
+    constraint_system,
     lambda_marginal,
     lp_feasible,
     model_drop_determinism,
@@ -55,6 +56,18 @@ FIVE_SETTINGS = SettingsFamily(
 )
 
 BUILDERS = (model_drop_independence, model_drop_objectivity, model_drop_determinism)
+
+
+@st.composite
+def families(draw):
+    """Families of 1..6 settings over PROBABILITIES, half of them with one shared x."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    if draw(st.booleans()):
+        xs = [draw(PROBABILITIES)] * k
+    else:
+        xs = draw(st.lists(PROBABILITIES, min_size=k, max_size=k))
+    e_p, e_w = draw(PROBABILITIES), draw(PROBABILITIES)
+    return SettingsFamily(e_p, e_w, tuple(Setting(f"s{i}", x) for i, x in enumerate(xs)))
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -113,6 +126,17 @@ class TestCheckTriple:
             report = validate_witness(WitnessModel(PerSettingTables(dict.fromkeys(family.labels, witness))), family)
             assert all(c.passed for c in report.checks), report
             assert all(r == 0 for r in residual(triple_system(family), witness.entries))
+
+    @given(families())
+    @settings(max_examples=200, deadline=None)
+    def test_verdict_is_equal_x_and_agrees_with_the_simplex(self, family):
+        report = check_triple(family)
+        system = triple_system(family)
+        assert report.feasible == (len({s.x for s in family.settings}) == 1) == lp_feasible(system).feasible
+        if report.feasible:
+            assert all(r == 0 for r in residual(system, report.witness.entries))
+        else:
+            assert verify_certificate(system, report.certificate)
 
     def test_certificate_at_256_settings(self):
         family = _random_family(Generator(Philox(key=64)), distinct_x=True, k=256)
@@ -179,6 +203,24 @@ class TestCheckTriple:
                 family.e_p, family.e_w, family.settings + (Setting("fresh", fresh_x),)
             )
             assert not check_triple(extended).feasible
+
+
+class TestTripleSystem:
+    @pytest.mark.parametrize("x,e_p,e_w", [
+        (F(1, 3), F(1, 2), F(1, 4)),
+        (F(0), F(1, 2), F(1, 4)),
+        (F(1), F(0), F(1)),
+        (F(1, 3), F(1), F(0)),
+        (F(0), F(0), F(0)),
+        (F(1), F(1), F(1)),
+    ])
+    def test_one_setting_is_the_constraint_system(self, x, e_p, e_w):
+        system = triple_system(SettingsFamily(e_p, e_w, (Setting("only", x),)))
+        single = constraint_system(GeneralParams(x, e_p, e_w))
+        assert system.matrix == single.matrix
+        assert system.rhs == single.rhs
+        assert system.labels == tuple(label.replace("adequacy", "adequacy[only]", 1) for label in single.labels)
+        assert sum(label.startswith("adequacy[only](") for label in system.labels) == 4
 
 
 class TestDropIndependence:
@@ -352,10 +394,10 @@ class TestSharedWork:
         for model in models:
             assert validate_witness(model, family).overall_pass
         assert len(calls) == 5
-        # the stacked system builds its right-hand sides afresh on each call
+        # the stacked system reads its right-hand sides from the kept joints
         check_triple(family)
         triple_system(family)
-        assert len(calls) == 15
+        assert len(calls) == 5
 
     @pytest.mark.parametrize("build,per_setting", [
         (model_drop_independence, 1),
