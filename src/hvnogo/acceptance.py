@@ -204,8 +204,12 @@ def criterion_6():
         report = check_triple(family)
         if report.feasible:
             return False, f"trial {trial}: distinct-x family reported feasible"
-        if not verify_certificate(triple_system(family), report.certificate):
+        system = triple_system(family)
+        if not verify_certificate(system, report.certificate):
             return False, f"trial {trial}: certificate rejected by the verifier"
+        # check_triple refutes only two settings' rows; cross-check the full system
+        if lp_feasible(system).feasible:
+            return False, f"trial {trial}: the simplex finds a table for the full system"
     for trial in range(100):
         family = _random_family(rng, distinct_x=False, k=int(rng.integers(2, 5)))
         report = check_triple(family)

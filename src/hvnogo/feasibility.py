@@ -15,8 +15,11 @@ x.  The three classical assumptions are formalized as:
 :func:`check_triple` decides all three over every setting by the x
 values.  Equal x values are feasible, with the closed-form special
 solution as witness and no simplex.  Distinct x values are infeasible:
-the simplex refutes :func:`triple_system`, stacked over the family's kept
-joints, with an exact certificate, and that is the no-go theorem.  The three
+the simplex refutes the two settings with the smallest and the largest x
+on their own 10 rows, and the certificate, padded with zeros, verifies
+against the full :func:`triple_system`; that is the no-go theorem.  The
+full system, stacked over the family's kept joints, stays public for
+cross-checks and audits.  The three
 ``model_drop_*`` constructors then witness that dropping any single
 assumption restores consistency, and :func:`validate_witness` audits each
 witness against the two retained assumptions in exact arithmetic.  A
@@ -152,30 +155,43 @@ def check_triple(family: SettingsFamily) -> FeasibilityReport:
 
     Feasible exactly when every setting shares one apparatus marginal x, so
     equal x values decide it without the simplex; the witness is the
-    closed-form :func:`special_solution` at that x.  Only when x values
-    differ does the simplex run on :func:`triple_system`, and its Farkas
-    certificate is audited against that same system.
+    closed-form :func:`special_solution` at that x.  When x values differ,
+    the first setting with the smallest x and the first with the largest x
+    already clash: the simplex refutes their 10-row subsystem (8 adequacy
+    rows, 2 objectivity rows), and its Farkas certificate is padded with
+    zeros to the 4k + 2 rows of :func:`triple_system`.  The zero rows add
+    nothing to y^T A or y^T b, so the padded certificate verifies against
+    the full system, which is never built here.
     """
-    xs = sorted({s.x for s in family.settings})
-    if len(xs) == 1:
+    xs = [s.x for s in family.settings]
+    lo, hi = min(xs), max(xs)
+    if lo == hi:
         narrative = (
-            f"feasible: all settings share the apparatus marginal x = {format_rational(xs[0])}; "
+            f"feasible: all settings share the apparatus marginal x = {format_rational(lo)}; "
             "the witness table reproduces every setting's statistics while keeping "
             "determinism, independence, and objectivity"
         )
         return FeasibilityReport(True, special_solution(family.params[0]), None, narrative)
-    system = triple_system(family)
+    pair = sorted((xs.index(lo), xs.index(hi)))
+    system = _stacked_system(
+        family.e_p, family.e_w, ((f"[{family.settings[i].label}]", family.joints[i]) for i in pair)
+    )
     report = lp_feasible(system)
     if report.feasible:
         raise AssertionError("simplex found a table for distinct x values; this is a bug")
-    clash = ", ".join(format_rational(x) for x in xs)
-    active = [system.label(i) for i, y in enumerate(report.certificate) if y != 0]
+    y = report.certificate
+    k = len(xs)
+    certificate = [Fraction(0)] * (4 * k + 2)
+    for slot, i in enumerate(pair):
+        certificate[4 * i : 4 * i + 4] = y[4 * slot : 4 * slot + 4]
+    certificate[4 * k :] = y[8:]
+    clash = " and ".join(f"setting {family.settings[i].label!r} demands x = {format_rational(xs[i])}" for i in pair)
+    active = [system.label(r) for r, v in enumerate(y) if v != 0]
     narrative = (
-        "infeasible: one setting-independent table fixes the b=0 marginal once, "
-        f"but the settings demand it equal each of: {clash}. "
+        f"infeasible: one setting-independent table fixes the b=0 marginal once, but {clash}. "
         "Certificate rows: " + ", ".join(active)
     )
-    return FeasibilityReport(False, None, report.certificate, narrative)
+    return FeasibilityReport(False, None, tuple(certificate), narrative)
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +411,16 @@ def _model_joints(payload: Payload, branch_masses: list[_BranchMasses] | None) -
     """Predicted (a, b) statistics per setting, as raw 4-tuples in 00,01,10,11 order."""
     if not isinstance(payload, OutcomeAtomModel):
         return [tuple(m[(a, b, "p")] + m[(a, b, "w")] for a, b in _OUTCOME_PAIRS) for m in branch_masses]
+    # One prefix difference per run of equal assignments, in any atom order.
+    prefix = (Fraction(0), *itertools.accumulate(atom.weight for atom in payload.atoms))
     out = []
     for i in range(len(payload.setting_labels)):
         cells = dict.fromkeys(_OUTCOME_PAIRS, Fraction(0))
-        for atom in payload.atoms:
-            cells[atom.assignments[i]] += atom.weight
+        start = 0
+        for pair, run in itertools.groupby(atom.assignments[i] for atom in payload.atoms):
+            end = start + sum(1 for _ in run)
+            cells[pair] += prefix[end] - prefix[start]
+            start = end
         out.append(tuple(cells.values()))
     return out
 

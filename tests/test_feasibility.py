@@ -1,6 +1,7 @@
 """Triple check, certificates, and the three pairwise witness models."""
 
 import dataclasses
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -83,6 +84,12 @@ def _count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
+def _extreme_pair(family: SettingsFamily) -> tuple[int, int]:
+    """Indices, in family order, of the first setting with the smallest x and the first with the largest."""
+    xs = [s.x for s in family.settings]
+    return tuple(sorted((xs.index(min(xs)), xs.index(max(xs)))))
+
+
 class TestCheckTriple:
     def test_two_distinct_settings_are_infeasible(self):
         report = check_triple(TWO_SETTINGS)
@@ -136,7 +143,37 @@ class TestCheckTriple:
         if report.feasible:
             assert all(r == 0 for r in residual(system, report.witness.entries))
         else:
+            assert len(report.certificate) == system.num_rows
             assert verify_certificate(system, report.certificate)
+            # the certificate is the pair's own, padded with zeros
+            k = len(family.settings)
+            pair = _extreme_pair(family)
+            rows = [r for i in pair for r in range(4 * i, 4 * i + 4)] + [4 * k, 4 * k + 1]
+            two = SettingsFamily(family.e_p, family.e_w, tuple(family.settings[i] for i in pair))
+            own = lp_feasible(triple_system(two))
+            assert [report.certificate[r] for r in rows] == list(own.certificate)
+            assert all(y == 0 for r, y in enumerate(report.certificate) if r not in rows)
+
+    def test_refutes_the_first_settings_with_the_smallest_and_the_largest_x(self):
+        xs = (F(1, 2), F(1), F(0), F(1, 3), F(0), F(1), F(1, 2))
+        labels = ("mid", "top", "bottom", "third", "bottom_again", "top_again", "mid_again")
+        family = SettingsFamily(F(1, 2), F(1, 4), tuple(Setting(lbl, x) for lbl, x in zip(labels, xs)))
+        assert _extreme_pair(family) == (1, 2)
+        report = check_triple(family)
+        assert not report.feasible
+        support = {family.settings[r // 4].label for r, y in enumerate(report.certificate[:-2]) if y != 0}
+        assert support == {"top", "bottom"}
+        assert "setting 'top' demands x = 1 and setting 'bottom' demands x = 0" in report.narrative
+        assert all(f"[{lbl}]" not in report.narrative for lbl in labels if lbl not in ("top", "bottom"))
+        assert verify_certificate(triple_system(family), report.certificate)
+
+    def test_narrative_size_does_not_grow_with_k(self):
+        k = 512
+        family = SettingsFamily(F(1, 2), F(1, 4), tuple(Setting(f"s{i}", F(i + 1, k + 2)) for i in range(k)))
+        report = check_triple(family)
+        assert not report.feasible
+        assert len(report.narrative.encode()) < 1024
+        assert sum(y != 0 for y in report.certificate) <= 10
 
     def test_certificate_at_256_settings(self):
         family = _random_family(Generator(Philox(key=64)), distinct_x=True, k=256)
@@ -319,6 +356,27 @@ class TestDropObjectivity:
         assert len(model.payload.atoms) <= 3 * 64 + 1
         assert validate_witness(model, family).overall_pass
 
+    def test_any_atom_order_sums_like_the_atoms_one_by_one(self):
+        rng = random.Random(1406)
+        family = _random_family(Generator(Philox(key=66)), distinct_x=True, k=12)
+        atoms = list(model_drop_objectivity(family).payload.atoms)
+        for trial in range(6):
+            rng.shuffle(atoms)
+            if trial % 2:  # break adequacy too, so that the report names a setting and a cell
+                n = rng.randrange(len(atoms))
+                atoms[n] = OutcomeAtom(atoms[n].assignments, atoms[n].weight / 2)
+            payload = OutcomeAtomModel(family.labels, tuple(atoms))
+            reference = []
+            for i in range(len(family.settings)):
+                cells = dict.fromkeys(((0, 0), (0, 1), (1, 0), (1, 1)), F(0))
+                for atom in payload.atoms:
+                    cells[atom.assignments[i]] += atom.weight
+                reference.append(tuple(cells.values()))
+            report = validate_witness(WitnessModel(payload), family)
+            assert feasibility._model_joints(payload, None) == reference
+            adequacy = report.check("adequacy")
+            assert (adequacy.passed, adequacy.detail) == feasibility._adequacy_check(family, reference)
+
     def test_zeroed_weights_fail_adequacy(self):
         model = model_drop_objectivity(TWO_SETTINGS)
         zeroed = OutcomeAtomModel(
@@ -398,6 +456,17 @@ class TestSharedWork:
         check_triple(family)
         triple_system(family)
         assert len(calls) == 5
+
+    def test_check_triple_solves_one_ten_row_system(self, monkeypatch):
+        k = 64
+        family = SettingsFamily(F(1, 2), F(1, 4), tuple(Setting(f"s{i}", F(i + 1, k + 1)) for i in range(k)))
+        built = _count_calls(monkeypatch, "triple_system")
+        solved = _count_calls(monkeypatch, "lp_feasible")
+        report = check_triple(family)
+        assert not report.feasible
+        assert built == []
+        assert [system.num_rows for (system,) in solved] == [10]
+        assert len(report.certificate) == 4 * k + 2
 
     @pytest.mark.parametrize("build,per_setting", [
         (model_drop_independence, 1),
