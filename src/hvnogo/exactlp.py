@@ -19,14 +19,19 @@ the row count.
 
 A brute-force basic-solution enumerator (:func:`enumerate_basic_solutions`)
 is provided as an independent cross-check: it shares no code with the
-simplex and decides feasibility by inspecting every candidate basis.
+simplex and decides feasibility by inspecting every candidate basis.  It
+walks the size-rank(A) column subsets depth first, in lexicographic order:
+each child copies its parent's partly eliminated augmented matrix and
+eliminates one more column, so subsets that share a prefix share its
+elimination, and a prefix whose last column has no pivot (it depends on
+the columns before it) prunes every subset that extends it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
 from typing import Any, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -84,6 +89,11 @@ class LinearSystem:
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else f"row {i}"
 
+    @cached_property
+    def sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Each row's nonzero ``(column, coefficient)`` pairs, built on first use."""
+        return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in self.matrix)
+
 
 @dataclass(frozen=True)
 class FeasibilityReport:
@@ -104,7 +114,13 @@ def residual(system: LinearSystem, point: Sequence) -> tuple[Fraction, ...]:
     w = _as_fraction_row(point, "point")
     if len(w) != system.num_vars:
         raise DimensionMismatch(f"point has {len(w)} entries, system has {system.num_vars} variables")
-    return tuple(sum(c * v for c, v in zip(row, w) if c) - b for row, b in zip(system.matrix, system.rhs))
+    out = []
+    for row, b in zip(system.sparse_rows, system.rhs):
+        total = -b
+        for j, c in row:
+            total += w[j] if c == 1 else c * w[j]
+        out.append(total)
+    return tuple(out)
 
 
 def verify_certificate(system: LinearSystem, y: Sequence) -> bool:
@@ -238,34 +254,16 @@ def matrix_rank(rows: Sequence[Sequence]) -> int:
     return rank
 
 
-def _solve_unique(columns: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve the (possibly overdetermined) system with the given columns.
-
-    Returns the unique solution, or None when the column set is rank
-    deficient or the system is inconsistent.
-    """
-    m = len(rhs)
-    k = len(columns)
-    aug = [[columns[j][i] for j in range(k)] + [rhs[i]] for i in range(m)]
-    pivots = 0
-    for col in range(k):
-        pivot_row = next((i for i in range(pivots, m) if aug[i][col] != 0), None)
-        if pivot_row is None:
-            return None  # rank-deficient column set: not a basis
-        aug[pivots], aug[pivot_row] = aug[pivot_row], aug[pivots]
-        _eliminate(aug, pivots, col)
-        pivots += 1
-    for i in range(pivots, m):
-        if aug[i][k] != 0:
-            return None  # inconsistent
-    return [aug[i][k] for i in range(k)]
-
-
 def _basic_solutions(system: LinearSystem) -> Iterator[tuple[Fraction, ...]]:
     """Yield each nonnegative basic solution once per basis that gives it.
 
-    Tries every size-rank(A) column subset in lexicographic order and
-    solves it exactly.
+    Walks the size-rank(A) column subsets depth first, in lexicographic
+    order.  A node holds the augmented matrix ``[A | b]`` with its prefix's
+    columns eliminated, restricted to the columns from its last one on; a
+    child copies it and eliminates one more column.  When that column has no
+    pivot left it depends on the prefix, so the child and every subset that
+    extends it are skipped.  A full subset is a basis; it gives a basic
+    solution when the rows below its pivots have zero right-hand side.
     """
     m, n = system.num_rows, system.num_vars
     r = matrix_rank(system.matrix)
@@ -273,25 +271,39 @@ def _basic_solutions(system: LinearSystem) -> Iterator[tuple[Fraction, ...]]:
         if all(b == 0 for b in system.rhs):
             yield tuple([ZERO] * n)
         return
-    rhs = list(system.rhs)
-    for subset in combinations(range(n), r):
-        cols = [[system.matrix[i][j] for i in range(m)] for j in subset]
-        solution = _solve_unique(cols, rhs)
-        if solution is None or any(v < 0 for v in solution):
-            continue
-        point = [ZERO] * n
-        for j, v in zip(subset, solution):
-            point[j] = v
-        yield tuple(point)
+
+    def walk(work: list[list[Fraction]], first: int, subset: tuple[int, ...]) -> Iterator[tuple[Fraction, ...]]:
+        d = len(subset)
+        for col in range(subset[-1] + 1 if subset else 0, n - r + d + 1):
+            child = [row[col - first :] for row in work]
+            pivot_row = next((i for i in range(d, m) if child[i][0] != 0), None)
+            if pivot_row is None:
+                continue  # rank-deficient prefix: no subset extending it is a basis
+            child[d], child[pivot_row] = child[pivot_row], child[d]
+            _eliminate(child, d, 0)
+            chosen = subset + (col,)
+            if d + 1 < r:
+                yield from walk(child, col, chosen)
+            elif all(row[-1] == 0 for row in child[r:]):
+                solution = [row[-1] for row in child[:r]]
+                if all(v >= 0 for v in solution):
+                    point = [ZERO] * n
+                    for j, v in zip(chosen, solution):
+                        point[j] = v
+                    yield tuple(point)
+
+    yield from walk([[*row, b] for row, b in zip(system.matrix, system.rhs)], 0, ())
 
 
 def enumerate_basic_solutions(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:
     """All basic feasible solutions (vertices) of ``{w >= 0 : A w = b}``.
 
     Brute force: try every size-rank(A) column subset, solve it exactly,
-    keep nonnegative solutions.  The feasible region lies in the nonnegative
-    orthant, so it is pointed and nonempty iff some basic feasible solution
-    exists; this makes the enumerator an oracle for :func:`lp_feasible`.
+    keep nonnegative solutions (subsets that share a prefix share its
+    elimination; see :func:`_basic_solutions`).  The feasible region lies
+    in the nonnegative orthant, so it is pointed and nonempty iff some basic
+    feasible solution exists; this makes the enumerator an oracle for
+    :func:`lp_feasible`.
 
     Intended for small systems only (the search is combinatorial).
     """

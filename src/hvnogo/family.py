@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Literal, Mapping
 
 from .dist import BinaryDist, GeneralParams, JointDist, format_rational, joint_from_params, parse_rational
@@ -191,8 +192,17 @@ def constraint_system(params: GeneralParams) -> LinearSystem:
     two multiplied-out objectivity equations.  Nonnegativity of the cells is
     a side condition carried by the feasibility machinery; normalization is
     implied by adequacy.
+
+    The result is memoized for the most recently used parameters, so equal
+    ``params`` get the same object back; a :class:`LinearSystem` is
+    immutable, so sharing it is safe.  Real-mode ``params`` are rejected
+    before the memo is consulted, since floats compare equal to Fractions.
     """
-    params = _exact_params(params, "constraint_system")
+    return _memoized_system(_exact_params(params, "constraint_system"))
+
+
+@lru_cache(maxsize=32)
+def _memoized_system(params: GeneralParams) -> LinearSystem:
     return _stacked_system(params.e_p, params.e_w, (("", joint_from_params(params)),))
 
 

@@ -1,9 +1,12 @@
 """Exact LP engine: toy systems, certificate audits, and the brute-force oracle."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from hvnogo import (
@@ -18,6 +21,7 @@ from hvnogo import (
     residual,
     verify_certificate,
 )
+from hvnogo.exactlp import _basic_solutions
 
 F = Fraction
 
@@ -139,3 +143,97 @@ class TestRank:
         row = system.matrix[4]
         assert row[0] == 1 and all(v == 0 for i, v in enumerate(row) if i != 0)
         assert system.rhs[4] == 0
+
+
+ENTRIES = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def small_systems(draw):
+    """Small rational systems: random, rank-deficient, overdetermined, inconsistent or feasible by construction."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=7))
+    rows = [draw(st.lists(ENTRIES, min_size=n, max_size=n)) for _ in range(m)]
+    shape = draw(st.sampled_from(("random", "dependent-row", "repeated-column", "zero-row", "feasible")))
+    if shape == "dependent-row" and m > 1:
+        scale = draw(ENTRIES)
+        rows[-1] = [a + scale * b for a, b in zip(rows[0], rows[1])]
+    elif shape == "repeated-column" and n > 1:
+        for row in rows:
+            row[-1] = row[0]
+    elif shape == "zero-row":
+        rows[draw(st.integers(min_value=0, max_value=m - 1))] = [F(0)] * n
+    if shape == "feasible":
+        point = draw(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=3), min_size=n, max_size=n))
+        rhs = [sum((a * v for a, v in zip(row, point)), F(0)) for row in rows]
+    else:
+        rhs = draw(st.lists(ENTRIES, min_size=m, max_size=m))
+    return LinearSystem(tuple(map(tuple, rows)), tuple(rhs))
+
+
+def solve_columns(matrix, rhs, subset):
+    """The unique w with sum_k A[:, subset[k]] w_k = b, or None when the
+    columns are dependent or b is out of their span."""
+    work = [[row[j] for j in subset] + [b] for row, b in zip(matrix, rhs)]
+    k = len(subset)
+    for col in range(k):
+        pivot = next((i for i in range(col, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        for i, row in enumerate(work):
+            if i != col and row[col] != 0:
+                factor = row[col] / work[col][col]
+                work[i] = [a - factor * p for a, p in zip(row, work[col])]
+    if any(row[k] != 0 for row in work[k:]):
+        return None
+    return [work[i][k] / work[i][i] for i in range(k)]
+
+
+def reference_basic_solutions(system):
+    """One solve per size-rank column subset, in lexicographic order."""
+    n = system.num_vars
+    rank = sympy_rank(system.matrix)
+    if rank == 0:
+        return [tuple([F(0)] * n)] if all(b == 0 for b in system.rhs) else []
+    points = []
+    for subset in combinations(range(n), rank):
+        solution = solve_columns(system.matrix, system.rhs, subset)
+        if solution is not None and all(v >= 0 for v in solution):
+            point = [F(0)] * n
+            for j, v in zip(subset, solution):
+                point[j] = v
+            points.append(tuple(point))
+    return points
+
+
+class TestEnumeratorProperty:
+    @given(small_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_solve_per_subset_and_the_simplex(self, system):
+        assert list(_basic_solutions(system)) == reference_basic_solutions(system)
+        assert brute_force_feasible(system) == lp_feasible(system).feasible
+
+    def test_prefix_without_pivot_prunes_its_extensions(self):
+        # Columns 0 and 1 are equal, so no subset holding both is a basis;
+        # the bases {0, 2} and {1, 2} give the two vertices.
+        system = LinearSystem(((F(1), F(1), F(0)), (F(0), F(0), F(1))), (F(1), F(2)))
+        assert list(_basic_solutions(system)) == [(F(1), F(0), F(2)), (F(0), F(1), F(2))]
+
+
+class TestSparseResidual:
+    @given(small_systems(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_dense_sum(self, system, data):
+        point = data.draw(st.lists(ENTRIES, min_size=system.num_vars, max_size=system.num_vars))
+        dense = tuple(
+            sum((c * v for c, v in zip(row, point)), F(0)) - b for row, b in zip(system.matrix, system.rhs)
+        )
+        result = residual(system, point)
+        assert result == dense
+        assert all(type(r) is Fraction for r in result)
+
+    def test_sparse_rows_hold_the_nonzero_entries(self):
+        system = LinearSystem(((F(0), F(-2, 3), F(1)), (F(0), F(0), F(0))), (F(1), F(0)))
+        assert system.sparse_rows == (((1, F(-2, 3)), (2, F(1))), ())
+        assert residual(system, (F(5), F(3), F(1))) == (F(-2), F(0))

@@ -194,9 +194,29 @@ class TestClassify:
         assert classify(special_solution(params), params).indistinguishable
 
     def test_non_solution_rejected(self):
+        # Repeated, so a memoized constraint system still rejects on every call.
         other = GeneralParams(F(2, 3), F(1, 2), F(1, 4))
-        with pytest.raises(NotASolution):
-            classify(special_solution(PARAMS), other)
+        for _ in range(3):
+            with pytest.raises(NotASolution, match=r"adequacy\(a=0,b=0\) by -1/6"):
+                classify(special_solution(PARAMS), other)
+
+
+class TestConstraintSystemMemo:
+    def test_equal_params_share_one_system(self):
+        params = GeneralParams(F(2, 7), F(3, 5), F(1, 9))
+        system = constraint_system(params)
+        assert constraint_system(GeneralParams(params.x, params.e_p, params.e_w)) is system
+        assert system.rhs[:4] == (F(6, 35), F(5, 63), F(4, 35), F(40, 63))
+
+    def test_real_mode_rejected_on_every_call(self):
+        # Floats equal to memoized Fractions must not be served from the memo.
+        constraint_system(GeneralParams(F(1, 2), F(1, 2), F(1, 4)))
+        real = GeneralParams(0.5, 0.5, 0.25)
+        for _ in range(3):
+            with pytest.raises(TypeError):
+                constraint_system(real)
+            with pytest.raises(TypeError):
+                classify(special_solution(PARAMS), real)
 
 
 class TestOnticTableJson:
