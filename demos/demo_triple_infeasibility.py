@@ -4,8 +4,12 @@
 Two settings with different apparatus marginals x are enough.  One shared
 table (independence) of outcome-pinned atoms (determinism) obeying the
 label-revelation constraints (objectivity) would have to give the b=0
-marginal two different values at once.  The LP relaxation of this demand
-is infeasible, and the Farkas certificate is exact and machine-checkable.
+marginal two different values at once.  check_triple writes the Farkas
+certificate down in closed form, with no solver: +-1 on the four
+adequacy rows of each of the two settings, so y.A = 0 and
+y.b = 2 (2/3 - 1/3) > 0.  The certificate is exact and machine-checkable,
+and the exact simplex, run on the full system as an independent oracle,
+agrees that no table exists.
 """
 
 from fractions import Fraction as F
@@ -35,6 +39,7 @@ print(f"\nfeasible: {report.feasible}")
 print(f"narrative: {report.narrative}")
 print(f"certificate y = {report.certificate}")
 print(f"independent audit (y.A <= 0 and y.b > 0, exact): {verify_certificate(system, report.certificate)}")
+print(f"oracle: the exact simplex on the full system finds a table: {lp_feasible(system).feasible}")
 
 print("\ncontrol run: identical settings stay feasible")
 constant = SettingsFamily(F(1, 2), F(1, 4), (Setting("a", F(1, 3)), Setting("b", F(1, 3))))

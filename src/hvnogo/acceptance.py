@@ -207,7 +207,7 @@ def criterion_6():
         system = triple_system(family)
         if not verify_certificate(system, report.certificate):
             return False, f"trial {trial}: certificate rejected by the verifier"
-        # check_triple refutes only two settings' rows; cross-check the full system
+        # check_triple writes its certificate down in closed form; the simplex is the oracle here
         if lp_feasible(system).feasible:
             return False, f"trial {trial}: the simplex finds a table for the full system"
     for trial in range(100):
@@ -218,7 +218,7 @@ def criterion_6():
         system = triple_system(family)
         if any(r != 0 for r in residual(system, report.witness.entries)):
             return False, f"constant-x trial {trial}: witness has nonzero residual"
-        # check_triple decides constant x without the simplex; cross-check it here
+        # check_triple decides constant x in closed form too; the simplex cross-checks it
         if not lp_feasible(system).feasible:
             return False, f"constant-x trial {trial}: the simplex finds no table"
     return True, (

@@ -10,12 +10,11 @@ arithmetic.  The answer always comes with checkable evidence:
 
 The engine is a phase-one simplex over ``fractions.Fraction`` with Bland's
 anti-cycling rule; certificates are the phase-one duals.  Its tableau rows
-are sparse: each maps a column to its nonzero entry.  Full triple systems,
-solved as cross-checks of the 10-row subsystem that ``check_triple``
-refutes, reach 4k + 2 rows over eight genuine variables plus one
-artificial per row, and each row starts with two genuine nonzeros and its
-artificial, so memory grows with the nonzeros instead of as the square of
-the row count.
+are sparse: each maps a column to its nonzero entry.  Full triple
+systems, solved only to cross-check ``check_triple``'s closed-form
+verdict, reach 4k + 2 rows over eight genuine variables plus one
+artificial per row; each row starts with two genuine nonzeros and its
+artificial, so memory grows with the nonzeros, not as the rows squared.
 
 A brute-force basic-solution enumerator (:func:`enumerate_basic_solutions`)
 is provided as an independent cross-check: it shares no code with the

@@ -162,8 +162,13 @@ _ADEQUACY_ROWS = tuple(
 )
 
 
+def _adequacy_labels(tag: str) -> tuple[str, ...]:
+    """The labels ``adequacy<tag>(a=..,b=..)`` of one joint's four adequacy rows, in 00, 01, 10, 11 order."""
+    return tuple(f"adequacy{tag}(a={a},b={b})" for a in (0, 1) for b in (0, 1))
+
+
 def _stacked_system(e_p: Fraction, e_w: Fraction, tagged_joints: Iterable[tuple[str, JointDist]]) -> LinearSystem:
-    """Four adequacy rows per ``(tag, joint)``, labelled ``adequacy<tag>(a=..,b=..)``,
+    """Four adequacy rows per ``(tag, joint)``, labelled by :func:`_adequacy_labels`,
     then the two objectivity rows, which depend on (e_p, e_w) alone."""
     rows: list[tuple[Fraction, ...]] = []
     rhs: list[Fraction] = []
@@ -171,7 +176,7 @@ def _stacked_system(e_p: Fraction, e_w: Fraction, tagged_joints: Iterable[tuple[
     for tag, joint in tagged_joints:
         rows += _ADEQUACY_ROWS
         rhs += joint.entries
-        labels += (f"adequacy{tag}(a={a},b={b})" for a in (0, 1) for b in (0, 1))
+        labels += _adequacy_labels(tag)
     p_row = [Fraction(0)] * 8
     p_row[cell_index(0, 0, "p")] = 1 - e_p
     p_row[cell_index(1, 0, "p")] = -e_p

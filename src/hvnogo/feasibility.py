@@ -12,24 +12,21 @@ x.  The three classical assumptions are formalized as:
 * objectivity: each atom carries a fixed binary label in {p, w}, revealed
   as the matching conditional statistics in the matching apparatus outcome.
 
-:func:`check_triple` decides all three over every setting by the x
-values.  Equal x values are feasible, with the closed-form special
-solution as witness and no simplex.  Distinct x values are infeasible:
-the simplex refutes the two settings with the smallest and the largest x
-on their own 10 rows, and the certificate, padded with zeros, verifies
-against the full :func:`triple_system`; that is the no-go theorem.  The
-full system, stacked over the family's kept joints, stays public for
-cross-checks and audits.  The three
-``model_drop_*`` constructors then witness that dropping any single
-assumption restores consistency, and :func:`validate_witness` audits each
-witness against the two retained assumptions in exact arithmetic.  A
-:class:`WitnessModel` is built from its payload alone: the payload's type
-fixes its ``mode``, and with it which assumption is dropped.
+In the triple check one table serves every setting, so it fixes one b=0
+marginal for all of them: :func:`check_triple` decides by the x values
+alone, in closed form, with no solver.  Equal x values are feasible, with
+the special solution as witness.  Distinct x values are infeasible: the
+adequacy rows of the settings with the smallest and the largest x
+combine, with multipliers of +-1 and no objectivity row, into a Farkas
+certificate that verifies against the full :func:`triple_system`; that
+is the no-go theorem.  The full system stays public so that the simplex
+can cross-check the verdict.  The three ``model_drop_*`` constructors
+then witness that dropping any single assumption restores consistency,
+and :func:`validate_witness` audits each witness against the two
+retained assumptions in exact arithmetic.  A :class:`WitnessModel` is
+built from its payload alone: the payload's type fixes its ``mode``, and
+with it which assumption is dropped.
 
-In the triple check the deterministic responses are taken
-setting-independent: one table serves every setting, so it fixes one b=0
-marginal for all of them.  With one setting-independent table, adequacy
-alone refutes distinct x values; the certificate needs no objectivity row.
 Each witness uses its own model class.  Drop-independence uses labelled
 per-setting tables (:class:`PerSettingTables`).  Drop-objectivity uses
 setting-indexed deterministic outcomes (:class:`OutcomeAtomModel`), where
@@ -49,8 +46,8 @@ from typing import Mapping, Union
 
 from .dist import GeneralParams, JointDist, format_rational, joint_from_params, parse_rational
 from .errors import MalformedInput, MalformedModel, malformed_input
-from .exactlp import FeasibilityReport, LinearSystem, _as_fraction_row, lp_feasible
-from .family import CELLS, LambdaLabel, OnticTable, _stacked_system, lambda_marginal, special_solution
+from .exactlp import FeasibilityReport, LinearSystem, _as_fraction_row
+from .family import CELLS, LambdaLabel, OnticTable, _adequacy_labels, _stacked_system, lambda_marginal, special_solution
 
 _OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -153,15 +150,14 @@ def triple_system(family: SettingsFamily) -> LinearSystem:
 def check_triple(family: SettingsFamily) -> FeasibilityReport:
     """Can determinism, independence, and objectivity coexist over the family?
 
-    Feasible exactly when every setting shares one apparatus marginal x, so
-    equal x values decide it without the simplex; the witness is the
-    closed-form :func:`special_solution` at that x.  When x values differ,
-    the first setting with the smallest x and the first with the largest x
-    already clash: the simplex refutes their 10-row subsystem (8 adequacy
-    rows, 2 objectivity rows), and its Farkas certificate is padded with
-    zeros to the 4k + 2 rows of :func:`triple_system`.  The zero rows add
-    nothing to y^T A or y^T b, so the padded certificate verifies against
-    the full system, which is never built here.
+    Decided in closed form, with no solver: feasible exactly when every
+    setting shares one apparatus marginal x, with :func:`special_solution`
+    at that x as witness.  Otherwise the first setting with the smallest x
+    and the first with the largest x clash: the certificate puts
+    (-1, 1, -1, 1) on the low one's adequacy rows (a, b = 00, 01, 10, 11),
+    (1, -1, 1, -1) on the high one's, and 0 on every other row of
+    :func:`triple_system`, objectivity included.  All adequacy blocks share
+    their coefficients, so y^T A = 0, while y^T b = 2 (x_hi - x_lo) > 0.
     """
     xs = [s.x for s in family.settings]
     lo, hi = min(xs), max(xs)
@@ -171,22 +167,14 @@ def check_triple(family: SettingsFamily) -> FeasibilityReport:
             "the witness table reproduces every setting's statistics while keeping "
             "determinism, independence, and objectivity"
         )
-        return FeasibilityReport(True, special_solution(family.params[0]), None, narrative)
-    pair = sorted((xs.index(lo), xs.index(hi)))
-    system = _stacked_system(
-        family.e_p, family.e_w, ((f"[{family.settings[i].label}]", family.joints[i]) for i in pair)
-    )
-    report = lp_feasible(system)
-    if report.feasible:
-        raise AssertionError("simplex found a table for distinct x values; this is a bug")
-    y = report.certificate
-    k = len(xs)
-    certificate = [Fraction(0)] * (4 * k + 2)
-    for slot, i in enumerate(pair):
-        certificate[4 * i : 4 * i + 4] = y[4 * slot : 4 * slot + 4]
-    certificate[4 * k :] = y[8:]
+        return FeasibilityReport(True, special_solution(GeneralParams(lo, family.e_p, family.e_w)), None, narrative)
+    low, high = xs.index(lo), xs.index(hi)
+    certificate = [Fraction(0)] * (4 * len(xs) + 2)
+    certificate[4 * low : 4 * low + 4] = map(Fraction, (-1, 1, -1, 1))
+    certificate[4 * high : 4 * high + 4] = map(Fraction, (1, -1, 1, -1))
+    pair = sorted((low, high))
     clash = " and ".join(f"setting {family.settings[i].label!r} demands x = {format_rational(xs[i])}" for i in pair)
-    active = [system.label(r) for r, v in enumerate(y) if v != 0]
+    active = [label for i in pair for label in _adequacy_labels(f"[{family.settings[i].label}]")]
     narrative = (
         f"infeasible: one setting-independent table fixes the b=0 marginal once, but {clash}. "
         "Certificate rows: " + ", ".join(active)
@@ -525,6 +513,12 @@ def validate_witness(model: WitnessModel, family: SettingsFamily) -> WitnessRepo
 
     The dropped assumption is checked too and reported informationally
     (``retained = False``); it is expected to fail for honest witnesses.
+
+    For :class:`PerSettingTables` independence compares only p(lam = p)
+    across settings, weaker than :func:`triple_system`'s one shared table:
+    on x in {1/3, 2/3} with e_p = 1/2, e_w = 1/4, tables holding half of
+    each setting's joint under each label pass all four checks, while
+    :func:`check_triple` refutes the family.
 
     Raises :class:`MalformedModel` when the payload does not structurally
     match the family.

@@ -1,7 +1,9 @@
 """Exact LP engine: toy systems, certificate audits, and the brute-force oracle."""
 
+import ast
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 import sympy
@@ -21,6 +23,7 @@ from hvnogo import (
     residual,
     verify_certificate,
 )
+from hvnogo import exactlp
 from hvnogo.exactlp import _basic_solutions
 
 F = Fraction
@@ -237,3 +240,35 @@ class TestSparseResidual:
         system = LinearSystem(((F(0), F(-2, 3), F(1)), (F(0), F(0), F(0))), (F(1), F(0)))
         assert system.sparse_rows == (((1, F(-2, 3)), (2, F(1))), ())
         assert residual(system, (F(5), F(3), F(1))) == (F(-2), F(0))
+
+
+class TestOraclesShareNoCode:
+    """The simplex and the enumerator are two independent oracles, so no helper may serve both."""
+
+    #: Names both may use: input coercion, and the system they both read (its members included).
+    SHARED = {"_as_fraction_row", "LinearSystem"}
+
+    def reachable(self, root: str) -> set[str]:
+        """Module-level functions and classes of ``hvnogo.exactlp`` that ``root`` refers to, transitively.
+
+        A shared name is recorded but not entered.
+        """
+        tree = ast.parse(Path(exactlp.__file__).read_text(encoding="utf-8"))
+        defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        seen, todo = set(), [root]
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            if name not in self.SHARED:
+                todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name) and n.id in defs]
+        return seen
+
+    def test_simplex_and_enumerator_are_disjoint(self):
+        simplex = self.reachable("lp_feasible")
+        enumerator = self.reachable("_basic_solutions")
+        # the walk sees each side's own helpers
+        assert {"residual", "verify_certificate"} <= simplex
+        assert {"matrix_rank", "_eliminate"} <= enumerator
+        assert simplex & enumerator <= self.SHARED

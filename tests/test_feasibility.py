@@ -35,7 +35,7 @@ from hvnogo import (
     validate_witness,
     verify_certificate,
 )
-from hvnogo import feasibility
+from hvnogo import exactlp, feasibility
 from hvnogo.acceptance import _interior_fraction as interior_fraction
 from hvnogo.acceptance import _random_family, _rng
 from hvnogo.feasibility import OutcomeAtom, OutcomeAtomModel, PerSettingTables
@@ -143,16 +143,18 @@ class TestCheckTriple:
         if report.feasible:
             assert all(r == 0 for r in residual(system, report.witness.entries))
         else:
-            assert len(report.certificate) == system.num_rows
-            assert verify_certificate(system, report.certificate)
-            # the certificate is the pair's own, padded with zeros
-            k = len(family.settings)
-            pair = _extreme_pair(family)
-            rows = [r for i in pair for r in range(4 * i, 4 * i + 4)] + [4 * k, 4 * k + 1]
-            two = SettingsFamily(family.e_p, family.e_w, tuple(family.settings[i] for i in pair))
-            own = lp_feasible(triple_system(two))
-            assert [report.certificate[r] for r in rows] == list(own.certificate)
-            assert all(y == 0 for r, y in enumerate(report.certificate) if r not in rows)
+            y = report.certificate
+            assert len(y) == system.num_rows
+            assert verify_certificate(system, y)
+            # the closed form: +-1 on the extreme pair's adequacy rows, 0 elsewhere
+            xs = [s.x for s in family.settings]
+            low, high = xs.index(min(xs)), xs.index(max(xs))
+            expected = [0] * system.num_rows
+            expected[4 * low : 4 * low + 4] = (-1, 1, -1, 1)
+            expected[4 * high : 4 * high + 4] = (1, -1, 1, -1)
+            assert list(y) == expected
+            assert all(system.label(r).startswith("adequacy") for r, v in enumerate(y) if v != 0)
+            assert sum(v * b for v, b in zip(y, system.rhs)) == 2 * (max(xs) - min(xs))
 
     def test_refutes_the_first_settings_with_the_smallest_and_the_largest_x(self):
         xs = (F(1, 2), F(1), F(0), F(1, 3), F(0), F(1), F(1, 2))
@@ -457,16 +459,26 @@ class TestSharedWork:
         triple_system(family)
         assert len(calls) == 5
 
-    def test_check_triple_solves_one_ten_row_system(self, monkeypatch):
-        k = 64
-        family = SettingsFamily(F(1, 2), F(1, 4), tuple(Setting(f"s{i}", F(i + 1, k + 1)) for i in range(k)))
-        built = _count_calls(monkeypatch, "triple_system")
-        solved = _count_calls(monkeypatch, "lp_feasible")
+    @pytest.mark.parametrize("distinct", [True, False], ids=["distinct_x", "equal_x"])
+    def test_check_triple_builds_no_joint_and_runs_no_solver(self, monkeypatch, distinct):
+        k = 2_000
+        xs = [F(i + 1, k + 2) if distinct else F(1, 3) for i in range(k)]
+        family = SettingsFamily(F(1, 2), F(1, 4), tuple(Setting(f"s{i}", x) for i, x in enumerate(xs)))
+        built = _count_calls(monkeypatch, "joint_from_params")
+
+        def unreachable(system):
+            raise AssertionError("check_triple reached the simplex")
+
+        monkeypatch.setattr(exactlp, "lp_feasible", unreachable)
         report = check_triple(family)
-        assert not report.feasible
+        assert report.feasible is not distinct
         assert built == []
-        assert [system.num_rows for (system,) in solved] == [10]
-        assert len(report.certificate) == 4 * k + 2
+        assert "joints" not in family.__dict__ and "params" not in family.__dict__
+        system = triple_system(family)
+        if distinct:
+            assert verify_certificate(system, report.certificate)
+        else:
+            assert all(r == 0 for r in residual(system, report.witness.entries))
 
     @pytest.mark.parametrize("build,per_setting", [
         (model_drop_independence, 1),
