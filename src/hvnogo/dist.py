@@ -126,7 +126,8 @@ def _coerce_homogeneous(values, what: str) -> tuple[Scalar, ...]:
             raise TypeError(f"{what}: expected int, Fraction, or float, got {type(v).__name__}")
     if any(isinstance(v, float) for v in vals):
         return tuple(float(v) for v in vals)
-    return tuple(Fraction(v) for v in vals)
+    # Fractions are immutable, so those given pass through uncopied.
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in vals)
 
 
 def _check_probability(p: Scalar, what: str) -> None:
@@ -140,12 +141,23 @@ def _check_probability(p: Scalar, what: str) -> None:
             raise InvalidDistribution(f"{what}: probability {p!r} outside [0, 1] beyond tolerance")
 
 
+def _sums_to_one(values: tuple[Fraction, ...]) -> bool:
+    """Whether exact ``values`` sum to 1, decided in integers.
+
+    With L the lcm of the denominators n_i/d_i, the sum is 1 iff
+    ``sum(n_i * (L // d_i)) == L``; no Fraction is built.
+    """
+    scale = math.lcm(*(v.denominator for v in values))
+    return sum(v.numerator * (scale // v.denominator) for v in values) == scale
+
+
 def _check_normalized(entries, what: str) -> None:
+    if isinstance(entries[0], Fraction):
+        if not _sums_to_one(entries):
+            raise InvalidDistribution(f"{what}: entries sum to {sum(entries)}, expected 1")
+        return
     total = sum(entries)
-    if isinstance(total, Fraction):
-        if total != 1:
-            raise InvalidDistribution(f"{what}: entries sum to {total}, expected 1")
-    elif abs(total - 1.0) > REAL_TOL:
+    if abs(total - 1.0) > REAL_TOL:
         raise InvalidDistribution(f"{what}: entries sum to {total!r}, expected 1 within {REAL_TOL}")
 
 

@@ -24,6 +24,16 @@ each child copies its parent's partly eliminated augmented matrix and
 eliminates one more column, so subsets that share a prefix share its
 elimination, and a prefix whose last column has no pivot (it depends on
 the columns before it) prunes every subset that extends it.
+
+The enumerator and :func:`matrix_rank` eliminate fraction-free, in the
+manner of Bareiss: each row of ``[A | b]`` is scaled once to coprime
+integers, and a step sets every other row to ``pivot * row - factor *
+pivot_row`` and divides out the gcd of its entries, so no step builds a
+Fraction.  A walk node's pivot rows carry their pivot in one trailing
+slot, which survives the slicing off of the pivot's column; a vertex's
+basic variable is then ``Fraction(b, slot)``, the only Fraction built per
+coordinate.  :func:`residual` likewise sums each row as one unreduced
+numerator and denominator and reduces it once.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Any, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -109,16 +120,25 @@ class FeasibilityReport:
 
 
 def residual(system: LinearSystem, point: Sequence) -> tuple[Fraction, ...]:
-    """``A w - b`` for an exact point; all-zero means the point solves the system."""
+    """``A w - b`` for an exact point; all-zero means the point solves the system.
+
+    Each row is summed as one unreduced numerator and denominator and
+    reduced once at the end.
+    """
     w = _as_fraction_row(point, "point")
     if len(w) != system.num_vars:
         raise DimensionMismatch(f"point has {len(w)} entries, system has {system.num_vars} variables")
     out = []
     for row, b in zip(system.sparse_rows, system.rhs):
-        total = -b
+        num, den = -b.numerator, b.denominator
         for j, c in row:
-            total += w[j] if c == 1 else c * w[j]
-        out.append(total)
+            v = w[j]
+            n, d = c.numerator * v.numerator, c.denominator * v.denominator
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+        out.append(Fraction(num, den) if num else ZERO)
     return tuple(out)
 
 
@@ -216,27 +236,42 @@ def lp_feasible(system: LinearSystem) -> FeasibilityReport:
     return FeasibilityReport(False, None, y, narrative)
 
 
-def _eliminate(work: list[list[Fraction]], r: int, col: int) -> None:
-    """Scale row r so ``work[r][col] == 1`` and clear column col from every other row.
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """``row`` times the lcm of its denominators, divided by the gcd of the result.
 
-    Gauss-Jordan step for :func:`matrix_rank` and the enumerator, in place;
-    only row r's nonzero columns are touched.
+    A positive multiple of ``row`` with coprime integer entries, which is the
+    same equation; :func:`matrix_rank` and the enumerator eliminate on these.
+    """
+    scale = lcm(*(v.denominator for v in row))
+    ints = [v.numerator * (scale // v.denominator) for v in row]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _eliminate(work: list[list[int]], r: int, col: int) -> None:
+    """Clear column col from every row but r, fraction-free, in place.
+
+    Row r is negated if needed so its pivot ``p = work[r][col]`` is positive;
+    every other row with a nonzero ``f`` in column col becomes
+    ``p * row - f * work[r]``, divided by the gcd of its entries.  Each row
+    stays a positive multiple of its Gauss-Jordan counterpart, so zero
+    entries and signs match that elimination's.
     """
     prow = work[r]
+    if prow[col] < 0:
+        prow[:] = [-v for v in prow]
     pivot = prow[col]
-    support = [j for j, v in enumerate(prow) if v != 0]
-    for j in support:
-        prow[j] /= pivot
     for i, target in enumerate(work):
         factor = target[col]
-        if i != r and factor != 0:
-            for j in support:
-                target[j] -= factor * prow[j]
+        if i != r and factor:
+            row = [pivot * a - factor * b for a, b in zip(target, prow)]
+            g = gcd(*row)
+            target[:] = [v // g for v in row] if g > 1 else row
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of an exact rational matrix by Gaussian elimination."""
-    work = [list(_as_fraction_row(r, "matrix")) for r in rows]
+    """Rank of an exact rational matrix by fraction-free Gaussian elimination."""
+    work = [_integer_row(_as_fraction_row(r, "matrix")) for r in rows]
     if not work:
         return 0
     n = len(work[0])
@@ -257,12 +292,19 @@ def _basic_solutions(system: LinearSystem) -> Iterator[tuple[Fraction, ...]]:
     """Yield each nonnegative basic solution once per basis that gives it.
 
     Walks the size-rank(A) column subsets depth first, in lexicographic
-    order.  A node holds the augmented matrix ``[A | b]`` with its prefix's
-    columns eliminated, restricted to the columns from its last one on; a
-    child copies it and eliminates one more column.  When that column has no
-    pivot left it depends on the prefix, so the child and every subset that
-    extends it are skipped.  A full subset is a basis; it gives a basic
-    solution when the rows below its pivots have zero right-hand side.
+    order.  A node holds the augmented matrix ``[A | b]``, each row scaled to
+    coprime integers (:func:`_integer_row`), with its prefix's columns
+    eliminated fraction-free (:func:`_eliminate`), restricted to the columns
+    from its last one on, plus one trailing pivot slot.  A child copies it
+    and eliminates one more column; the slot of the row that pivoted then
+    takes the pivot, and later eliminations scale slot and row alike, so the
+    slot keeps the coefficient of that row's basic variable after its
+    column is sliced off.  When the new column has no pivot left it
+    depends on the prefix, so the child and every subset that extends it
+    are skipped.  A full subset is a basis; it gives a basic solution when
+    the rows below its pivots have zero right-hand side, and then pivot row
+    i's basic variable is ``Fraction(b_i, s_i)``.  Pivots, and so slots,
+    are positive, so the variable is nonnegative iff ``b_i >= 0``.
     """
     m, n = system.num_rows, system.num_vars
     r = matrix_rank(system.matrix)
@@ -271,7 +313,7 @@ def _basic_solutions(system: LinearSystem) -> Iterator[tuple[Fraction, ...]]:
             yield tuple([ZERO] * n)
         return
 
-    def walk(work: list[list[Fraction]], first: int, subset: tuple[int, ...]) -> Iterator[tuple[Fraction, ...]]:
+    def walk(work: list[list[int]], first: int, subset: tuple[int, ...]) -> Iterator[tuple[Fraction, ...]]:
         d = len(subset)
         for col in range(subset[-1] + 1 if subset else 0, n - r + d + 1):
             child = [row[col - first :] for row in work]
@@ -280,18 +322,17 @@ def _basic_solutions(system: LinearSystem) -> Iterator[tuple[Fraction, ...]]:
                 continue  # rank-deficient prefix: no subset extending it is a basis
             child[d], child[pivot_row] = child[pivot_row], child[d]
             _eliminate(child, d, 0)
+            child[d][-1] = child[d][0]
             chosen = subset + (col,)
             if d + 1 < r:
                 yield from walk(child, col, chosen)
-            elif all(row[-1] == 0 for row in child[r:]):
-                solution = [row[-1] for row in child[:r]]
-                if all(v >= 0 for v in solution):
-                    point = [ZERO] * n
-                    for j, v in zip(chosen, solution):
-                        point[j] = v
-                    yield tuple(point)
+            elif all(row[-2] == 0 for row in child[r:]) and all(row[-2] >= 0 for row in child[:r]):
+                point = [ZERO] * n
+                for j, row in zip(chosen, child):
+                    point[j] = Fraction(row[-2], row[-1])
+                yield tuple(point)
 
-    yield from walk([[*row, b] for row, b in zip(system.matrix, system.rhs)], 0, ())
+    yield from walk([[*_integer_row((*row, b)), 0] for row, b in zip(system.matrix, system.rhs)], 0, ())
 
 
 def enumerate_basic_solutions(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:

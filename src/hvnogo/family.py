@@ -23,7 +23,13 @@ parameterized here by the two cross-branch masses at a=0:
 perfectly correlated with the apparatus outcome b (the "special" solution,
 the only member that keeps objectivity meaningful); any member with s > 0
 or t > 0 has its detector-a statistics fixed by b alone, independent of the
-label, collapsing the wave/particle distinction.
+label, collapsing the wave/particle distinction.  With
+``r_p = (1-e_p)/e_p`` and ``r_w = (1-e_w)/e_w`` the member at (s, t) is::
+
+    p(0,0,p) = x*e_p - s            p(1,0,p) = (x*e_p - s) * r_p
+    p(0,1,p) = t                    p(1,1,p) = t * r_w
+    p(0,0,w) = s                    p(1,0,w) = s * r_p
+    p(0,1,w) = (1-x)*e_w - t        p(1,1,w) = ((1-x)*e_w - t) * r_w
 
 Everything in this module is exact: floats are rejected, residuals are
 compared to literal zero.
@@ -34,10 +40,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Literal, Mapping
 
-from .dist import BinaryDist, GeneralParams, JointDist, format_rational, joint_from_params, parse_rational
+from .dist import BinaryDist, GeneralParams, JointDist, _sums_to_one, format_rational, joint_from_params, parse_rational
 from .errors import (
     BoundaryParams,
     ConditionOnNull,
@@ -94,9 +100,8 @@ class OnticTable:
         for key, v in zip(CELL_KEYS, entries):
             if v < 0:
                 raise InvalidDistribution(f"OnticTable[{key}] = {v} is negative")
-        total = sum(entries)
-        if total != 1:
-            raise InvalidDistribution(f"OnticTable entries sum to {total}, expected 1")
+        if not _sums_to_one(entries):
+            raise InvalidDistribution(f"OnticTable entries sum to {sum(entries)}, expected 1")
 
     def mass(self, a: int, b: int, lam: LambdaLabel) -> Fraction:
         return self.entries[cell_index(a, b, lam)]
@@ -155,6 +160,14 @@ class SolutionFamily:
     s_range: tuple[Fraction, Fraction]
     t_range: tuple[Fraction, Fraction]
 
+    @cached_property
+    def _coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """``(x*e_p, (1-x)*e_w, r_p, r_w)``, the parts of every member that
+        (s, t) does not change; built on first use.  Not a field, so
+        equality, hashing and repr are unchanged."""
+        x, e_p, e_w = self.params.x, self.params.e_p, self.params.e_w
+        return x * e_p, (1 - x) * e_w, (1 - e_p) / e_p, (1 - e_w) / e_w
+
 
 #: Adequacy rows ``p(a,b,p) + p(a,b,w)``, one per outcome pair in 00, 01, 10, 11 order.
 _ADEQUACY_ROWS = tuple(
@@ -198,10 +211,11 @@ def constraint_system(params: GeneralParams) -> LinearSystem:
     a side condition carried by the feasibility machinery; normalization is
     implied by adequacy.
 
-    The result is memoized for the most recently used parameters, so equal
-    ``params`` get the same object back; a :class:`LinearSystem` is
-    immutable, so sharing it is safe.  Real-mode ``params`` are rejected
-    before the memo is consulted, since floats compare equal to Fractions.
+    The result is memoized in a least-recently-used cache of 32 parameter
+    sets, so equal ``params`` get the same object back while they stay in
+    it; a :class:`LinearSystem` is immutable, so sharing it is safe.
+    Real-mode ``params`` are rejected before the memo is consulted, since
+    floats compare equal to Fractions.
     """
     return _memoized_system(_exact_params(params, "constraint_system"))
 
@@ -230,18 +244,11 @@ def solve_family(params: GeneralParams) -> SolutionFamily:
     return SolutionFamily(params, (Fraction(0), s_max), (Fraction(0), t_max))
 
 
-def _family_entries(params: GeneralParams, s: Fraction, t: Fraction) -> tuple[Fraction, ...]:
-    x, e_p, e_w = params.x, params.e_p, params.e_w
-    entries = [Fraction(0)] * 8
-    entries[cell_index(0, 0, "p")] = x * e_p - s
-    entries[cell_index(1, 0, "p")] = (x * e_p - s) * (1 - e_p) / e_p
-    entries[cell_index(0, 0, "w")] = s
-    entries[cell_index(1, 0, "w")] = s * (1 - e_p) / e_p
-    entries[cell_index(0, 1, "p")] = t
-    entries[cell_index(1, 1, "p")] = t * (1 - e_w) / e_w
-    entries[cell_index(0, 1, "w")] = (1 - x) * e_w - t
-    entries[cell_index(1, 1, "w")] = ((1 - x) * e_w - t) * (1 - e_w) / e_w
-    return tuple(entries)
+def _family_entries(family: SolutionFamily, s: Fraction, t: Fraction) -> tuple[Fraction, ...]:
+    """The eight closed-form entries of the member at (s, t), in storage order."""
+    s_max, t_max, r_p, r_w = family._coefficients
+    p00, w01 = s_max - s, t_max - t
+    return (p00, t, p00 * r_p, t * r_w, s, w01, s * r_p, w01 * r_w)
 
 
 def instantiate(family: SolutionFamily, s, t) -> OnticTable:
@@ -259,7 +266,7 @@ def instantiate(family: SolutionFamily, s, t) -> OnticTable:
         raise OutOfRange(f"s = {s} outside [{lo_s}, {hi_s}]")
     if not lo_t <= t <= hi_t:
         raise OutOfRange(f"t = {t} outside [{lo_t}, {hi_t}]")
-    return OnticTable(_family_entries(family.params, s, t))
+    return OnticTable(_family_entries(family, s, t))
 
 
 def special_solution(params: GeneralParams) -> OnticTable:

@@ -501,7 +501,7 @@ def _independence_check(payload: Payload, family: SettingsFamily) -> tuple[bool,
         if len(set(marginals.values())) > 1:
             listing = ", ".join(f"{lbl}: {format_rational(v)}" for lbl, v in marginals.items())
             return False, f"label marginal p(lam=p) depends on the setting ({listing})"
-        return True, "hidden-state distribution identical across settings"
+        return True, "label marginal p(lam=p) is the same in every setting"
     total = sum(atom.weight for atom in payload.atoms)
     if total != 1:
         return False, f"atom weights sum to {total}, not a probability distribution"

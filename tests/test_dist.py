@@ -15,6 +15,7 @@ from hvnogo import (
     GeneralParams,
     InvalidDistribution,
     JointDist,
+    OnticTable,
     conditional_a_given_b,
     format_rational,
     joint_from_params,
@@ -193,6 +194,51 @@ class TestScalarKinds:
     def test_params_range_checked(self):
         with pytest.raises(InvalidDistribution):
             GeneralParams(F(3, 2), F(1, 2), F(1, 2))
+
+
+#: Probabilities with small denominators and denominators up to 10**6.
+PROBABILITY = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+)
+
+
+@st.composite
+def exact_tables(draw, size):
+    """``size`` entries in [0, 1]: as drawn, normalized, or normalized and then
+    moved off a total of 1 by a small amount."""
+    entries = draw(st.lists(PROBABILITY, min_size=size, max_size=size))
+    total = sum(entries, F(0))
+    mode = draw(st.sampled_from(("raw", "normalized", "nudged")))
+    if mode == "raw" or total == 0:
+        return entries
+    entries = [v / total for v in entries]
+    if mode == "nudged":
+        eps = draw(st.fractions(min_value=0, max_value=F(1, 2), max_denominator=10**6).filter(bool))
+        if draw(st.booleans()):
+            entries[entries.index(min(entries))] += eps  # the smallest entry is at most 1/2
+        else:
+            largest = entries.index(max(entries))
+            entries[largest] -= min(eps, entries[largest])
+    return entries
+
+
+class TestSumToOne:
+    @pytest.mark.parametrize("build,size,message", [
+        (lambda entries: BinaryDist(*entries), 2, "BinaryDist: entries sum to {}, expected 1"),
+        (JointDist, 4, "JointDist: entries sum to {}, expected 1"),
+        (OnticTable, 8, "OnticTable entries sum to {}, expected 1"),
+    ], ids=["BinaryDist", "JointDist", "OnticTable"])
+    @given(data=st.data())
+    def test_accepted_iff_the_entries_sum_to_one(self, build, size, message, data):
+        entries = tuple(data.draw(exact_tables(size)))
+        total = sum(entries, F(0))
+        if total == 1:
+            build(entries)
+        else:
+            with pytest.raises(InvalidDistribution) as info:
+                build(entries)
+            assert str(info.value) == message.format(total)
 
 
 class TestRationalLiterals:

@@ -34,6 +34,37 @@ def sympy_rank(rows):
     return sympy.Matrix([[sympy.Rational(v) for v in row] for row in rows]).rank()
 
 
+#: Zero, small rationals, and rationals with denominators up to 10**6 (as in the benchmark's large draws).
+ENTRIES = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
+)
+
+
+@st.composite
+def small_systems(draw):
+    """Small rational systems: random, rank-deficient, overdetermined, inconsistent or feasible by construction."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=7))
+    rows = [draw(st.lists(ENTRIES, min_size=n, max_size=n)) for _ in range(m)]
+    shape = draw(st.sampled_from(("random", "dependent-row", "repeated-column", "zero-row", "feasible")))
+    if shape == "dependent-row" and m > 1:
+        scale = draw(ENTRIES)
+        rows[-1] = [a + scale * b for a, b in zip(rows[0], rows[1])]
+    elif shape == "repeated-column" and n > 1:
+        for row in rows:
+            row[-1] = row[0]
+    elif shape == "zero-row":
+        rows[draw(st.integers(min_value=0, max_value=m - 1))] = [F(0)] * n
+    if shape == "feasible":
+        point = draw(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=3), min_size=n, max_size=n))
+        rhs = [sum((a * v for a, v in zip(row, point)), F(0)) for row in rows]
+    else:
+        rhs = draw(st.lists(ENTRIES, min_size=m, max_size=m))
+    return LinearSystem(tuple(map(tuple, rows)), tuple(rhs))
+
+
 class TestToySystems:
     def test_simplex_on_a_segment(self):
         system = LinearSystem(((F(1), F(1)),), (F(1),))
@@ -122,13 +153,12 @@ class TestOracleEquivalence:
 
 
 class TestRank:
-    def test_against_sympy_on_random_matrices(self):
-        rng = Generator(Philox(key=7))
-        for _ in range(60):
-            m = int(rng.integers(1, 7))
-            n = int(rng.integers(1, 9))
-            rows = [[F(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in range(n)] for _ in range(m)]
-            assert matrix_rank(rows) == sympy_rank(rows)
+    @given(small_systems())
+    @settings(max_examples=100, deadline=None)
+    def test_against_sympy_on_random_matrices(self, system):
+        augmented = [(*row, b) for row, b in zip(system.matrix, system.rhs)]
+        assert matrix_rank(system.matrix) == sympy_rank(system.matrix)
+        assert matrix_rank(augmented) == sympy_rank(augmented)
 
     def test_constraint_matrix_rank_is_six_for_interior_parameters(self):
         rng = Generator(Philox(key=8))
@@ -146,32 +176,6 @@ class TestRank:
         row = system.matrix[4]
         assert row[0] == 1 and all(v == 0 for i, v in enumerate(row) if i != 0)
         assert system.rhs[4] == 0
-
-
-ENTRIES = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
-
-
-@st.composite
-def small_systems(draw):
-    """Small rational systems: random, rank-deficient, overdetermined, inconsistent or feasible by construction."""
-    m = draw(st.integers(min_value=1, max_value=6))
-    n = draw(st.integers(min_value=1, max_value=7))
-    rows = [draw(st.lists(ENTRIES, min_size=n, max_size=n)) for _ in range(m)]
-    shape = draw(st.sampled_from(("random", "dependent-row", "repeated-column", "zero-row", "feasible")))
-    if shape == "dependent-row" and m > 1:
-        scale = draw(ENTRIES)
-        rows[-1] = [a + scale * b for a, b in zip(rows[0], rows[1])]
-    elif shape == "repeated-column" and n > 1:
-        for row in rows:
-            row[-1] = row[0]
-    elif shape == "zero-row":
-        rows[draw(st.integers(min_value=0, max_value=m - 1))] = [F(0)] * n
-    if shape == "feasible":
-        point = draw(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=3), min_size=n, max_size=n))
-        rhs = [sum((a * v for a, v in zip(row, point)), F(0)) for row in rows]
-    else:
-        rhs = draw(st.lists(ENTRIES, min_size=m, max_size=m))
-    return LinearSystem(tuple(map(tuple, rows)), tuple(rhs))
 
 
 def solve_columns(matrix, rhs, subset):
@@ -270,5 +274,6 @@ class TestOraclesShareNoCode:
         enumerator = self.reachable("_basic_solutions")
         # the walk sees each side's own helpers
         assert {"residual", "verify_certificate"} <= simplex
-        assert {"matrix_rank", "_eliminate"} <= enumerator
+        assert {"matrix_rank", "_eliminate", "_integer_row"} <= enumerator
+        assert "_integer_row" not in simplex  # the fraction-free kernel is the enumerator's alone
         assert simplex & enumerator <= self.SHARED

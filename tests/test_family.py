@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from hvnogo import (
@@ -29,6 +31,15 @@ from hvnogo.acceptance import _interior_params as interior_params
 F = Fraction
 
 PARAMS = GeneralParams(F(1, 3), F(1, 2), F(1, 4))
+
+#: Interior probabilities, small denominators and denominators up to 10**6.
+INTERIOR = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+).filter(lambda v: 0 < v < 1)
+
+#: Fractions of a range, its two ends included.
+UNIT = st.one_of(st.sampled_from((F(0), F(1))), st.fractions(min_value=0, max_value=1, max_denominator=10**6))
 
 
 class TestSolveFamily:
@@ -123,6 +134,27 @@ class TestInstantiate:
                 # every enumerated vertex is a corner of the (s, t) rectangle
                 assert s in (F(0), s_max) and t in (F(0), t_max)
                 assert instantiate(family, s, t).entries == point
+
+
+class TestClosedForm:
+    @given(INTERIOR, INTERIOR, INTERIOR, UNIT, UNIT)
+    @settings(max_examples=200, deadline=None)
+    def test_instantiate_is_the_module_docstring_closed_form(self, x, e_p, e_w, u, v):
+        family = solve_family(GeneralParams(x, e_p, e_w))
+        s, t = u * x * e_p, v * (1 - x) * e_w
+        member = instantiate(family, s, t)
+        expected = {
+            (0, 0, "p"): x * e_p - s,
+            (1, 0, "p"): (x * e_p - s) * (1 - e_p) / e_p,
+            (0, 1, "p"): t,
+            (1, 1, "p"): t * (1 - e_w) / e_w,
+            (0, 0, "w"): s,
+            (1, 0, "w"): s * (1 - e_p) / e_p,
+            (0, 1, "w"): (1 - x) * e_w - t,
+            (1, 1, "w"): ((1 - x) * e_w - t) * (1 - e_w) / e_w,
+        }
+        assert {cell: member.mass(*cell) for cell in expected} == expected
+        assert all(type(value) is Fraction for value in member.entries)
 
 
 class TestSpecialSolution:

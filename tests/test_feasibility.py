@@ -299,6 +299,18 @@ class TestDropIndependence:
         assert "revelation" in objectivity.detail
         assert not report.overall_pass
 
+    def test_independence_detail_names_only_the_label_marginal(self):
+        # half of each setting's joint under each label: p(lam=p) = 1/2 in both
+        # settings although the two tables differ in every cell
+        tables = {
+            label: OnticTable(tuple(v / 2 for v in joint.entries) * 2)
+            for label, joint in zip(TWO_SETTINGS.labels, TWO_SETTINGS.joints)
+        }
+        report = validate_witness(WitnessModel(PerSettingTables(tables)), TWO_SETTINGS)
+        independence = report.check("independence")
+        assert independence.passed
+        assert independence.detail == "label marginal p(lam=p) is the same in every setting"
+
 
 class TestDropObjectivity:
     def test_single_setting_atoms_are_the_outcomes(self):
