@@ -3,6 +3,7 @@
 import ast
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from hvnogo import (
     verify_certificate,
 )
 from hvnogo import exactlp
-from hvnogo.exactlp import _basic_solutions
+from hvnogo.exactlp import _basic_solutions, _eliminate, _integer_row
 
 F = Fraction
 
@@ -159,6 +160,21 @@ class TestRank:
         augmented = [(*row, b) for row, b in zip(system.matrix, system.rhs)]
         assert matrix_rank(system.matrix) == sympy_rank(system.matrix)
         assert matrix_rank(augmented) == sympy_rank(augmented)
+
+    @given(small_systems())
+    @settings(max_examples=100, deadline=None)
+    def test_eliminated_rows_stay_coprime(self, system):
+        # without the gcd division the exact answers would not change, only the integers would grow
+        work = [_integer_row((*row, b)) for row, b in zip(system.matrix, system.rhs)]
+        rank = 0
+        for col in range(system.num_vars + 1):
+            pivot_row = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+            if pivot_row is None:
+                continue
+            work[rank], work[pivot_row] = work[pivot_row], work[rank]
+            _eliminate(work, rank, col)
+            rank += 1
+            assert all(gcd(*row) == 1 for row in work if any(row)), work
 
     def test_constraint_matrix_rank_is_six_for_interior_parameters(self):
         rng = Generator(Philox(key=8))

@@ -38,7 +38,12 @@ from hvnogo import (
 from hvnogo import exactlp, feasibility
 from hvnogo.acceptance import _interior_fraction as interior_fraction
 from hvnogo.acceptance import _random_family, _rng
-from hvnogo.feasibility import OutcomeAtom, OutcomeAtomModel, PerSettingTables
+from hvnogo.feasibility import (
+    OutcomeAtom,
+    OutcomeAtomModel,
+    PerSettingTables,
+    StochasticResponseModel,
+)
 
 F = Fraction
 
@@ -455,6 +460,51 @@ class TestWitnessValidationAcrossFamilies:
         model = model_drop_independence(TWO_SETTINGS)
         with pytest.raises(MalformedModel):
             validate_witness(model, other)
+
+
+class TestMalformedWitness:
+    """Each structural mismatch raises its own message, and the first fault found is the one named."""
+
+    @staticmethod
+    def message(model, family) -> str:
+        with pytest.raises(MalformedModel) as info:
+            validate_witness(model, family)
+        return str(info.value)
+
+    def test_table_keys(self):
+        other = SettingsFamily(F(1, 2), F(1, 4), (Setting("zeta", F(1, 3)),))
+        assert self.message(model_drop_independence(TWO_SETTINGS), other) == (
+            "per-setting tables keyed by ['alpha1', 'alpha2'], family has ['zeta']"
+        )
+
+    def test_atom_model_order_is_checked_before_assignment_length(self):
+        atoms = model_drop_objectivity(TWO_SETTINGS).payload.atoms
+        short = OutcomeAtom(atoms[0].assignments[:1], atoms[0].weight)
+        payload = OutcomeAtomModel(("alpha2", "alpha1"), (short, *atoms[1:]))
+        assert self.message(WitnessModel(payload), TWO_SETTINGS) == (
+            "atom model ordered by ['alpha2', 'alpha1'], family has ['alpha1', 'alpha2']"
+        )
+
+    def test_assignment_length_of_the_first_faulty_atom(self):
+        atoms = model_drop_objectivity(TWO_SETTINGS).payload.atoms
+        short = OutcomeAtom(atoms[1].assignments[:1], atoms[1].weight)
+        long = OutcomeAtom(atoms[2].assignments * 2, atoms[2].weight)
+        payload = OutcomeAtomModel(TWO_SETTINGS.labels, (atoms[0], short, long, *atoms[3:]))
+        assert self.message(WitnessModel(payload), TWO_SETTINGS) == "atom assigns 1 outcomes for 2 settings"
+
+    def test_response_model_without_atoms(self):
+        payload = StochasticResponseModel(())
+        assert self.message(WitnessModel(payload), TWO_SETTINGS) == "stochastic response model has no atoms"
+
+    def test_first_atom_missing_a_setting_is_named(self):
+        p_atom, w_atom = model_drop_determinism(FIVE_SETTINGS).payload.atoms
+        # Lambda_p lacks s3 and s4, Lambda_w lacks s0: the first atom and its first missing setting are named
+        p_faulty = dataclasses.replace(p_atom, responses={k: p_atom.responses[k] for k in ("s0", "s1", "s2")})
+        w_faulty = dataclasses.replace(w_atom, responses={k: w_atom.responses[k] for k in ("s1", "s2", "s3", "s4")})
+        payload = StochasticResponseModel((p_faulty, w_faulty))
+        assert self.message(WitnessModel(payload), FIVE_SETTINGS) == (
+            "atom 'Lambda_p' lacks responses for setting 's3'"
+        )
 
 
 class TestSharedWork:
