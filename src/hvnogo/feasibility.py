@@ -23,9 +23,11 @@ is the no-go theorem.  The full system stays public so that the simplex
 can cross-check the verdict.  The three ``model_drop_*`` constructors
 then witness that dropping any single assumption restores consistency,
 and :func:`validate_witness` audits each witness against the two
-retained assumptions in exact arithmetic.  A :class:`WitnessModel` is
-built from its payload alone: the payload's type fixes its ``mode``, and
-with it which assumption is dropped.
+retained assumptions in exact arithmetic.  It reads the payload in one
+place, into each setting's (a, b) joint and, for a labelled payload, its
+p(a, b, lam) masses; every check shares that reading.  A
+:class:`WitnessModel` is built from its payload alone: the payload's type
+fixes its ``mode``, and with it which assumption is dropped.
 
 Each witness uses its own model class.  Drop-independence uses labelled
 per-setting tables (:class:`PerSettingTables`).  Drop-objectivity uses
@@ -47,7 +49,7 @@ from typing import Mapping, Union
 from .dist import GeneralParams, JointDist, format_rational, joint_from_params, parse_rational
 from .errors import MalformedInput, MalformedModel, malformed_input
 from .exactlp import FeasibilityReport, LinearSystem, _as_fraction_row
-from .family import CELLS, LambdaLabel, OnticTable, _adequacy_labels, _stacked_system, lambda_marginal, special_solution
+from .family import LambdaLabel, OnticTable, _adequacy_labels, _stacked_system, cell_index, special_solution
 
 _OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -377,67 +379,65 @@ class WitnessReport:
         raise KeyError(name)
 
 
-#: p(a, b, lam) masses of one setting, keyed by (a, b, lam).
-_BranchMasses = dict[tuple[int, int, LambdaLabel], Fraction]
+#: One tuple of exact masses per setting, in family order.
+_PerSetting = list[tuple[Fraction, ...]]
 
 
-def _branch_masses(payload: Payload, setting: Setting) -> _BranchMasses:
-    """p(a, b, lam) masses for label-carrying payloads, keyed by (a, b, lam)."""
+def _marginals(payload: Payload, family: SettingsFamily) -> tuple[_PerSetting, _PerSetting | None]:
+    """Read ``payload`` once, checking that it matches ``family``.
+
+    Returns each setting's predicted (a, b) joint in 00, 01, 10, 11 order
+    and, for a labelled payload, its eight p(a, b, lam) masses in
+    :class:`OnticTable` order (``None`` for an :class:`OutcomeAtomModel`).
+    A labelled joint is cell i plus cell i + 4: the p mass plus the w mass.
+    Raises :class:`MalformedModel` on a structural mismatch.
+    """
+    labels = family.labels
     if isinstance(payload, PerSettingTables):
-        return dict(zip(CELLS, payload.tables[setting.label].entries))
-    masses = dict.fromkeys(CELLS, Fraction(0))
-    for atom in payload.atoms:
-        r = atom.responses[setting.label]
-        masses[(0, 0, atom.label)] += atom.weight * r.b0 * r.a0_given_b0
-        masses[(1, 0, atom.label)] += atom.weight * r.b0 * (1 - r.a0_given_b0)
-        masses[(0, 1, atom.label)] += atom.weight * (1 - r.b0) * r.a0_given_b1
-        masses[(1, 1, atom.label)] += atom.weight * (1 - r.b0) * (1 - r.a0_given_b1)
-    return masses
-
-
-def _model_joints(payload: Payload, branch_masses: list[_BranchMasses] | None) -> list[tuple[Fraction, ...]]:
-    """Predicted (a, b) statistics per setting, as raw 4-tuples in 00,01,10,11 order."""
-    if not isinstance(payload, OutcomeAtomModel):
-        return [tuple(m[(a, b, "p")] + m[(a, b, "w")] for a, b in _OUTCOME_PAIRS) for m in branch_masses]
-    # One prefix difference per run of equal assignments, in any atom order.
-    prefix = (Fraction(0), *itertools.accumulate(atom.weight for atom in payload.atoms))
-    out = []
-    for i in range(len(payload.setting_labels)):
-        cells = dict.fromkeys(_OUTCOME_PAIRS, Fraction(0))
-        start = 0
-        for pair, run in itertools.groupby(atom.assignments[i] for atom in payload.atoms):
-            end = start + sum(1 for _ in run)
-            cells[pair] += prefix[end] - prefix[start]
-            start = end
-        out.append(tuple(cells.values()))
-    return out
-
-
-def _check_structure(payload: Payload, family: SettingsFamily) -> None:
-    if isinstance(payload, PerSettingTables):
-        have = set(payload.tables)
-        want = set(family.labels)
-        if have != want:
-            raise MalformedModel(f"per-setting tables keyed by {sorted(have)}, family has {sorted(want)}")
+        if set(payload.tables) != set(labels):
+            raise MalformedModel(f"per-setting tables keyed by {sorted(payload.tables)}, family has {sorted(labels)}")
+        masses = [payload.tables[label].entries for label in labels]
     elif isinstance(payload, OutcomeAtomModel):
-        if payload.setting_labels != family.labels:
-            raise MalformedModel(
-                f"atom model ordered by {list(payload.setting_labels)}, family has {list(family.labels)}"
-            )
-        k = len(family.settings)
+        if payload.setting_labels != labels:
+            raise MalformedModel(f"atom model ordered by {list(payload.setting_labels)}, family has {list(labels)}")
+        k = len(labels)
         for atom in payload.atoms:
             if len(atom.assignments) != k:
                 raise MalformedModel(f"atom assigns {len(atom.assignments)} outcomes for {k} settings")
+        # One prefix difference per run of equal assignments, in any atom order.
+        prefix = (Fraction(0), *itertools.accumulate(atom.weight for atom in payload.atoms))
+        joints = []
+        for i in range(k):
+            cells = dict.fromkeys(_OUTCOME_PAIRS, Fraction(0))
+            start = 0
+            for pair, run in itertools.groupby(atom.assignments[i] for atom in payload.atoms):
+                end = start + sum(1 for _ in run)
+                cells[pair] += prefix[end] - prefix[start]
+                start = end
+            joints.append(tuple(cells.values()))
+        return joints, None
     else:
         if not payload.atoms:
             raise MalformedModel("stochastic response model has no atoms")
+        sums = [[Fraction(0)] * 8 for _ in labels]
         for atom in payload.atoms:
-            missing = [lbl for lbl in family.labels if lbl not in atom.responses]
-            if missing:
-                raise MalformedModel(f"atom {atom.name!r} lacks responses for setting {missing[0]!r}")
+            # cells (0, 0), (0, 1), (1, 0), (1, 1) of the atom's label
+            i00, i01, i10, i11 = (cell_index(a, b, atom.label) for a, b in _OUTCOME_PAIRS)
+            for label, cells in zip(labels, sums):
+                r = atom.responses.get(label)
+                if r is None:
+                    raise MalformedModel(f"atom {atom.name!r} lacks responses for setting {label!r}")
+                b0 = atom.weight * r.b0
+                b1 = atom.weight - b0
+                cells[i00] += b0 * r.a0_given_b0
+                cells[i10] += b0 * (1 - r.a0_given_b0)
+                cells[i01] += b1 * r.a0_given_b1
+                cells[i11] += b1 * (1 - r.a0_given_b1)
+        masses = [tuple(cells) for cells in sums]
+    return [tuple(m[i] + m[i + 4] for i in range(4)) for m in masses], masses
 
 
-def _adequacy_check(family: SettingsFamily, model_joints: list[tuple[Fraction, ...]]) -> tuple[bool, str]:
+def _adequacy_check(family: SettingsFamily, model_joints: _PerSetting) -> tuple[bool, str]:
     for s, joint, got in zip(family.settings, family.joints, model_joints):
         for (a, b), w, g in zip(_OUTCOME_PAIRS, joint.entries, got):
             if g != w:
@@ -445,35 +445,38 @@ def _adequacy_check(family: SettingsFamily, model_joints: list[tuple[Fraction, .
     return True, "every setting's joint reproduced exactly"
 
 
-def _objectivity_check(family: SettingsFamily, branch_masses: list[_BranchMasses] | None) -> tuple[bool, str]:
+def _objectivity_check(family: SettingsFamily, masses: _PerSetting | None) -> tuple[bool, str]:
     """Support-sensitive revelation check.
 
     For each setting and each apparatus outcome that occurs at all, the
     matching label must occur with it, and conditioning on (outcome,
     matching label) must reveal exactly the matching statistics.  A label
     that never accompanies its own apparatus outcome makes the revelation
-    equation unsatisfiable, not vacuous.  ``branch_masses`` is None for a
-    payload that carries no labels.
+    equation unsatisfiable, not vacuous.  ``masses`` holds each setting's
+    8-tuple from :func:`_marginals`, None for a payload with no labels.
     """
-    if branch_masses is None:
+    if masses is None:
         return False, "model carries no wave/particle labels"
-    expectations = (
-        (0, "p", family.e_p, "p-statistics revelation at b=0"),
-        (1, "w", family.e_w, "w-statistics revelation at b=1"),
-    )
-    for s, masses in zip(family.settings, branch_masses):
-        for b, lam, e_target, constraint in expectations:
-            outcome_mass = sum(masses[(a, b, l)] for a in (0, 1) for l in ("p", "w"))
-            if outcome_mass == 0:
+    # cells (a=0, b, lam), (a=1, b, lam) of the matching label, then of the other one
+    expectations = [
+        (b, lam, e_target, constraint, [cell_index(a, b, l) for l in (lam, other) for a in (0, 1)])
+        for b, lam, other, e_target, constraint in (
+            (0, "p", "w", family.e_p, "p-statistics revelation at b=0"),
+            (1, "w", "p", family.e_w, "w-statistics revelation at b=1"),
+        )
+    ]
+    for s, m in zip(family.settings, masses):
+        for b, lam, e_target, constraint, (i0, i1, j0, j1) in expectations:
+            match_mass = m[i0] + m[i1]
+            if match_mass + m[j0] + m[j1] == 0:
                 continue  # the apparatus never shows this outcome; nothing to reveal
-            match_mass = masses[(0, b, lam)] + masses[(1, b, lam)]
             if match_mass == 0:
                 return False, (
                     f"setting {s.label!r}: outcome b={b} occurs but never with label {lam!r}; "
                     f"{constraint} cannot hold"
                 )
-            if masses[(0, b, lam)] * (1 - e_target) != masses[(1, b, lam)] * e_target:
-                got = masses[(0, b, lam)] / match_mass
+            if m[i0] * (1 - e_target) != m[i1] * e_target:
+                got = m[i0] / match_mass
                 return False, (
                     f"setting {s.label!r}: {constraint} fails; p(a=0|b={b},lam={lam}) = {got}, expected {e_target}"
                 )
@@ -495,9 +498,9 @@ def _determinism_check(payload: Payload, family: SettingsFamily) -> tuple[bool, 
     return True, "all responses are 0 or 1"
 
 
-def _independence_check(payload: Payload, family: SettingsFamily) -> tuple[bool, str]:
+def _independence_check(payload: Payload, family: SettingsFamily, masses: _PerSetting | None) -> tuple[bool, str]:
     if isinstance(payload, PerSettingTables):
-        marginals = {s.label: lambda_marginal(payload.tables[s.label]).p0 for s in family.settings}
+        marginals = {label: sum(m[:4]) for label, m in zip(family.labels, masses)}  # p(lam = p)
         if len(set(marginals.values())) > 1:
             listing = ", ".join(f"{lbl}: {format_rational(v)}" for lbl, v in marginals.items())
             return False, f"label marginal p(lam=p) depends on the setting ({listing})"
@@ -513,28 +516,24 @@ def validate_witness(model: WitnessModel, family: SettingsFamily) -> WitnessRepo
 
     The dropped assumption is checked too and reported informationally
     (``retained = False``); it is expected to fail for honest witnesses.
+    :func:`_marginals` reads the payload once, and adequacy, objectivity
+    and the tables' independence read only its joints and masses.  It
+    raises :class:`MalformedModel` when the payload does not match the family.
 
     For :class:`PerSettingTables` independence compares only p(lam = p)
     across settings, weaker than :func:`triple_system`'s one shared table:
     on x in {1/3, 2/3} with e_p = 1/2, e_w = 1/4, tables holding half of
     each setting's joint under each label pass all four checks, while
     :func:`check_triple` refutes the family.
-
-    Raises :class:`MalformedModel` when the payload does not structurally
-    match the family.
     """
     payload = model.payload
-    _check_structure(payload, family)
-    # adequacy and objectivity both read each setting's branch masses
-    branch_masses = (
-        None if isinstance(payload, OutcomeAtomModel) else [_branch_masses(payload, s) for s in family.settings]
-    )
+    joints, masses = _marginals(payload, family)
     dropped = model.mode.value.removeprefix("Drop").lower()  # "DropIndependence" -> "independence"
     results = (
-        ("adequacy", _adequacy_check(family, _model_joints(payload, branch_masses))),
+        ("adequacy", _adequacy_check(family, joints)),
         ("determinism", _determinism_check(payload, family)),
-        ("independence", _independence_check(payload, family)),
-        ("objectivity", _objectivity_check(family, branch_masses)),
+        ("independence", _independence_check(payload, family, masses)),
+        ("objectivity", _objectivity_check(family, masses)),
     )
     return WitnessReport(model.mode, tuple(AssumptionCheck(name, name != dropped, *r) for name, r in results))
 

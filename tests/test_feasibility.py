@@ -392,7 +392,7 @@ class TestDropObjectivity:
                     cells[atom.assignments[i]] += atom.weight
                 reference.append(tuple(cells.values()))
             report = validate_witness(WitnessModel(payload), family)
-            assert feasibility._model_joints(payload, None) == reference
+            assert feasibility._marginals(payload, family) == (reference, None)
             adequacy = report.check("adequacy")
             assert (adequacy.passed, adequacy.detail) == feasibility._adequacy_check(family, reference)
 
@@ -460,6 +460,47 @@ class TestWitnessValidationAcrossFamilies:
         model = model_drop_independence(TWO_SETTINGS)
         with pytest.raises(MalformedModel):
             validate_witness(model, other)
+
+
+def per_atom_joint(payload, i: int, label: str) -> tuple[Fraction, ...]:
+    """Setting i's (a, b) joint, in 00, 01, 10, 11 order, summed one atom at a time."""
+    cells = dict.fromkeys(((0, 0), (0, 1), (1, 0), (1, 1)), F(0))
+    if isinstance(payload, PerSettingTables):
+        table = payload.tables[label]
+        for a, b in cells:  # each cell of a table is one deterministic atom
+            cells[(a, b)] += table.mass(a, b, "p") + table.mass(a, b, "w")
+    elif isinstance(payload, OutcomeAtomModel):
+        for atom in payload.atoms:
+            cells[atom.assignments[i]] += atom.weight
+    else:
+        for atom in payload.atoms:
+            r = atom.responses[label]
+            for a, b in cells:
+                p_b = r.b0 if b == 0 else 1 - r.b0
+                a0 = r.a0_given_b0 if b == 0 else r.a0_given_b1
+                cells[(a, b)] += atom.weight * p_b * (a0 if a == 0 else 1 - a0)
+    return tuple(cells.values())
+
+
+class TestMarginals:
+    @given(families(), st.sampled_from(BUILDERS), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_joints_and_label_marginals_match_the_atoms_one_by_one(self, family, build, rnd):
+        payload = build(family).payload
+        if isinstance(payload, PerSettingTables):
+            items = list(payload.tables.items())
+            rnd.shuffle(items)
+            payload = PerSettingTables(dict(items))
+        else:
+            atoms = list(payload.atoms)
+            rnd.shuffle(atoms)
+            payload = dataclasses.replace(payload, atoms=tuple(atoms))
+        joints, masses = feasibility._marginals(payload, family)
+        assert joints == [per_atom_joint(payload, i, label) for i, label in enumerate(family.labels)]
+        assert (masses is None) == isinstance(payload, OutcomeAtomModel)
+        if isinstance(payload, PerSettingTables):
+            for label, m in zip(family.labels, masses):
+                assert sum(m[:4]) == lambda_marginal(payload.tables[label]).p0
 
 
 class TestMalformedWitness:
@@ -542,18 +583,14 @@ class TestSharedWork:
         else:
             assert all(r == 0 for r in residual(system, report.witness.entries))
 
-    @pytest.mark.parametrize("build,per_setting", [
-        (model_drop_independence, 1),
-        (model_drop_objectivity, 0),
-        (model_drop_determinism, 1),
-    ])
-    def test_branch_masses_once_per_setting_per_validation(self, monkeypatch, build, per_setting):
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_the_payload_is_read_once_per_validation(self, monkeypatch, build):
         model = build(FIVE_SETTINGS)
-        calls = _count_calls(monkeypatch, "_branch_masses")
+        calls = _count_calls(monkeypatch, "_marginals")
         validate_witness(model, FIVE_SETTINGS)
-        assert len(calls) == per_setting * 5
+        assert len(calls) == 1
         validate_witness(model, FIVE_SETTINGS)
-        assert len(calls) == 2 * per_setting * 5
+        assert len(calls) == 2
 
     def test_cached_joints_are_invisible(self):
         family = SettingsFamily(F(1, 2), F(1, 4), FIVE_SETTINGS.settings)
