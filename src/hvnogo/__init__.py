@@ -18,12 +18,10 @@ from .dist import (
     BinaryDist,
     GeneralParams,
     JointDist,
-    Scalar,
     conditional_a_given_b,
     format_rational,
     joint_from_params,
     marginal_b,
-    params_from_joint,
     parse_rational,
     to_json,
     tv_distance,
@@ -31,7 +29,6 @@ from .dist import (
 from .errors import (
     BoundaryParams,
     ConditionOnNull,
-    DegenerateMarginal,
     DimensionMismatch,
     EmptySample,
     HvnogoError,
@@ -52,8 +49,6 @@ from .exactlp import (
     verify_certificate,
 )
 from .family import (
-    CELL_KEYS,
-    Classification,
     CollapseKind,
     LambdaLabel,
     OnticTable,

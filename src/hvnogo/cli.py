@@ -10,7 +10,8 @@ Subcommands::
     selftest     run the acceptance criteria and print one line per criterion
 
 Exit status: 0 success (including a feasible triple check), 1 usage or
-parameter errors or an unwritable output file, 2 malformed input file
+parameter errors, an unwritable output file, or no numpy for sweep or
+selftest (the other subcommands never import it), 2 malformed input file
 (unreadable, undecodable, or a field missing, unparsable or out of
 range), 3 infeasible triple check (the expected scientific result, not
 an error), 4 failed selftest or failed witness validation.
@@ -223,7 +224,16 @@ def _cmd_demo(args) -> tuple[int, str]:
     return status, _dump_json(payload)
 
 
+def _require_numpy(command: str) -> None:
+    """Refuse ``command`` up front, before any work, when numpy cannot be imported."""
+    try:
+        import numpy
+    except ImportError:
+        raise _UsageError(f"hvnogo {command} needs numpy") from None
+
+
 def _cmd_sweep(args) -> tuple[int, str]:
+    _require_numpy("sweep")
     if args.steps > MAX_SWEEP_STEPS:
         raise _UsageError(f"--steps must be at most {MAX_SWEEP_STEPS}, got {args.steps}")
     if args.steps * args.shots > MAX_SWEEP_SHOTS:
@@ -242,6 +252,7 @@ def _cmd_sweep(args) -> tuple[int, str]:
 
 
 def _cmd_selftest(args) -> tuple[int, str]:
+    _require_numpy("selftest")
     results = acceptance.run_all()
     lines = []
     for r in results:

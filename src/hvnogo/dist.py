@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ConditionOnNull, DegenerateMarginal, InvalidDistribution
+from .errors import ConditionOnNull, InvalidDistribution
 
 Scalar = Union[Fraction, float]
 
@@ -247,22 +247,6 @@ def joint_from_params(params: GeneralParams) -> JointDist:
     x, e_p, e_w = params.x, params.e_p, params.e_w
     one = Fraction(1) if params.exact else 1.0
     return JointDist((x * e_p, (one - x) * e_w, x * (one - e_p), (one - x) * (one - e_w)))
-
-
-def params_from_joint(joint: JointDist) -> GeneralParams:
-    """Invert :func:`joint_from_params`.
-
-    Raises :class:`DegenerateMarginal` when the b-marginal is degenerate:
-    x=0 leaves e_p undefined, x=1 leaves e_w undefined.
-    """
-    e00, e01, e10, e11 = joint.entries
-    x = e00 + e10
-    x_complement = e01 + e11  # equals 1-x, exactly in rational mode
-    if x == 0:
-        raise DegenerateMarginal("e_p")
-    if x_complement == 0:
-        raise DegenerateMarginal("e_w")
-    return GeneralParams(x, e00 / x, e01 / x_complement)
 
 
 def marginal_b(joint: JointDist) -> BinaryDist:

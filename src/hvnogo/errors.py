@@ -18,15 +18,6 @@ class InvalidDistribution(HvnogoError, ValueError):
     """A probability container violates nonnegativity or normalization."""
 
 
-class DegenerateMarginal(HvnogoError, ValueError):
-    """A joint distribution puts all mass on one detector-b outcome, so one
-    of the conditional parameters is unidentifiable."""
-
-    def __init__(self, parameter: str):
-        self.parameter = parameter
-        super().__init__(f"parameter {parameter!r} is undefined for this joint")
-
-
 class ConditionOnNull(HvnogoError, ValueError):
     """Conditioning event has zero probability."""
 

@@ -109,8 +109,8 @@ class LinearSystem:
 class FeasibilityReport:
     """Outcome of a feasibility question, with evidence.
 
-    ``witness`` is a tuple of Fractions for plain LP runs; higher-level
-    checks repackage it (an ontic table, or per-setting tables).
+    ``witness`` is a tuple of Fractions for plain LP runs; ``check_triple``
+    reports an ontic table instead.
     """
 
     feasible: bool
@@ -167,9 +167,6 @@ def lp_feasible(system: LinearSystem) -> FeasibilityReport:
     Total: always returns either an exact witness or a verified certificate.
     """
     m, n = system.num_rows, system.num_vars
-    if m == 0:
-        return FeasibilityReport(True, tuple([ZERO] * n), None, "no constraints; the origin is a witness")
-
     # Normalize so every right-hand side is nonnegative; remember the signs
     # to map dual multipliers back to the original row order.
     signs = [ONE if system.rhs[i] >= 0 else -ONE for i in range(m)]

@@ -41,18 +41,10 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Literal
 
-from .dist import BinaryDist, GeneralParams, JointDist, _sums_to_one, format_rational, joint_from_params, parse_rational
-from .errors import (
-    BoundaryParams,
-    ConditionOnNull,
-    InvalidDistribution,
-    MalformedInput,
-    NotASolution,
-    OutOfRange,
-    malformed_input,
-)
+from .dist import BinaryDist, GeneralParams, JointDist, _sums_to_one, format_rational, joint_from_params
+from .errors import BoundaryParams, ConditionOnNull, InvalidDistribution, NotASolution, OutOfRange
 from .exactlp import LinearSystem, _as_fraction_row, residual
 
 LambdaLabel = Literal["p", "w"]
@@ -112,18 +104,6 @@ class OnticTable:
 
     def to_json_dict(self) -> dict[str, str]:
         return {key: format_rational(v) for key, v in zip(CELL_KEYS, self.entries)}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, str]) -> "OnticTable":
-        missing = [k for k in CELL_KEYS if k not in data]
-        if missing:
-            raise MalformedInput(f"ontic table is missing field {missing[0]!r}")
-        entries = []
-        for key in CELL_KEYS:
-            with malformed_input(f"ontic table field {key!r}"):
-                entries.append(parse_rational(str(data[key])))
-        with malformed_input("ontic table"):
-            return cls(tuple(entries))
 
 
 class CollapseKind(enum.Enum):

@@ -341,6 +341,37 @@ class TestLazyNumpy:
         assert result.returncode == 0, result.stderr
 
 
+class TestWithoutNumpy:
+    """The sampling commands stop before any work, with one error line, when
+    numpy is missing; ``TestLazyNumpy`` shows the others never import it."""
+
+    SCRIPT = textwrap.dedent("""
+        import contextlib, io, json, sys
+        sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+        from hvnogo.cli import main
+
+        results = []
+        for argv in json.loads(sys.argv[1]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                results.append([main(argv), out.getvalue(), err.getvalue()])
+        print(json.dumps(results))
+    """)
+
+    def test_sweep_and_selftest_refuse_in_one_line(self, tmp_path):
+        output = tmp_path / "out.txt"
+        sweep = ["sweep", "--alpha", "pi/4", "--phi-start", "0", "--phi-end", "1", "--steps", "2", "--shots", "10", "--seed", "1"]
+        argvs = [argv + extra for argv in (sweep, ["selftest"]) for extra in ([], ["--output", str(output)])]
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(argvs)], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        for argv, run in zip(argvs, json.loads(result.stdout), strict=True):
+            assert run == [1, "", f"error: hvnogo {argv[0]} needs numpy\n"], argv
+        assert not output.exists()
+
+
 #: flag -> (values that parse, values that are rejected or fail later).
 #: None parses as an integer above 200, since a mutation that shifts the
 #: tokens may make any of them the value of --steps or --shots.

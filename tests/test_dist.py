@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hvnogo import (
     BinaryDist,
     ConditionOnNull,
-    DegenerateMarginal,
     GeneralParams,
     InvalidDistribution,
     JointDist,
@@ -20,7 +19,6 @@ from hvnogo import (
     format_rational,
     joint_from_params,
     marginal_b,
-    params_from_joint,
     parse_rational,
     to_json,
     tv_distance,
@@ -78,28 +76,6 @@ class TestJointFromParams:
     @given(rational_params())
     def test_normalization_closure(self, params):
         assert sum(joint_from_params(params).entries) == 1
-
-
-class TestParamsFromJoint:
-    def test_inverts_the_worked_example(self):
-        params = params_from_joint(JointDist((F(1, 6), F(1, 6), F(1, 6), F(1, 2))))
-        assert (params.x, params.e_p, params.e_w) == (F(1, 3), F(1, 2), F(1, 4))
-
-    def test_degenerate_when_b1_branch_is_empty(self):
-        with pytest.raises(DegenerateMarginal) as info:
-            params_from_joint(JointDist((F(1, 2), F(0), F(1, 2), F(0))))
-        assert info.value.parameter == "e_w"
-
-    def test_degenerate_when_b0_branch_is_empty(self):
-        cw2 = F(2, 5)
-        with pytest.raises(DegenerateMarginal) as info:
-            params_from_joint(JointDist((F(0), cw2, F(0), 1 - cw2)))
-        assert info.value.parameter == "e_p"
-
-    @given(interior_params())
-    def test_round_trip_is_exact_for_interior_x(self, params):
-        recovered = params_from_joint(joint_from_params(params))
-        assert (recovered.x, recovered.e_p, recovered.e_w) == (params.x, params.e_p, params.e_w)
 
 
 class TestMarginalB:

@@ -124,6 +124,13 @@ class TestEnumerator:
         inconsistent = LinearSystem(((F(0), F(0)),), (F(1),))
         assert enumerate_basic_solutions(inconsistent) == ()
 
+    def test_system_without_rows_is_feasible_for_every_oracle(self):
+        empty = LinearSystem((), ())
+        report = lp_feasible(empty)
+        assert (report.feasible, report.witness, report.certificate) == (True, (), None)
+        assert enumerate_basic_solutions(empty) == ((),)
+        assert brute_force_feasible(empty)
+
 
 def random_system(rng: Generator, force_feasible: bool) -> LinearSystem:
     m = int(rng.integers(1, 7))

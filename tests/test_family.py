@@ -12,7 +12,6 @@ from hvnogo import (
     CollapseKind,
     ConditionOnNull,
     GeneralParams,
-    MalformedInput,
     NotASolution,
     OnticTable,
     OutOfRange,
@@ -252,26 +251,6 @@ class TestConstraintSystemMemo:
 
 
 class TestOnticTableJson:
-    def test_round_trip(self):
-        table = special_solution(PARAMS)
-        data = table.to_json_dict()
+    def test_keys_and_values(self):
+        data = special_solution(PARAMS).to_json_dict()
         assert data["00p"] == "1/6" and data["11w"] == "1/2"
-        assert OnticTable.from_json_dict(data).entries == table.entries
-
-    def test_missing_field(self):
-        data = special_solution(PARAMS).to_json_dict()
-        del data["01w"]
-        with pytest.raises(MalformedInput):
-            OnticTable.from_json_dict(data)
-
-    def test_bad_rational(self):
-        data = special_solution(PARAMS).to_json_dict()
-        data["00p"] = "zero"
-        with pytest.raises(MalformedInput):
-            OnticTable.from_json_dict(data)
-
-    def test_entries_not_summing_to_one(self):
-        data = special_solution(PARAMS).to_json_dict()
-        data["00p"] = "1"
-        with pytest.raises(MalformedInput, match="ontic table"):
-            OnticTable.from_json_dict(data)

@@ -304,6 +304,17 @@ class TestDropIndependence:
         assert "revelation" in objectivity.detail
         assert not report.overall_pass
 
+    def test_outcome_seen_only_with_the_other_label_fails_objectivity(self):
+        # b=0 carries mass 1/4 + 1/4 under w and none under p: equal a masses,
+        # so a check that lets the two w cells cancel would skip the outcome
+        family = SettingsFamily(F(1, 2), F(1, 2), (Setting("only", F(1, 2)),))
+        table = OnticTable((0, 0, 0, 0, F(1, 4), F(1, 4), F(1, 4), F(1, 4)))
+        report = validate_witness(WitnessModel(PerSettingTables({"only": table})), family)
+        assert report.check("adequacy").passed
+        objectivity = report.check("objectivity")
+        assert not objectivity.passed
+        assert "outcome b=0 occurs but never with label 'p'" in objectivity.detail
+
     def test_independence_detail_names_only_the_label_marginal(self):
         # half of each setting's joint under each label: p(lam=p) = 1/2 in both
         # settings although the two tables differ in every cell
