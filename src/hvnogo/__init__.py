@@ -37,6 +37,7 @@ from .errors import (
     MalformedModel,
     NotASolution,
     OutOfRange,
+    OversizedRational,
 )
 from .exactlp import (
     FeasibilityReport,

@@ -38,9 +38,9 @@ import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
-from .errors import ConditionOnNull, InvalidDistribution
+from .errors import ConditionOnNull, InvalidDistribution, OversizedRational
 
 Scalar = Union[Fraction, float]
 
@@ -86,8 +86,18 @@ def _digit_bound(literal: str) -> int:
 
 
 def format_rational(value: Fraction) -> str:
-    """Inverse of :func:`parse_rational`; integers print without "/1"."""
-    return str(Fraction(value))
+    """Inverse of :func:`parse_rational`; integers print without "/1".
+
+    Raises :class:`OversizedRational` when the numerator or denominator
+    has more than ``sys.get_int_max_str_digits()`` digits: a product of
+    legal inputs can outgrow what an input may hold.
+    """
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise OversizedRational(f"an exact result needs more than {limit} digits to print") from None
 
 
 def to_json(value):
@@ -141,14 +151,21 @@ def _check_probability(p: Scalar, what: str) -> None:
             raise InvalidDistribution(f"{what}: probability {p!r} outside [0, 1] beyond tolerance")
 
 
-def _sums_to_one(values: tuple[Fraction, ...]) -> bool:
-    """Whether exact ``values`` sum to 1, decided in integers.
+def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """Exact ``values`` n_i/d_i over one denominator, in integers.
 
-    With L the lcm of the denominators n_i/d_i, the sum is 1 iff
-    ``sum(n_i * (L // d_i)) == L``; no Fraction is built.
+    Returns D, the lcm of the d_i, and each value's numerator over D,
+    ``n_i * (D // d_i)``.  An empty ``values`` gives D = 1.
     """
     scale = math.lcm(*(v.denominator for v in values))
-    return sum(v.numerator * (scale // v.denominator) for v in values) == scale
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _sums_to_one(values: tuple[Fraction, ...]) -> bool:
+    """Whether exact ``values`` sum to 1, decided in integers: over their
+    :func:`_common_denominator` D the numerators sum to D."""
+    scale, numerators = _common_denominator(values)
+    return sum(numerators) == scale
 
 
 def _check_normalized(entries, what: str) -> None:

@@ -48,6 +48,11 @@ class MalformedModel(HvnogoError, ValueError):
     """A witness model's payload does not match its mode or its family."""
 
 
+class OversizedRational(HvnogoError, ValueError):
+    """An exact result has a numerator or denominator with more digits
+    than ``sys.get_int_max_str_digits()`` allows to print."""
+
+
 class EmptySample(HvnogoError, ValueError):
     """Statistical comparison requested against zero recorded events."""
 

@@ -25,9 +25,12 @@ then witness that dropping any single assumption restores consistency,
 and :func:`validate_witness` audits each witness against the two
 retained assumptions in exact arithmetic.  It reads the payload in one
 place, into each setting's (a, b) joint and, for a labelled payload, its
-p(a, b, lam) masses; every check shares that reading.  A
-:class:`WitnessModel` is built from its payload alone: the payload's type
-fixes its ``mode``, and with it which assumption is dropped.
+p(a, b, lam) masses, all as integer numerators over one common
+denominator; every check shares that reading and is decided by integer
+cross-multiplication.  Fractions appear only as payload weights and in
+the detail text of a failing check.  A :class:`WitnessModel` is built
+from its payload alone: the payload's type fixes its ``mode``, and with
+it which assumption is dropped.
 
 Each witness uses its own model class.  Drop-independence uses labelled
 per-setting tables (:class:`PerSettingTables`).  Drop-objectivity uses
@@ -46,7 +49,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Union
 
-from .dist import GeneralParams, JointDist, format_rational, joint_from_params, parse_rational
+from .dist import (
+    GeneralParams,
+    JointDist,
+    _common_denominator,
+    _sums_to_one,
+    format_rational,
+    joint_from_params,
+    parse_rational,
+)
 from .errors import MalformedInput, MalformedModel, malformed_input
 from .exactlp import FeasibilityReport, LinearSystem, _as_fraction_row
 from .family import LambdaLabel, OnticTable, _adequacy_labels, _stacked_system, cell_index, special_solution
@@ -319,11 +330,16 @@ def model_drop_objectivity(family: SettingsFamily) -> WitnessModel:
     the intervals between the merged breakpoints of all k cumulatives, so
     there are at most 3k+1 of them; an atom's weight is its interval's
     length, and each setting's cells collect exactly their joint entries.
+    The cumulatives are integers over the joints' one common denominator
+    D; only each weight, (hi - lo)/D, is built as a Fraction.
     """
-    cumulatives = [tuple(itertools.accumulate(joint.entries)) for joint in family.joints]
-    cuts = sorted({Fraction(0)}.union(*cumulatives))
+    scale, numerators = _common_denominator([v for joint in family.joints for v in joint.entries])
+    cumulatives = [tuple(itertools.accumulate(numerators[i : i + 4])) for i in range(0, len(numerators), 4)]
+    cuts = sorted({0}.union(*cumulatives))
     atoms = tuple(
-        OutcomeAtom(tuple(_OUTCOME_PAIRS[bisect.bisect_right(cum, lo)] for cum in cumulatives), hi - lo)
+        OutcomeAtom(
+            tuple(_OUTCOME_PAIRS[bisect.bisect_right(cum, lo)] for cum in cumulatives), Fraction(hi - lo, scale)
+        )
         for lo, hi in zip(cuts, cuts[1:])
     )
     return WitnessModel(OutcomeAtomModel(family.labels, atoms))
@@ -379,24 +395,29 @@ class WitnessReport:
         raise KeyError(name)
 
 
-#: One tuple of exact masses per setting, in family order.
-_PerSetting = list[tuple[Fraction, ...]]
+#: One tuple of integer masses per setting, in family order, all over one denominator.
+_PerSetting = list[tuple[int, ...]]
 
 
-def _marginals(payload: Payload, family: SettingsFamily) -> tuple[_PerSetting, _PerSetting | None]:
+def _marginals(payload: Payload, family: SettingsFamily) -> tuple[int, _PerSetting, _PerSetting | None]:
     """Read ``payload`` once, checking that it matches ``family``.
 
-    Returns each setting's predicted (a, b) joint in 00, 01, 10, 11 order
-    and, for a labelled payload, its eight p(a, b, lam) masses in
-    :class:`OnticTable` order (``None`` for an :class:`OutcomeAtomModel`).
-    A labelled joint is cell i plus cell i + 4: the p mass plus the w mass.
+    Returns ``(D, joints, masses)``: each setting's predicted (a, b) joint
+    in 00, 01, 10, 11 order and, for a labelled payload, its eight
+    p(a, b, lam) masses in :class:`OnticTable` order (``None`` for an
+    :class:`OutcomeAtomModel`), all as integer numerators over the one
+    common denominator D.  A labelled joint is cell i plus cell i + 4: the
+    p mass plus the w mass.  D is the lcm of the tables' entries, the lcm
+    of the atom weights, or for stochastic responses the product of the
+    lcms of the weights, of the b0 responses and of the a responses.
     Raises :class:`MalformedModel` on a structural mismatch.
     """
     labels = family.labels
     if isinstance(payload, PerSettingTables):
         if set(payload.tables) != set(labels):
             raise MalformedModel(f"per-setting tables keyed by {sorted(payload.tables)}, family has {sorted(labels)}")
-        masses = [payload.tables[label].entries for label in labels]
+        scale, numerators = _common_denominator([v for label in labels for v in payload.tables[label].entries])
+        masses = [tuple(numerators[i : i + 8]) for i in range(0, len(numerators), 8)]
     elif isinstance(payload, OutcomeAtomModel):
         if payload.setting_labels != labels:
             raise MalformedModel(f"atom model ordered by {list(payload.setting_labels)}, family has {list(labels)}")
@@ -404,44 +425,55 @@ def _marginals(payload: Payload, family: SettingsFamily) -> tuple[_PerSetting, _
         for atom in payload.atoms:
             if len(atom.assignments) != k:
                 raise MalformedModel(f"atom assigns {len(atom.assignments)} outcomes for {k} settings")
+        scale, weights = _common_denominator([atom.weight for atom in payload.atoms])
         # One prefix difference per run of equal assignments, in any atom order.
-        prefix = (Fraction(0), *itertools.accumulate(atom.weight for atom in payload.atoms))
+        prefix = (0, *itertools.accumulate(weights))
         joints = []
         for i in range(k):
-            cells = dict.fromkeys(_OUTCOME_PAIRS, Fraction(0))
+            cells = dict.fromkeys(_OUTCOME_PAIRS, 0)
             start = 0
             for pair, run in itertools.groupby(atom.assignments[i] for atom in payload.atoms):
                 end = start + sum(1 for _ in run)
                 cells[pair] += prefix[end] - prefix[start]
                 start = end
             joints.append(tuple(cells.values()))
-        return joints, None
+        return scale, joints, None
     else:
         if not payload.atoms:
             raise MalformedModel("stochastic response model has no atoms")
-        sums = [[Fraction(0)] * 8 for _ in labels]
+        responses = []  # atom-major, family order within each atom
         for atom in payload.atoms:
-            # cells (0, 0), (0, 1), (1, 0), (1, 1) of the atom's label
-            i00, i01, i10, i11 = (cell_index(a, b, atom.label) for a, b in _OUTCOME_PAIRS)
-            for label, cells in zip(labels, sums):
+            for label in labels:
                 r = atom.responses.get(label)
                 if r is None:
                     raise MalformedModel(f"atom {atom.name!r} lacks responses for setting {label!r}")
-                b0 = atom.weight * r.b0
-                b1 = atom.weight - b0
-                cells[i00] += b0 * r.a0_given_b0
-                cells[i10] += b0 * (1 - r.a0_given_b0)
-                cells[i01] += b1 * r.a0_given_b1
-                cells[i11] += b1 * (1 - r.a0_given_b1)
+                responses.append(r)
+        w_scale, weights = _common_denominator([atom.weight for atom in payload.atoms])
+        b_scale, b0s = _common_denominator([r.b0 for r in responses])
+        a_scale, a0s = _common_denominator([v for r in responses for v in (r.a0_given_b0, r.a0_given_b1)])
+        scale = w_scale * b_scale * a_scale
+        b0s, a0s = iter(b0s), iter(a0s)
+        sums = [[0] * 8 for _ in labels]
+        for atom, weight in zip(payload.atoms, weights):
+            # cells (0, 0), (0, 1), (1, 0), (1, 1) of the atom's label
+            i00, i01, i10, i11 = (cell_index(a, b, atom.label) for a, b in _OUTCOME_PAIRS)
+            for cells in sums:
+                b0 = weight * next(b0s)
+                b1 = weight * b_scale - b0
+                a0_given_b0, a0_given_b1 = next(a0s), next(a0s)
+                cells[i00] += b0 * a0_given_b0
+                cells[i10] += b0 * (a_scale - a0_given_b0)
+                cells[i01] += b1 * a0_given_b1
+                cells[i11] += b1 * (a_scale - a0_given_b1)
         masses = [tuple(cells) for cells in sums]
-    return [tuple(m[i] + m[i + 4] for i in range(4)) for m in masses], masses
+    return scale, [tuple(m[i] + m[i + 4] for i in range(4)) for m in masses], masses
 
 
-def _adequacy_check(family: SettingsFamily, model_joints: _PerSetting) -> tuple[bool, str]:
+def _adequacy_check(family: SettingsFamily, scale: int, model_joints: _PerSetting) -> tuple[bool, str]:
     for s, joint, got in zip(family.settings, family.joints, model_joints):
         for (a, b), w, g in zip(_OUTCOME_PAIRS, joint.entries, got):
-            if g != w:
-                return False, f"setting {s.label!r}: model gives p(a={a},b={b}) = {g}, observed {w}"
+            if g * w.denominator != w.numerator * scale:
+                return False, f"setting {s.label!r}: model gives p(a={a},b={b}) = {Fraction(g, scale)}, observed {w}"
     return True, "every setting's joint reproduced exactly"
 
 
@@ -453,7 +485,10 @@ def _objectivity_check(family: SettingsFamily, masses: _PerSetting | None) -> tu
     matching label) must reveal exactly the matching statistics.  A label
     that never accompanies its own apparatus outcome makes the revelation
     equation unsatisfiable, not vacuous.  ``masses`` holds each setting's
-    8-tuple from :func:`_marginals`, None for a payload with no labels.
+    8-tuple of integers over one denominator from :func:`_marginals`, None
+    for a payload with no labels; the revelation equation
+    ``m0 (1 - e) = m1 e`` is tested as ``m0 (den - num) = m1 num`` for
+    ``e = num/den``.
     """
     if masses is None:
         return False, "model carries no wave/particle labels"
@@ -475,8 +510,9 @@ def _objectivity_check(family: SettingsFamily, masses: _PerSetting | None) -> tu
                     f"setting {s.label!r}: outcome b={b} occurs but never with label {lam!r}; "
                     f"{constraint} cannot hold"
                 )
-            if m[i0] * (1 - e_target) != m[i1] * e_target:
-                got = m[i0] / match_mass
+            num, den = e_target.numerator, e_target.denominator
+            if m[i0] * (den - num) != m[i1] * num:
+                got = Fraction(m[i0], match_mass)
                 return False, (
                     f"setting {s.label!r}: {constraint} fails; p(a=0|b={b},lam={lam}) = {got}, expected {e_target}"
                 )
@@ -498,16 +534,18 @@ def _determinism_check(payload: Payload, family: SettingsFamily) -> tuple[bool, 
     return True, "all responses are 0 or 1"
 
 
-def _independence_check(payload: Payload, family: SettingsFamily, masses: _PerSetting | None) -> tuple[bool, str]:
+def _independence_check(
+    payload: Payload, family: SettingsFamily, scale: int, masses: _PerSetting | None
+) -> tuple[bool, str]:
     if isinstance(payload, PerSettingTables):
-        marginals = {label: sum(m[:4]) for label, m in zip(family.labels, masses)}  # p(lam = p)
+        marginals = {label: sum(m[:4]) for label, m in zip(family.labels, masses)}  # p(lam = p), over scale
         if len(set(marginals.values())) > 1:
-            listing = ", ".join(f"{lbl}: {format_rational(v)}" for lbl, v in marginals.items())
+            listing = ", ".join(f"{lbl}: {format_rational(Fraction(v, scale))}" for lbl, v in marginals.items())
             return False, f"label marginal p(lam=p) depends on the setting ({listing})"
         return True, "label marginal p(lam=p) is the same in every setting"
-    total = sum(atom.weight for atom in payload.atoms)
-    if total != 1:
-        return False, f"atom weights sum to {total}, not a probability distribution"
+    weights = [atom.weight for atom in payload.atoms]
+    if not _sums_to_one(weights):
+        return False, f"atom weights sum to {sum(weights)}, not a probability distribution"
     return True, "one fixed atom-weight vector serves every setting"
 
 
@@ -516,9 +554,12 @@ def validate_witness(model: WitnessModel, family: SettingsFamily) -> WitnessRepo
 
     The dropped assumption is checked too and reported informationally
     (``retained = False``); it is expected to fail for honest witnesses.
-    :func:`_marginals` reads the payload once, and adequacy, objectivity
-    and the tables' independence read only its joints and masses.  It
-    raises :class:`MalformedModel` when the payload does not match the family.
+    :func:`_marginals` reads the payload once, into integers over one
+    common denominator D, and adequacy, objectivity and the tables'
+    independence read only its joints and masses, by integer
+    cross-multiplication; the atom weights' sum is checked in integers
+    too.  A Fraction is built only for the detail text of a failing check.
+    It raises :class:`MalformedModel` when the payload does not match the family.
 
     For :class:`PerSettingTables` independence compares only p(lam = p)
     across settings, weaker than :func:`triple_system`'s one shared table:
@@ -527,12 +568,12 @@ def validate_witness(model: WitnessModel, family: SettingsFamily) -> WitnessRepo
     :func:`check_triple` refutes the family.
     """
     payload = model.payload
-    joints, masses = _marginals(payload, family)
+    scale, joints, masses = _marginals(payload, family)
     dropped = model.mode.value.removeprefix("Drop").lower()  # "DropIndependence" -> "independence"
     results = (
-        ("adequacy", _adequacy_check(family, joints)),
+        ("adequacy", _adequacy_check(family, scale, joints)),
         ("determinism", _determinism_check(payload, family)),
-        ("independence", _independence_check(payload, family, masses)),
+        ("independence", _independence_check(payload, family, scale, masses)),
         ("objectivity", _objectivity_check(family, masses)),
     )
     return WitnessReport(model.mode, tuple(AssumptionCheck(name, name != dropped, *r) for name, r in results))

@@ -170,6 +170,34 @@ class TestFeasibility:
         assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
 
 
+#: A legal probability whose denominator has 2 501 digits: the square of
+#: its denominator cannot be printed under the default 4 300-digit limit.
+_LONG = "1/1" + "0" * 2500
+
+
+class TestOversizedResults:
+    """A product of legal inputs too long to print is a one-line domain error, exit 1."""
+
+    LONG_FAMILY = {"e_p": _LONG, "e_w": "1/3", "settings": [{"label": "a", "x": _LONG}, {"label": "b", "x": "1/2"}]}
+
+    @pytest.mark.parametrize("argv", [
+        ["demo", "--drop", "independence", "--input", "@FILE@"],
+        ["demo", "--drop", "objectivity", "--input", "@FILE@"],
+        ["family", "--x", _LONG, "--ep", _LONG, "--ew", "1/3"],
+    ], ids=["demo_independence", "demo_objectivity", "family"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output_file"])
+    def test_reported_in_one_line(self, tmp_path, capsys, argv, to_file):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(self.LONG_FAMILY), encoding="utf-8")
+        output = tmp_path / "out.json"
+        argv = [str(path) if token == "@FILE@" else token for token in argv]
+        assert main([*argv, *(["--output", str(output)] if to_file else [])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: an exact result needs more than {sys.get_int_max_str_digits()} digits to print\n"
+        assert not output.exists()
+
+
 class TestDemo:
     @pytest.mark.parametrize("drop", ["independence", "objectivity", "determinism"])
     def test_witnesses_validate(self, drop, family_file):
@@ -382,8 +410,8 @@ _VALUES = {
     "--phi": _ANGLES,
     "--phi-start": _ANGLES,
     "--phi-end": _ANGLES,
-    "--x": _RATIONALS,
-    "--ep": _RATIONALS,
+    "--x": (_RATIONALS[0] + (_LONG,), _RATIONALS[1]),
+    "--ep": (_RATIONALS[0] + (_LONG,), _RATIONALS[1]),
     "--ew": _RATIONALS,
     "--s": _RATIONALS,
     "--t": _RATIONALS,

@@ -9,12 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hvnogo import (
+    REAL_TOL,
     BinaryDist,
     ConditionOnNull,
     GeneralParams,
     InvalidDistribution,
     JointDist,
     OnticTable,
+    OversizedRational,
     conditional_a_given_b,
     format_rational,
     joint_from_params,
@@ -23,6 +25,7 @@ from hvnogo import (
     to_json,
     tv_distance,
 )
+from hvnogo.dist import _common_denominator
 from hvnogo.quantum import quantum_joint
 
 F = Fraction
@@ -167,6 +170,12 @@ class TestScalarKinds:
     def test_real_mode_tolerance_accepted(self):
         BinaryDist(0.5, 0.5 + 1e-13)  # within REAL_TOL
 
+    def test_probabilities_exactly_at_the_tolerance_are_accepted(self):
+        d = BinaryDist(-REAL_TOL, 1 + REAL_TOL)  # the bounds are inclusive; the sum is 1 within REAL_TOL
+        assert d.as_tuple() == (-REAL_TOL, 1 + REAL_TOL)
+        with pytest.raises(InvalidDistribution):
+            BinaryDist(-2 * REAL_TOL, 1 + 2 * REAL_TOL)
+
     def test_params_range_checked(self):
         with pytest.raises(InvalidDistribution):
             GeneralParams(F(3, 2), F(1, 2), F(1, 2))
@@ -217,6 +226,17 @@ class TestSumToOne:
             assert str(info.value) == message.format(total)
 
 
+class TestCommonDenominator:
+    @given(st.lists(st.fractions(max_denominator=10**6), max_size=12))
+    def test_numerators_over_the_lcm(self, values):
+        scale, numerators = _common_denominator(values)
+        assert scale == math.lcm(*(v.denominator for v in values))
+        assert [F(n, scale) for n in numerators] == values
+
+    def test_nothing_is_over_one(self):
+        assert _common_denominator([]) == (1, [])
+
+
 class TestRationalLiterals:
     @pytest.mark.parametrize("text,value", [("1/3", F(1, 3)), ("1", F(1)), ("0", F(0)), ("7/7", F(1))])
     def test_parse(self, text, value):
@@ -240,6 +260,14 @@ class TestRationalLiterals:
     @pytest.mark.parametrize("value,text", [(F(1, 3), "1/3"), (F(2), "2"), (F(0), "0")])
     def test_format(self, value, text):
         assert format_rational(value) == text
+
+    def test_results_too_long_to_print_are_a_domain_error(self):
+        longest = parse_rational("1/1" + "0" * 4299)  # a 4 300-digit denominator still prints
+        assert parse_rational(format_rational(longest)) == longest
+        with pytest.raises(OversizedRational, match="more than 4300 digits"):
+            format_rational(longest / 10)
+        with pytest.raises(OversizedRational):
+            to_json({"p": longest * longest})
 
     @given(rational_prob(max_den=997))
     def test_round_trip(self, q):

@@ -403,9 +403,10 @@ class TestDropObjectivity:
                     cells[atom.assignments[i]] += atom.weight
                 reference.append(tuple(cells.values()))
             report = validate_witness(WitnessModel(payload), family)
-            assert feasibility._marginals(payload, family) == (reference, None)
+            scale, joints, masses = feasibility._marginals(payload, family)
+            assert ([tuple(F(n, scale) for n in joint) for joint in joints], masses) == (reference, None)
             adequacy = report.check("adequacy")
-            assert (adequacy.passed, adequacy.detail) == feasibility._adequacy_check(family, reference)
+            assert (adequacy.passed, adequacy.detail) == reference_adequacy_check(family, reference)
 
     def test_zeroed_weights_fail_adequacy(self):
         model = model_drop_objectivity(TWO_SETTINGS)
@@ -493,6 +494,198 @@ def per_atom_joint(payload, i: int, label: str) -> tuple[Fraction, ...]:
     return tuple(cells.values())
 
 
+# ---------------------------------------------------------------------------
+# Reference validator: the witness checks in plain Fraction arithmetic,
+# summed atom by atom, with no common denominator.  validate_witness works
+# in integers over one denominator and must match it tuple for tuple.
+# ---------------------------------------------------------------------------
+
+_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def reference_marginals(payload, family):
+    """Each setting's (a, b) joint and, for a labelled payload, its eight masses, as Fractions."""
+    labels = family.labels
+    if isinstance(payload, PerSettingTables):
+        masses = [payload.tables[label].entries for label in labels]
+    elif isinstance(payload, OutcomeAtomModel):
+        joints = []
+        for i in range(len(labels)):
+            cells = dict.fromkeys(_PAIRS, F(0))
+            for atom in payload.atoms:
+                cells[atom.assignments[i]] += atom.weight
+            joints.append(tuple(cells.values()))
+        return joints, None
+    else:
+        sums = [[F(0)] * 8 for _ in labels]
+        for atom in payload.atoms:
+            i00, i01, i10, i11 = (feasibility.cell_index(a, b, atom.label) for a, b in _PAIRS)
+            for label, cells in zip(labels, sums):
+                r = atom.responses[label]
+                b0 = atom.weight * r.b0
+                b1 = atom.weight - b0
+                cells[i00] += b0 * r.a0_given_b0
+                cells[i10] += b0 * (1 - r.a0_given_b0)
+                cells[i01] += b1 * r.a0_given_b1
+                cells[i11] += b1 * (1 - r.a0_given_b1)
+        masses = [tuple(cells) for cells in sums]
+    return [tuple(m[i] + m[i + 4] for i in range(4)) for m in masses], masses
+
+
+def reference_adequacy_check(family, model_joints):
+    for s, joint, got in zip(family.settings, family.joints, model_joints):
+        for (a, b), w, g in zip(_PAIRS, joint.entries, got):
+            if g != w:
+                return False, f"setting {s.label!r}: model gives p(a={a},b={b}) = {g}, observed {w}"
+    return True, "every setting's joint reproduced exactly"
+
+
+def reference_objectivity_check(family, masses):
+    if masses is None:
+        return False, "model carries no wave/particle labels"
+    cell = feasibility.cell_index
+    for s, m in zip(family.settings, masses):
+        for b, lam, other, e_target, constraint in (
+            (0, "p", "w", family.e_p, "p-statistics revelation at b=0"),
+            (1, "w", "p", family.e_w, "w-statistics revelation at b=1"),
+        ):
+            i0, i1, j0, j1 = (cell(a, b, l) for l in (lam, other) for a in (0, 1))
+            match_mass = m[i0] + m[i1]
+            if match_mass + m[j0] + m[j1] == 0:
+                continue
+            if match_mass == 0:
+                return False, (
+                    f"setting {s.label!r}: outcome b={b} occurs but never with label {lam!r}; "
+                    f"{constraint} cannot hold"
+                )
+            if m[i0] * (1 - e_target) != m[i1] * e_target:
+                got = m[i0] / match_mass
+                return False, (
+                    f"setting {s.label!r}: {constraint} fails; p(a=0|b={b},lam={lam}) = {got}, expected {e_target}"
+                )
+    return True, "each label reveals its matching statistics in its matching outcome"
+
+
+def reference_determinism_check(payload, family):
+    if isinstance(payload, (PerSettingTables, OutcomeAtomModel)):
+        return True, "all probability mass sits on atoms with pinned outcomes"
+    for atom in payload.atoms:
+        for label in family.labels:
+            for field_name in ("b0", "a0_given_b0", "a0_given_b1"):
+                v = getattr(atom.responses[label], field_name)
+                if v != 0 and v != 1:
+                    return False, (
+                        f"atom {atom.name!r}, setting {label!r}: response {field_name} = {v} "
+                        "is strictly between 0 and 1"
+                    )
+    return True, "all responses are 0 or 1"
+
+
+def reference_independence_check(payload, family, masses):
+    if isinstance(payload, PerSettingTables):
+        marginals = {label: sum(m[:4]) for label, m in zip(family.labels, masses)}
+        if len(set(marginals.values())) > 1:
+            listing = ", ".join(f"{lbl}: {v}" for lbl, v in marginals.items())
+            return False, f"label marginal p(lam=p) depends on the setting ({listing})"
+        return True, "label marginal p(lam=p) is the same in every setting"
+    total = sum(atom.weight for atom in payload.atoms)
+    if total != 1:
+        return False, f"atom weights sum to {total}, not a probability distribution"
+    return True, "one fixed atom-weight vector serves every setting"
+
+
+def reference_validate(model, family):
+    """The ``(name, retained, passed, detail)`` tuple of each check, in report order."""
+    payload = model.payload
+    joints, masses = reference_marginals(payload, family)
+    dropped = model.mode.value.removeprefix("Drop").lower()
+    results = (
+        ("adequacy", reference_adequacy_check(family, joints)),
+        ("determinism", reference_determinism_check(payload, family)),
+        ("independence", reference_independence_check(payload, family, masses)),
+        ("objectivity", reference_objectivity_check(family, masses)),
+    )
+    return tuple((name, name != dropped, *r) for name, r in results)
+
+
+CORRUPTIONS = ("none", "halved weight", "zeroed cell", "mass to the other label", "weights not summing to 1")
+
+
+def corrupt(payload, kind, rnd):
+    """``payload`` with its atoms or tables shuffled and one ``kind`` of fault put in at a random place.
+
+    A table must still sum to 1, so a table's halved or zeroed cell hands
+    its mass to another cell, and "weights not summing to 1" leaves tables
+    as they are.  An :class:`OutcomeAtomModel` carries no label, so there
+    the mass moves to another outcome pair of one setting.
+    """
+    if isinstance(payload, PerSettingTables):
+        tables = dict(payload.tables)
+        if kind in ("halved weight", "zeroed cell", "mass to the other label"):
+            label = rnd.choice(sorted(tables))
+            entries = list(tables[label].entries)
+            j = rnd.randrange(8)
+            moved = entries[j] / 2 if kind == "halved weight" else entries[j]
+            target = j ^ 4 if kind == "mass to the other label" else rnd.choice([i for i in range(8) if i != j])
+            entries[j] -= moved
+            entries[target] += moved
+            tables[label] = OnticTable(tuple(entries))
+        items = list(tables.items())
+        rnd.shuffle(items)
+        return PerSettingTables(dict(items))
+    atoms = list(payload.atoms)
+    n = rnd.randrange(len(atoms))
+    atom = atoms[n]
+    if kind == "halved weight":
+        atoms[n] = dataclasses.replace(atom, weight=atom.weight / 2)
+    elif kind == "weights not summing to 1":
+        atoms[n] = dataclasses.replace(atom, weight=1 - atom.weight / 3)
+    elif isinstance(payload, OutcomeAtomModel):
+        if kind == "zeroed cell":
+            atoms[n] = OutcomeAtom(atom.assignments, F(0))
+        elif kind == "mass to the other label":
+            i = rnd.randrange(len(atom.assignments))
+            assignments = list(atom.assignments)
+            assignments[i] = rnd.choice([pair for pair in _PAIRS if pair != assignments[i]])
+            atoms[n] = OutcomeAtom(tuple(assignments), atom.weight)
+    elif kind == "zeroed cell":
+        label = rnd.choice(sorted(atom.responses))
+        field_name = rnd.choice(("b0", "a0_given_b0", "a0_given_b1"))
+        responses = dict(atom.responses)
+        responses[label] = dataclasses.replace(responses[label], **{field_name: F(0)})
+        atoms[n] = dataclasses.replace(atom, responses=responses)
+    elif kind == "mass to the other label":
+        atoms[n] = dataclasses.replace(atom, label="w" if atom.label == "p" else "p")
+    rnd.shuffle(atoms)
+    return dataclasses.replace(payload, atoms=tuple(atoms))
+
+
+def report_tuples(report):
+    return tuple((c.name, c.retained, c.passed, c.detail) for c in report.checks)
+
+
+class TestAgainstTheReferenceValidator:
+    @given(families(), st.sampled_from(BUILDERS), st.sampled_from(CORRUPTIONS), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_every_check_and_detail_matches(self, family, build, kind, rnd):
+        model = WitnessModel(corrupt(build(family).payload, kind, rnd))
+        assert report_tuples(validate_witness(model, family)) == reference_validate(model, family)
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    def test_each_fault_on_a_fixed_family(self, build, kind):
+        rnd = random.Random(2201)
+        for _ in range(10):
+            model = WitnessModel(corrupt(build(FIVE_SETTINGS).payload, kind, rnd))
+            assert report_tuples(validate_witness(model, FIVE_SETTINGS)) == reference_validate(model, FIVE_SETTINGS)
+
+    def test_honest_witnesses_at_sixty_four_settings(self):
+        family = _random_family(Generator(Philox(key=2202)), distinct_x=True, k=64)
+        for build in BUILDERS:
+            model = build(family)
+            assert report_tuples(validate_witness(model, family)) == reference_validate(model, family)
+
+
 class TestMarginals:
     @given(families(), st.sampled_from(BUILDERS), st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)
@@ -506,12 +699,14 @@ class TestMarginals:
             atoms = list(payload.atoms)
             rnd.shuffle(atoms)
             payload = dataclasses.replace(payload, atoms=tuple(atoms))
-        joints, masses = feasibility._marginals(payload, family)
-        assert joints == [per_atom_joint(payload, i, label) for i, label in enumerate(family.labels)]
+        scale, joints, masses = feasibility._marginals(payload, family)
+        assert [tuple(F(n, scale) for n in joint) for joint in joints] == [
+            per_atom_joint(payload, i, label) for i, label in enumerate(family.labels)
+        ]
         assert (masses is None) == isinstance(payload, OutcomeAtomModel)
         if isinstance(payload, PerSettingTables):
             for label, m in zip(family.labels, masses):
-                assert sum(m[:4]) == lambda_marginal(payload.tables[label]).p0
+                assert F(sum(m[:4]), scale) == lambda_marginal(payload.tables[label]).p0
 
 
 class TestMalformedWitness:
