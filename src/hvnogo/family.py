@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Literal
 
 from .dist import BinaryDist, GeneralParams, JointDist, _sums_to_one, format_rational, joint_from_params
-from .errors import BoundaryParams, ConditionOnNull, InvalidDistribution, NotASolution, OutOfRange
+from .errors import BoundaryParams, ConditionOnNull, InvalidDistribution, NotASolution, OutOfRange, OversizedRational
 from .exactlp import LinearSystem, _as_fraction_row, residual
 
 LambdaLabel = Literal["p", "w"]
@@ -240,13 +240,22 @@ def instantiate(family: SolutionFamily, s, t) -> OnticTable:
         raise TypeError("instantiate works in exact arithmetic; pass Fraction or int")
     s = Fraction(s)
     t = Fraction(t)
-    lo_s, hi_s = family.s_range
-    lo_t, hi_t = family.t_range
-    if not lo_s <= s <= hi_s:
-        raise OutOfRange(f"s = {s} outside [{lo_s}, {hi_s}]")
-    if not lo_t <= t <= hi_t:
-        raise OutOfRange(f"t = {t} outside [{lo_t}, {hi_t}]")
+    _check_in_range("s", s, family.s_range)
+    _check_in_range("t", t, family.t_range)
     return OnticTable(_family_entries(family, s, t))
+
+
+def _check_in_range(name: str, value: Fraction, bounds: tuple[Fraction, Fraction]) -> None:
+    """Raise :class:`OutOfRange` unless ``lo <= value <= hi``; the message
+    names the interval unless a number in it is too long to print."""
+    lo, hi = bounds
+    if lo <= value <= hi:
+        return
+    try:
+        detail = f"{name} = {format_rational(value)} outside [{format_rational(lo)}, {format_rational(hi)}]"
+    except OversizedRational as exc:
+        detail = f"{name} outside its admissible range ({exc})"
+    raise OutOfRange(detail)
 
 
 def special_solution(params: GeneralParams) -> OnticTable:

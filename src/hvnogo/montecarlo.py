@@ -7,19 +7,23 @@ layer).
 
 Randomness contract
 -------------------
-Shot ``i`` of seed ``s`` consumes the ``i``-th 64-bit output word of the
-Philox 4x64 counter-based generator keyed by ``s``, converted to a uniform
-in [0, 1) by the standard 53-bit rule.  Every count is therefore a pure
-function of (distribution, shot range, seed), identical on every platform,
-and disjoint shot ranges can be sampled in parallel and merged: the result
-equals the sequential run bit for bit.
+Shot ``i`` of seed ``s`` consumes the ``i``-th 64-bit output word ``w`` of
+the Philox 4x64 counter-based generator keyed by ``s``, read as the uniform
+u = (w >> 11) * 2^-53 in [0, 1) (the standard 53-bit rule).  Every count
+is therefore a pure function of (distribution, shot range, seed), identical
+on every platform, and disjoint shot ranges can be sampled in parallel and
+merged: the result equals the sequential run bit for bit.
 
 Cells are counted by threshold, not per shot: with normalized breakpoints
 c_0 <= c_1 <= c_2, a draw counts ``below_j = #{u < c_j}`` for each j, and
 the four cells hold ``below_0``, ``below_1 - below_0``,
 ``below_2 - below_1`` and ``n - below_2``.  A uniform equal to a
 breakpoint lands in the upper cell, exactly where
-``searchsorted(breakpoints, u, side="right")`` puts it.
+``searchsorted(breakpoints, u, side="right")`` puts it.  No uniform is
+ever formed: since (w >> 11) is an integer, u < c holds exactly when the
+raw word satisfies w < ceil(c * 2^53) * 2^11, so each breakpoint becomes
+one integer limit and the words are counted against it, 2^18 shots at a
+time.
 
 A sweep over phase values reuses one seed, giving point ``j`` the shot
 range ``[j*shots, (j+1)*shots)``.
@@ -46,8 +50,9 @@ from .quantum import quantum_joint
 NKL_THRESHOLD = math.log(8 / 5.7e-7)
 
 #: sample_events draws at most this many shots at a time, so its memory
-#: does not grow with the shot count.
-_CHUNK_SHOTS = 1 << 20
+#: does not grow with the shot count; one chunk of words is 2 MiB, small
+#: enough for the three comparisons to run in cache.
+_CHUNK_SHOTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -102,20 +107,6 @@ class StatReport:
     passed: bool
 
 
-def _uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
-    """Philox output words [lo, hi) of the given seed, as uniforms in [0, 1).
-
-    Philox advances in blocks of four words, so the block before ``lo`` is
-    entered and the leftover words are discarded.
-    """
-    from numpy.random import Generator, Philox
-
-    bit_gen = Philox(key=seed)
-    bit_gen.advance(lo // 4)
-    skip = lo % 4
-    return Generator(bit_gen).random(skip + (hi - lo))[skip:]
-
-
 def sample_events(dist: JointDist, n: int, seed: int, first_shot: int = 0) -> Counts4:
     """Draw ``n`` multinomial shots from a four-cell joint.
 
@@ -124,15 +115,17 @@ def sample_events(dist: JointDist, n: int, seed: int, first_shot: int = 0) -> Co
     with probability zero or below (down to ``-REAL_TOL``) never receive
     counts.
 
-    Each chunk of at most ``_CHUNK_SHOTS`` uniforms is compared against the
-    three normalized breakpoints, and only the number below each is kept;
-    no per-shot cell index is built.  The counts equal those of binning
-    every shot with ``searchsorted(..., side="right")``.
+    One Philox generator reads the shots' raw words, at most
+    ``_CHUNK_SHOTS`` at a time, and counts those below each breakpoint's
+    integer limit ceil(c * 2^53) * 2^11; no uniform and no per-shot cell
+    index is built.  The counts equal those of binning every shot's uniform
+    with ``searchsorted(..., side="right")``.
     """
     for name, value in (("sample count", n), ("seed", seed), ("first_shot", first_shot)):
         if not isinstance(value, int) or value < 0:
             raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     import numpy as np
+    from numpy.random import Philox
 
     # JointDist admits entries down to -REAL_TOL; threshold differences are
     # cell counts only for nondecreasing breakpoints, so such rounding
@@ -140,15 +133,21 @@ def sample_events(dist: JointDist, n: int, seed: int, first_shot: int = 0) -> Co
     probs = np.maximum(np.array([float(e) for e in dist.entries], dtype=np.float64), 0.0)
     cumulative = np.cumsum(probs)
     cumulative /= cumulative[3]  # exact 1.0 endpoint; zero-probability cells stay zero width
-    breakpoints = cumulative[:3]
+    limits = [math.ceil(float(c) * 2.0**53) << 11 for c in cumulative[:3]]
+    bit_gen = Philox(key=seed)
+    # Philox advances in blocks of four words: enter the block holding
+    # first_shot and discard the words before it.
+    bit_gen.advance(first_shot // 4)
+    bit_gen.random_raw(first_shot % 4)
     below = [0, 0, 0]
-    lo, hi = first_shot, first_shot + n
-    while lo < hi:
-        stop = min(hi, (lo // _CHUNK_SHOTS + 1) * _CHUNK_SHOTS)
-        u = _uniforms(seed, lo, stop)
-        for j, c in enumerate(breakpoints):
-            below[j] += int(np.count_nonzero(u < c))
-        lo = stop
+    remaining = n
+    while remaining:
+        m = min(remaining, _CHUNK_SHOTS)
+        words = bit_gen.random_raw(m)
+        for j, limit in enumerate(limits):
+            # A breakpoint of 1.0 gives 2^64, past np.uint64: every word is below it.
+            below[j] += int(np.count_nonzero(words < np.uint64(limit))) if limit < 1 << 64 else m
+        remaining -= m
     return Counts4(below[0], below[1] - below[0], below[2] - below[1], n - below[2])
 
 

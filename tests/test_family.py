@@ -103,8 +103,17 @@ class TestInstantiate:
 
     def test_out_of_range(self):
         family = solve_family(PARAMS)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(OutOfRange, match=r"^s = 1/5 outside \[0, 1/6\]$"):
             instantiate(family, F(1, 5), F(0))
+        with pytest.raises(OutOfRange, match=r"^t = 1/5 outside \[0, 1/6\]$"):
+            instantiate(family, F(0), F(1, 5))
+
+    def test_out_of_range_with_bounds_too_long_to_print(self):
+        # s_range ends at x*e_p = 1/10^5000, past the 4300 digits str() allows.
+        tiny = F(1, 10**2500)
+        family = solve_family(GeneralParams(tiny, tiny, F(1, 3)))
+        with pytest.raises(OutOfRange, match=r"^s outside its admissible range \(an exact result needs more than"):
+            instantiate(family, F(1, 2), F(0))
 
     def test_family_soundness_randomized(self):
         rng = Generator(Philox(key=31))

@@ -1,6 +1,7 @@
 """Counter-based sampling: reproducibility, conservation, statistics."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 from hvnogo import (
     Counts4,
@@ -23,10 +25,51 @@ from hvnogo import (
     sweep_to_csv,
     wave_statistics,
 )
-from hvnogo.montecarlo import _CHUNK_SHOTS, NKL_THRESHOLD, SWEEP_CSV_HEADER, _uniforms
+from hvnogo.montecarlo import _CHUNK_SHOTS, NKL_THRESHOLD, SWEEP_CSV_HEADER
 
 F = Fraction
 FIXED = quantum_joint(math.pi / 3, math.pi / 4)
+
+
+def _uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Shots [lo, hi) of the given seed as uniforms in [0, 1), by the float
+    definition of the randomness contract: numpy's ``Generator.random`` on
+    the Philox stream keyed by the seed.  The sampler never forms these; it
+    counts raw words against integer limits, and this is its reference.
+    """
+    bit_gen = Philox(key=seed)
+    bit_gen.advance(lo // 4)
+    skip = lo % 4
+    return Generator(bit_gen).random(skip + (hi - lo))[skip:]
+
+
+def _binned(dist: JointDist, n: int, seed: int, first_shot: int) -> tuple[int, int, int, int]:
+    """Per-shot reference: bin every uniform with searchsorted(side="right")."""
+    probs = np.maximum([float(e) for e in dist.entries], 0.0)
+    cumulative = np.cumsum(probs)
+    breakpoints = cumulative[:3] / cumulative[3]
+    cells = np.searchsorted(breakpoints, _uniforms(seed, first_shot, first_shot + n), side="right")
+    return tuple(int(c) for c in np.bincount(cells, minlength=4))
+
+
+@st.composite
+def _joints(draw):
+    """Joints with random zero cells, in exact or float mode; zero trailing
+    cells put breakpoints at exactly 1.0."""
+    weights = draw(st.lists(st.integers(0, 7), min_size=4, max_size=4).filter(any))
+    total = sum(weights)
+    if draw(st.booleans()):
+        return JointDist(tuple(F(w, total) for w in weights))
+    return JointDist(tuple(w / total for w in weights))
+
+
+def _near_chunk_multiples(max_multiple: int):
+    """Integers within a few shots of a multiple of _CHUNK_SHOTS."""
+    return st.builds(
+        lambda k, d: max(0, k * _CHUNK_SHOTS + d),
+        st.integers(0, max_multiple),
+        st.integers(-3, 3),
+    )
 
 
 class TestSampleEvents:
@@ -74,30 +117,54 @@ class TestSampleEvents:
 
     def test_draw_across_chunk_boundaries_matches_the_uniforms(self):
         lo, hi = _CHUNK_SHOTS - 1, 2 * _CHUNK_SHOTS + 3
-        cumulative = np.cumsum([float(e) for e in FIXED.entries])
-        cells = np.searchsorted(cumulative[:3] / cumulative[3], _uniforms(42, lo, hi), side="right")
-        direct = tuple(int(c) for c in np.bincount(cells, minlength=4))
-        assert sample_events(FIXED, hi - lo, 42, first_shot=lo).as_tuple() == direct
+        assert sample_events(FIXED, hi - lo, 42, first_shot=lo).as_tuple() == _binned(FIXED, hi - lo, 42, lo)
+
+    @given(
+        _joints(),
+        st.one_of(st.integers(0, 9), _near_chunk_multiples(2)),
+        st.integers(0, 2**128 - 1),
+        st.one_of(_near_chunk_multiples(3), _near_chunk_multiples(2**40)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_counts_equal_binning_every_uniform(self, dist, n, seed, first_shot):
+        assert sample_events(dist, n, seed, first_shot=first_shot).as_tuple() == _binned(dist, n, seed, first_shot)
 
     def test_a_uniform_on_a_breakpoint_lands_in_the_upper_cell(self):
-        # Shot 0 of seed 9 equals the first normalized breakpoint exactly;
-        # searchsorted(side="right") puts it in cell 01, and so must the sampler.
+        # Each shot's uniform equals the first normalized breakpoint exactly;
+        # searchsorted(side="right") puts it in cell 01, and so must the
+        # sampler.  Shot 0 of seed 9 is a word with nonzero low 11 bits; shot
+        # 804 of seed 1 is a word whose low 11 bits are zero, so it equals
+        # its breakpoint's integer limit itself.
+        for seed, shot, word_is_limit in ((9, 0, False), (1, 804, True)):
+            u = float(_uniforms(seed, shot, shot + 1)[0])
+            word = int(Philox(key=seed).random_raw(shot + 1)[shot])
+            assert (word % 2**11 == 0) == word_is_limit
+            tie = JointDist((u, 1.0 - u, 0.0, 0.0))
+            cumulative = np.cumsum([float(e) for e in tie.entries])
+            assert cumulative[0] / cumulative[3] == u
+            assert np.searchsorted(cumulative[:3] / cumulative[3], u, side="right") == 1
+            assert sample_events(tie, 1, seed, first_shot=shot) == Counts4(0, 1, 0, 0)
+
+    def test_breakpoints_are_normalized_by_the_float_total(self):
+        # Entries may sum to 1 within REAL_TOL.  Here they sum to 1 - 4e-13,
+        # and shot 0 of seed 9 lies between p0 and p0 / total: only the
+        # normalized breakpoint puts it in cell 00.
         u0 = float(_uniforms(9, 0, 1)[0])
-        tie = JointDist((u0, 1.0 - u0, 0.0, 0.0))
-        cumulative = np.cumsum([float(e) for e in tie.entries])
-        assert cumulative[0] / cumulative[3] == u0
-        assert np.searchsorted(cumulative[:3] / cumulative[3], u0, side="right") == 1
-        assert sample_events(tie, 1, 9) == Counts4(0, 1, 0, 0)
+        p0 = u0 * (1 - 2e-13)
+        short = JointDist((p0, 0.0, 1 - 4e-13 - p0, 0.0))
+        total = sum(float(e) for e in short.entries)
+        assert p0 * total < p0 < u0 < p0 / total
+        assert sample_events(short, 1, 9) == Counts4(1, 0, 0, 0)
 
     @pytest.mark.parametrize(
         ("dist", "n", "seed", "first_shot", "expected"),
         [
-            (FIXED, 2_121_849, 17, _CHUNK_SHOTS - 12_345, Counts4(265371, 1358674, 264490, 233314)),
+            (FIXED, 2_121_849, 17, (1 << 20) - 12_345, Counts4(265371, 1358674, 264490, 233314)),
             (JointDist((0.0, 0.7, 0.3, 0.0)), 200_000, 23, 5, Counts4(0, 140070, 59930, 0)),
             (JointDist((0.5, 0.0, 0.5, 0.0)), 200_000, 23, 5, Counts4(100034, 0, 99966, 0)),
             (FIXED, 10**7, 3, 0, Counts4(1250775, 6403319, 1247982, 1097924)),
         ],
-        ids=["unaligned-across-two-chunk-boundaries", "zero-outer-cells", "zero-inner-cell", "ten-million"],
+        ids=["unaligned-across-nine-chunk-multiples", "zero-outer-cells", "zero-inner-cell", "ten-million"],
     )
     def test_pinned_counts(self, dist, n, seed, first_shot, expected):
         # Literal counts written by the searchsorted + bincount sampler; the
@@ -112,8 +179,9 @@ class TestSampleEvents:
         finally:
             tracemalloc.stop()
         assert counts.total == 10**7
-        # One 2^20-shot chunk of uniforms is 8 MiB; no per-shot index array.
-        assert peak < 20 * 2**20
+        # One 2^18-shot chunk of words is 2 MiB, and the next is drawn while
+        # the last is still held; no uniforms and no per-shot index array.
+        assert peak < 6 * 2**20
 
     @given(st.integers(min_value=0, max_value=3000), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=40, deadline=None)
@@ -131,10 +199,24 @@ class TestSampleEvents:
         assert report.passed
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            sample_events(FIXED, -1, 0)
-        with pytest.raises(ValueError):
-            sample_events(FIXED, 10, -2)
+        for n, seed, first_shot, message in [
+            (-1, 0, 0, "sample count must be a nonnegative integer, got -1"),
+            (10, -2, 0, "seed must be a nonnegative integer, got -2"),
+            (10, 0, -3, "first_shot must be a nonnegative integer, got -3"),
+            (1.5, 0, 0, "sample count must be a nonnegative integer, got 1.5"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                sample_events(FIXED, n, seed, first_shot=first_shot)
+
+
+class TestCounts4:
+    @pytest.mark.parametrize("bad", [-1, 1.0, True, None])
+    def test_each_count_is_a_nonnegative_int(self, bad):
+        for cell in range(4):
+            values = [0, 0, 0, 0]
+            values[cell] = bad
+            with pytest.raises(ValueError, match=f"^n{cell // 2}{cell % 2} must be a nonnegative integer"):
+                Counts4(*values)
 
 
 class TestCompare:
@@ -148,6 +230,14 @@ class TestCompare:
         report = compare(Counts4(1000, 0, 0, 0), JointDist((0.25,) * 4))
         assert not report.passed
         assert report.nkl_max > NKL_THRESHOLD
+
+    def test_a_draw_exactly_at_the_threshold_passes(self):
+        # One count in a cell of probability q gives n*KL = ln(1/q); at
+        # q = 5.7e-7/8 that is NKL_THRESHOLD itself, and only larger fails.
+        q = 5.7e-7 / 8
+        report = compare(Counts4(1, 0, 0, 0), JointDist((q, 1 - q, 0.0, 0.0)))
+        assert report.nkl_max == NKL_THRESHOLD
+        assert report.passed
 
     def test_counts_in_a_null_cell_fail(self):
         report = compare(Counts4(999, 1, 0, 0), JointDist((1.0, 0.0, 0.0, 0.0)))
