@@ -124,31 +124,50 @@ def to_json(value):
     return value
 
 
+def _as_fraction_row(row, what: str) -> tuple[Fraction, ...]:
+    """The exact-input rule: a value of type exactly Fraction passes through
+    uncopied (Fractions are immutable), one of type exactly int becomes
+    ``Fraction(v)``, and anything else (a float, bool, str, Decimal, numpy
+    integer or subclass) raises ``TypeError``."""
+    values = tuple(row)
+    for v in values:
+        if type(v) is not Fraction and type(v) is not int:
+            if isinstance(v, float):
+                raise TypeError(f"{what}: floats are inexact; pass Fraction or int entries")
+            raise TypeError(f"{what}: expected Fraction or int, got {type(v).__name__}")
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+
+
 def _coerce_homogeneous(values, what: str) -> tuple[Scalar, ...]:
     """Coerce a sequence of numbers to one scalar kind.
 
     Floats force the whole container to real mode; otherwise everything is
-    stored exactly.
+    stored exactly, under :func:`_as_fraction_row`'s rule.
     """
-    vals = list(values)
+    vals = tuple(values)
+    if not any(isinstance(v, float) for v in vals):
+        return _as_fraction_row(vals, what)
     for v in vals:
         if isinstance(v, bool) or not isinstance(v, (int, float, Fraction)):
             raise TypeError(f"{what}: expected int, Fraction, or float, got {type(v).__name__}")
-    if any(isinstance(v, float) for v in vals):
-        return tuple(float(v) for v in vals)
-    # Fractions are immutable, so those given pass through uncopied.
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in vals)
+    return tuple(float(v) for v in vals)
+
+
+def _as_probability(value, what: str) -> Fraction:
+    """One exact probability: :func:`_as_fraction_row`'s rule, then 0 <= p <= 1."""
+    p = value if type(value) is Fraction else _as_fraction_row((value,), what)[0]
+    _check_probability(p, what)
+    return p
 
 
 def _check_probability(p: Scalar, what: str) -> None:
-    if isinstance(p, Fraction):
-        if p < 0 or p > 1:
+    if type(p) is Fraction:
+        if p.numerator < 0 or p.numerator > p.denominator:
             raise InvalidDistribution(f"{what}: probability {p} outside [0, 1]")
-    else:
-        if not math.isfinite(p):
-            raise InvalidDistribution(f"{what}: probability is not finite")
-        if p < -REAL_TOL or p > 1 + REAL_TOL:
-            raise InvalidDistribution(f"{what}: probability {p!r} outside [0, 1] beyond tolerance")
+    elif not math.isfinite(p):
+        raise InvalidDistribution(f"{what}: probability is not finite")
+    elif p < -REAL_TOL or p > 1 + REAL_TOL:
+        raise InvalidDistribution(f"{what}: probability {p!r} outside [0, 1] beyond tolerance")
 
 
 def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:

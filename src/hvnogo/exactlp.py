@@ -44,21 +44,11 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Any, Iterator, Optional, Sequence
 
+from .dist import _as_fraction_row
 from .errors import DimensionMismatch
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _as_fraction_row(row, what: str) -> tuple[Fraction, ...]:
-    values = tuple(row)
-    if any(isinstance(v, float) for v in values):
-        raise TypeError(f"{what}: floats are inexact; pass Fraction or int entries")
-    try:
-        # Fractions are immutable, so those given pass through uncopied.
-        return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise TypeError(f"{what}: entries must be exact rationals") from exc
 
 
 @dataclass(frozen=True)

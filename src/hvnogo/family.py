@@ -43,9 +43,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Literal
 
-from .dist import BinaryDist, GeneralParams, JointDist, _sums_to_one, format_rational, joint_from_params
+from .dist import BinaryDist, GeneralParams, JointDist, _as_fraction_row, _sums_to_one, format_rational, joint_from_params
 from .errors import BoundaryParams, ConditionOnNull, InvalidDistribution, NotASolution, OutOfRange, OversizedRational
-from .exactlp import LinearSystem, _as_fraction_row, residual
+from .exactlp import LinearSystem, residual
 
 LambdaLabel = Literal["p", "w"]
 
@@ -236,10 +236,7 @@ def instantiate(family: SolutionFamily, s, t) -> OnticTable:
 
     Raises :class:`OutOfRange` when (s, t) leaves the admissible rectangle.
     """
-    if isinstance(s, float) or isinstance(t, float):
-        raise TypeError("instantiate works in exact arithmetic; pass Fraction or int")
-    s = Fraction(s)
-    t = Fraction(t)
+    s, t = _as_fraction_row((s, t), "instantiate")
     _check_in_range("s", s, family.s_range)
     _check_in_range("t", t, family.t_range)
     return OnticTable(_family_entries(family, s, t))

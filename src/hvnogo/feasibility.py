@@ -52,6 +52,7 @@ from typing import Mapping, Union
 from .dist import (
     GeneralParams,
     JointDist,
+    _as_probability,
     _common_denominator,
     _sums_to_one,
     format_rational,
@@ -59,17 +60,10 @@ from .dist import (
     parse_rational,
 )
 from .errors import MalformedInput, MalformedModel, malformed_input
-from .exactlp import FeasibilityReport, LinearSystem, _as_fraction_row
+from .exactlp import FeasibilityReport, LinearSystem
 from .family import LambdaLabel, OnticTable, _adequacy_labels, _stacked_system, cell_index, special_solution
 
 _OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def _as_probability_fraction(value, what: str) -> Fraction:
-    (v,) = _as_fraction_row((value,), what)
-    if v < 0 or v > 1:
-        raise ValueError(f"{what} = {v} outside [0, 1]")
-    return v
 
 
 @dataclass(frozen=True)
@@ -80,7 +74,7 @@ class Setting:
     x: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _as_probability_fraction(self.x, f"setting {self.label!r}: x"))
+        object.__setattr__(self, "x", _as_probability(self.x, f"setting {self.label!r}: x"))
 
 
 @dataclass(frozen=True)
@@ -99,8 +93,8 @@ class SettingsFamily:
     settings: tuple[Setting, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "e_p", _as_probability_fraction(self.e_p, "e_p"))
-        object.__setattr__(self, "e_w", _as_probability_fraction(self.e_w, "e_w"))
+        object.__setattr__(self, "e_p", _as_probability(self.e_p, "e_p"))
+        object.__setattr__(self, "e_w", _as_probability(self.e_w, "e_w"))
         settings = tuple(self.settings)
         for i, s in enumerate(settings):
             if not isinstance(s, Setting):
@@ -230,7 +224,7 @@ class OutcomeAtom:
         if any(pair not in _OUTCOME_PAIRS for pair in assignments):
             raise ValueError(f"assignments must be outcome-pair bits, got {assignments}")
         object.__setattr__(self, "assignments", assignments)
-        object.__setattr__(self, "weight", _as_probability_fraction(self.weight, "OutcomeAtom.weight"))
+        object.__setattr__(self, "weight", _as_probability(self.weight, "OutcomeAtom.weight"))
 
 
 @dataclass(frozen=True)
@@ -254,7 +248,7 @@ class SettingResponse:
 
     def __post_init__(self):
         for name in _RESPONSE_FIELDS:
-            value = _as_probability_fraction(getattr(self, name), f"SettingResponse.{name}")
+            value = _as_probability(getattr(self, name), f"SettingResponse.{name}")
             object.__setattr__(self, name, value)
 
 
@@ -268,7 +262,7 @@ class ResponseAtom:
     responses: dict[str, SettingResponse]
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", _as_probability_fraction(self.weight, f"atom {self.name!r} weight"))
+        object.__setattr__(self, "weight", _as_probability(self.weight, f"atom {self.name!r} weight"))
         if self.label not in ("p", "w"):
             raise ValueError(f"atom {self.name!r} has label {self.label!r}, expected 'p' or 'w'")
         for label, response in self.responses.items():
