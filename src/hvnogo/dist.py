@@ -100,6 +100,16 @@ def format_rational(value: Fraction) -> str:
         raise OversizedRational(f"an exact result needs more than {limit} digits to print") from None
 
 
+def _show(value: Fraction) -> str:
+    """``value`` in a message: its :func:`format_rational` text, or where
+    that is too long to print, the :class:`OversizedRational` reason in
+    parentheses.  Never raises, so every message can be built."""
+    try:
+        return format_rational(value)
+    except OversizedRational as exc:
+        return f"({exc})"
+
+
 def to_json(value):
     """The JSON form of a result; the CLI writes its JSON output through it.
 
@@ -163,7 +173,7 @@ def _as_probability(value, what: str) -> Fraction:
 def _check_probability(p: Scalar, what: str) -> None:
     if type(p) is Fraction:
         if p.numerator < 0 or p.numerator > p.denominator:
-            raise InvalidDistribution(f"{what}: probability {p} outside [0, 1]")
+            raise InvalidDistribution(f"{what}: probability {_show(p)} outside [0, 1]")
     elif not math.isfinite(p):
         raise InvalidDistribution(f"{what}: probability is not finite")
     elif p < -REAL_TOL or p > 1 + REAL_TOL:
@@ -190,7 +200,7 @@ def _sums_to_one(values: tuple[Fraction, ...]) -> bool:
 def _check_normalized(entries, what: str) -> None:
     if isinstance(entries[0], Fraction):
         if not _sums_to_one(entries):
-            raise InvalidDistribution(f"{what}: entries sum to {sum(entries)}, expected 1")
+            raise InvalidDistribution(f"{what}: entries sum to {_show(sum(entries))}, expected 1")
         return
     total = sum(entries)
     if abs(total - 1.0) > REAL_TOL:

@@ -43,7 +43,16 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Literal
 
-from .dist import BinaryDist, GeneralParams, JointDist, _as_fraction_row, _sums_to_one, format_rational, joint_from_params
+from .dist import (
+    BinaryDist,
+    GeneralParams,
+    JointDist,
+    _as_fraction_row,
+    _show,
+    _sums_to_one,
+    format_rational,
+    joint_from_params,
+)
 from .errors import BoundaryParams, ConditionOnNull, InvalidDistribution, NotASolution, OutOfRange, OversizedRational
 from .exactlp import LinearSystem, residual
 
@@ -91,9 +100,9 @@ class OnticTable:
         object.__setattr__(self, "entries", entries)
         for key, v in zip(CELL_KEYS, entries):
             if v < 0:
-                raise InvalidDistribution(f"OnticTable[{key}] = {v} is negative")
+                raise InvalidDistribution(f"OnticTable[{key}] = {_show(v)} is negative")
         if not _sums_to_one(entries):
-            raise InvalidDistribution(f"OnticTable entries sum to {sum(entries)}, expected 1")
+            raise InvalidDistribution(f"OnticTable entries sum to {_show(sum(entries))}, expected 1")
 
     def mass(self, a: int, b: int, lam: LambdaLabel) -> Fraction:
         return self.entries[cell_index(a, b, lam)]
@@ -285,7 +294,7 @@ def classify(table: OnticTable, params: GeneralParams) -> Classification:
     res = residual(system, table.entries)
     for i, r in enumerate(res):
         if r != 0:
-            raise NotASolution(f"table violates {system.label(i)} by {r}")
+            raise NotASolution(f"table violates {system.label(i)} by {_show(r)}")
     cross_w0 = table.branch_mass(0, "w")
     cross_p1 = table.branch_mass(1, "p")
     if cross_w0 == 0 and cross_p1 == 0:

@@ -54,6 +54,7 @@ from .dist import (
     JointDist,
     _as_probability,
     _common_denominator,
+    _show,
     _sums_to_one,
     format_rational,
     joint_from_params,
@@ -467,7 +468,8 @@ def _adequacy_check(family: SettingsFamily, scale: int, model_joints: _PerSettin
     for s, joint, got in zip(family.settings, family.joints, model_joints):
         for (a, b), w, g in zip(_OUTCOME_PAIRS, joint.entries, got):
             if g * w.denominator != w.numerator * scale:
-                return False, f"setting {s.label!r}: model gives p(a={a},b={b}) = {Fraction(g, scale)}, observed {w}"
+                model = _show(Fraction(g, scale))
+                return False, f"setting {s.label!r}: model gives p(a={a},b={b}) = {model}, observed {_show(w)}"
     return True, "every setting's joint reproduced exactly"
 
 
@@ -506,9 +508,9 @@ def _objectivity_check(family: SettingsFamily, masses: _PerSetting | None) -> tu
                 )
             num, den = e_target.numerator, e_target.denominator
             if m[i0] * (den - num) != m[i1] * num:
-                got = Fraction(m[i0], match_mass)
+                got, expected = _show(Fraction(m[i0], match_mass)), _show(e_target)
                 return False, (
-                    f"setting {s.label!r}: {constraint} fails; p(a=0|b={b},lam={lam}) = {got}, expected {e_target}"
+                    f"setting {s.label!r}: {constraint} fails; p(a=0|b={b},lam={lam}) = {got}, expected {expected}"
                 )
     return True, "each label reveals its matching statistics in its matching outcome"
 
@@ -522,7 +524,7 @@ def _determinism_check(payload: Payload, family: SettingsFamily) -> tuple[bool, 
                 v = getattr(atom.responses[label], field_name)
                 if v != 0 and v != 1:
                     return False, (
-                        f"atom {atom.name!r}, setting {label!r}: response {field_name} = {v} "
+                        f"atom {atom.name!r}, setting {label!r}: response {field_name} = {_show(v)} "
                         "is strictly between 0 and 1"
                     )
     return True, "all responses are 0 or 1"
@@ -534,12 +536,12 @@ def _independence_check(
     if isinstance(payload, PerSettingTables):
         marginals = {label: sum(m[:4]) for label, m in zip(family.labels, masses)}  # p(lam = p), over scale
         if len(set(marginals.values())) > 1:
-            listing = ", ".join(f"{lbl}: {format_rational(Fraction(v, scale))}" for lbl, v in marginals.items())
+            listing = ", ".join(f"{lbl}: {_show(Fraction(v, scale))}" for lbl, v in marginals.items())
             return False, f"label marginal p(lam=p) depends on the setting ({listing})"
         return True, "label marginal p(lam=p) is the same in every setting"
     weights = [atom.weight for atom in payload.atoms]
     if not _sums_to_one(weights):
-        return False, f"atom weights sum to {sum(weights)}, not a probability distribution"
+        return False, f"atom weights sum to {_show(sum(weights))}, not a probability distribution"
     return True, "one fixed atom-weight vector serves every setting"
 
 

@@ -122,7 +122,7 @@ def sample_events(dist: JointDist, n: int, seed: int, first_shot: int = 0) -> Co
     with ``searchsorted(..., side="right")``.
     """
     for name, value in (("sample count", n), ("seed", seed), ("first_shot", first_shot)):
-        if not isinstance(value, int) or value < 0:
+        if type(value) is not int or value < 0:
             raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     import numpy as np
     from numpy.random import Philox
@@ -191,7 +191,7 @@ def fringe_sweep(
     Conditioned on b=1 the frequency of a=0 tracks the interference fringe
     cos^2(phi/2); conditioned on b=0 it stays flat at 1/2.
     """
-    if not isinstance(shots_per_point, int) or shots_per_point <= 0:
+    if type(shots_per_point) is not int or shots_per_point <= 0:
         raise ValueError(f"shots_per_point must be a positive integer, got {shots_per_point!r}")
     rows = []
     for j, phi in enumerate(phi_grid):

@@ -2,8 +2,11 @@
 
 import enum
 import math
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,17 +18,27 @@ from hvnogo import (
     GeneralParams,
     InvalidDistribution,
     JointDist,
+    LinearSystem,
     OnticTable,
+    OutOfRange,
     OversizedRational,
+    Setting,
+    SettingsFamily,
     conditional_a_given_b,
     format_rational,
+    instantiate,
     joint_from_params,
     marginal_b,
+    matrix_rank,
     parse_rational,
+    residual,
+    solve_family,
     to_json,
     tv_distance,
+    verify_certificate,
 )
-from hvnogo.dist import _common_denominator
+from hvnogo.dist import _common_denominator, _show
+from hvnogo.feasibility import OutcomeAtom, ResponseAtom, SettingResponse
 from hvnogo.quantum import quantum_joint
 
 F = Fraction
@@ -293,3 +306,109 @@ class TestToJson:
         assert to_json(value) == {
             "pair": ["1/2", [True, None]], "kind": "Alpha", "own": {"own": "form"}, "n": 3, "s": "text",
         }
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+#: One x = 1/2 row, so that both 1 and 1/2 are a point, a certificate and a matrix entry.
+ONE_ROW = LinearSystem(((F(1),),), (F(1, 2),))
+
+#: A family whose s range is [0, 1/2]: x = 3/4, e_p = 2/3.
+HALF_S = solve_family(GeneralParams(F(3, 4), F(2, 3), F(1, 2)))
+
+#: Each exact entry point, with the value under test in one slot; the other
+#: slots are exact, computed from ``F(v)`` where a total must be 1.
+EXACT_ENTRY_POINTS = {
+    "LinearSystem.matrix": lambda v: LinearSystem(((v,),), (F(1, 2),)),
+    "LinearSystem.rhs": lambda v: LinearSystem(((F(1),),), (v,)),
+    "residual": lambda v: residual(ONE_ROW, (v,)),
+    "verify_certificate": lambda v: verify_certificate(ONE_ROW, (v,)),
+    "matrix_rank": lambda v: matrix_rank(((v,),)),
+    "OnticTable": lambda v: OnticTable((v, 1 - F(v), 0, 0, 0, 0, 0, 0)),
+    "instantiate": lambda v: instantiate(HALF_S, v, 0),
+    "Setting.x": lambda v: Setting("a", v),
+    "SettingsFamily.e_p": lambda v: SettingsFamily(v, F(1, 4), (Setting("a", F(1, 3)),)),
+    "SettingsFamily.e_w": lambda v: SettingsFamily(F(1, 4), v, (Setting("a", F(1, 3)),)),
+    "OutcomeAtom.weight": lambda v: OutcomeAtom(((0, 0),), v),
+    "SettingResponse.b0": lambda v: SettingResponse(v, F(1, 2), F(1, 2)),
+    "SettingResponse.a0_given_b0": lambda v: SettingResponse(F(1, 2), v, F(1, 2)),
+    "SettingResponse.a0_given_b1": lambda v: SettingResponse(F(1, 2), F(1, 2), v),
+    "ResponseAtom.weight": lambda v: ResponseAtom("atom", v, "p", {}),
+    # exact mode: no float among the values
+    "BinaryDist": lambda v: BinaryDist(v, 1 - F(v)),
+    "JointDist": lambda v: JointDist((v, 1 - F(v), 0, 0)),
+    "GeneralParams": lambda v: GeneralParams(v, F(1, 2), F(1, 2)),
+}
+
+#: The dist containers take a float into real mode, so only the others refuse one.
+REAL_MODE_CAPABLE = {"BinaryDist", "JointDist", "GeneralParams"}
+
+
+class TestExactInputRule:
+    """Every exact entry point takes a value of type exactly Fraction or int, and nothing else."""
+
+    @pytest.mark.parametrize("entry", EXACT_ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [True, "1/2", Decimal("0.5"), np.int64(1), _FractionSubclass(1, 2)],
+                             ids=["bool", "str", "Decimal", "numpy.int64", "Fraction-subclass"])
+    def test_other_types_are_refused_by_name(self, entry, value):
+        with pytest.raises(TypeError, match=f"expected Fraction or int, got {type(value).__name__}$"):
+            EXACT_ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("entry", sorted(set(EXACT_ENTRY_POINTS) - REAL_MODE_CAPABLE))
+    def test_floats_are_refused_as_inexact(self, entry):
+        with pytest.raises(TypeError, match="floats are inexact; pass Fraction or int entries$"):
+            EXACT_ENTRY_POINTS[entry](0.5)
+
+    @pytest.mark.parametrize("entry", EXACT_ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [1, F(1, 2)], ids=["int", "Fraction"])
+    def test_ints_and_fractions_are_taken(self, entry, value):
+        if entry == "instantiate" and value == 1:
+            # every s of a family lies below 1: the rule takes 1, the range check refuses it
+            with pytest.raises(OutOfRange, match=r"^s = 1 outside \[0, 1/2\]$"):
+                EXACT_ENTRY_POINTS[entry](value)
+        else:
+            EXACT_ENTRY_POINTS[entry](value)
+
+    def test_a_string_is_refused_before_any_number_is_built(self):
+        # Fraction("1e-1000000") alone would build a 3.3-million-bit denominator
+        tracemalloc.start()
+        try:
+            with pytest.raises(TypeError, match="got str$"):
+                Setting("a", "1e-1000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_taken_values_are_stored_as_fractions(self):
+        # a Fraction passes through as the same object
+        half = F(1, 2)
+        assert LinearSystem(((half, 1),), (0,)).matrix[0][0] is half
+        for value in (Setting("a", 1).x, *JointDist((1, 0, 0, 0)).entries, *instantiate(HALF_S, 0, 0).entries):
+            assert type(value) is Fraction
+
+
+#: Past the 4 300 digits that str() of an int allows.
+C = F(1, 10**5000)
+TOO_LONG = "(an exact result needs more than 4300 digits to print)"
+
+
+class TestNumbersTooLongToPrint:
+    """A message shows a number too long to print by the reason, and is still raised as its own class."""
+
+    def test_show(self):
+        assert _show(F(-1, 3)) == "-1/3"
+        assert _show(F(2)) == "2"
+        assert _show(C) == TOO_LONG
+
+    def test_joint_with_a_negative_entry(self):
+        with pytest.raises(InvalidDistribution) as info:
+            JointDist((-C, 1, 0, C))
+        assert str(info.value) == f"JointDist.entries[0]: probability {TOO_LONG} outside [0, 1]"
+
+    def test_joint_whose_sum_is_off(self):
+        with pytest.raises(InvalidDistribution) as info:
+            JointDist((C, 1, 0, 0))
+        assert str(info.value) == f"JointDist: entries sum to {TOO_LONG}, expected 1"

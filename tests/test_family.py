@@ -12,6 +12,7 @@ from hvnogo import (
     CollapseKind,
     ConditionOnNull,
     GeneralParams,
+    InvalidDistribution,
     NotASolution,
     OnticTable,
     OutOfRange,
@@ -82,6 +83,12 @@ class TestSolveFamily:
     def test_float_table_entries_rejected(self):
         with pytest.raises(TypeError):
             OnticTable((0.5, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0))
+
+    def test_negative_entry_too_long_to_print(self):
+        tiny = F(1, 10**5000)
+        with pytest.raises(InvalidDistribution) as info:
+            OnticTable((-tiny, 1 + tiny, 0, 0, 0, 0, 0, 0))
+        assert str(info.value) == "OnticTable[00p] = (an exact result needs more than 4300 digits to print) is negative"
 
 
 class TestInstantiate:
@@ -232,6 +239,16 @@ class TestClassify:
     def test_indistinguishable_flag(self):
         params = GeneralParams(F(1, 3), F(1, 4), F(1, 4))
         assert classify(special_solution(params), params).indistinguishable
+
+    def test_non_solution_with_a_residual_too_long_to_print(self):
+        # C - x*e_p = 1/10^5000 - 1/6 has a 5 001-digit denominator
+        tiny = F(1, 10**5000)
+        table = OnticTable((tiny, 1 - tiny, 0, 0, 0, 0, 0, 0))
+        with pytest.raises(NotASolution) as info:
+            classify(table, PARAMS)
+        assert str(info.value) == (
+            "table violates adequacy(a=0,b=0) by (an exact result needs more than 4300 digits to print)"
+        )
 
     def test_non_solution_rejected(self):
         # Repeated, so a memoized constraint system still rejects on every call.

@@ -315,6 +315,21 @@ class TestDropIndependence:
         assert not objectivity.passed
         assert "outcome b=0 occurs but never with label 'p'" in objectivity.detail
 
+    def test_a_failing_detail_too_long_to_print_is_returned(self):
+        # x*e_p = 1/10^5000 in setting "a": the swapped tables fail adequacy, and
+        # the failing detail shows that number by the reason it cannot be printed
+        tiny = F(1, 10**2500)
+        family = SettingsFamily(tiny, F(1, 3), (Setting("a", tiny), Setting("b", F(1, 2))))
+        tables = model_drop_independence(family).payload.tables
+        swapped = WitnessModel(PerSettingTables({"a": tables["b"], "b": tables["a"]}))
+        report = validate_witness(swapped, family)
+        adequacy = report.check("adequacy")
+        assert not adequacy.passed and not report.overall_pass
+        assert adequacy.detail == (
+            f"setting 'a': model gives p(a=0,b=0) = 1/{2 * 10**2500}, "
+            "observed (an exact result needs more than 4300 digits to print)"
+        )
+
     def test_independence_detail_names_only_the_label_marginal(self):
         # half of each setting's joint under each label: p(lam=p) = 1/2 in both
         # settings although the two tables differ in every cell

@@ -204,6 +204,9 @@ class TestSampleEvents:
             (10, -2, 0, "seed must be a nonnegative integer, got -2"),
             (10, 0, -3, "first_shot must be a nonnegative integer, got -3"),
             (1.5, 0, 0, "sample count must be a nonnegative integer, got 1.5"),
+            (True, 0, 0, "sample count must be a nonnegative integer, got True"),
+            (10, True, 0, "seed must be a nonnegative integer, got True"),
+            (10, 0, False, "first_shot must be a nonnegative integer, got False"),
         ]:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 sample_events(FIXED, n, seed, first_shot=first_shot)
@@ -298,6 +301,11 @@ class TestFringeSweep:
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError):
             fringe_sweep(0.5, [0.0], 0, 1)
+
+    @pytest.mark.parametrize("shots", [True, 1.0])
+    def test_shots_must_be_an_int(self, shots):
+        with pytest.raises(ValueError, match=f"^shots_per_point must be a positive integer, got {shots!r}$"):
+            fringe_sweep(0.5, [0.0], shots, 1)
 
 
 class TestCsv:
