@@ -22,6 +22,11 @@ promote: if any input value is a float the whole container becomes float
 all identities hold with zero residual; the quantum pipeline works in real
 mode because squared cosines are generically irrational.
 
+Every exact input, here and in the exact layers, obeys one rule
+(:func:`_as_fraction_row`): a value of type exactly ``Fraction`` or
+``int`` is taken, and anything else (a float, bool, str, Decimal, numpy
+integer or subclass) raises ``TypeError``.
+
 All real-mode invariant checks use the single tolerance ``REAL_TOL``.
 
 Any joint can be traded for three independent parameters: the detector-b
