@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -28,6 +29,9 @@ CONSTANT_JSON = {
     "e_w": "1/4",
     "settings": [{"label": "alpha1", "x": "1/3"}, {"label": "alpha2", "x": "1/3"}],
 }
+
+
+SWEEP_ARGV = ("sweep", "--alpha", "0", "--phi-start", "0", "--phi-end", "1", "--seed", "1")
 
 
 def run_cli(*args):
@@ -69,6 +73,12 @@ class TestQuantum:
         result = run_cli("quantum", "--alpha=-pi/2", "--phi", "0")
         assert result.returncode == 0
 
+    @pytest.mark.parametrize("token,radians", [
+        ("pi", math.pi), ("pi/4", math.pi / 4), ("3*pi/4", 3 * math.pi / 4), ("-pi/2", -math.pi / 2), ("0.25", 0.25),
+    ])
+    def test_pi_token_values(self, token, radians):
+        assert cli.parse_angle(token) == radians
+
     def test_byte_identical_reruns(self):
         a = run_cli("quantum", "--alpha", "pi/3", "--phi", "pi/4")
         b = run_cli("quantum", "--alpha", "pi/3", "--phi", "pi/4")
@@ -98,7 +108,10 @@ class TestFamily:
     def test_boundary_x_is_reported_on_stderr(self):
         result = run_cli("family", "--x", "1", "--ep", "1/2", "--ew", "1/4")
         assert result.returncode == 1
-        assert "x" in result.stderr
+        # 1 is a probability, so the parser takes it and solve_family refuses it
+        assert result.stderr == (
+            "error: parameter 'x' is at the boundary; the family is only two-dimensional for interior parameters\n"
+        )
         assert result.stdout == ""
 
     def test_out_of_range_member(self):
@@ -269,6 +282,18 @@ class TestUsageErrors:
         result = run_cli("family", "--x", "5/3", "--ep", "1/2", "--ew", "1/4")
         assert result.returncode == 1
 
+    @pytest.mark.parametrize("argv,reason", [
+        (("family", "--x", "5/3", "--ep", "1/2", "--ew", "1/4"), "argument --x: probability '5/3' outside [0, 1]"),
+        (("family", "--x", "1/2", "--ep=-1/3", "--ew", "1/4"), "argument --ep: probability '-1/3' outside [0, 1]"),
+        (SWEEP_ARGV + ("--steps", "0", "--shots", "1"), "argument --steps: expected a positive integer, got '0'"),
+        (SWEEP_ARGV + ("--steps", "1", "--shots", "0"), "argument --shots: expected a positive integer, got '0'"),
+    ], ids=["probability_above_one", "probability_below_zero", "zero_steps", "zero_shots"])
+    def test_flag_value_refused_with_its_reason(self, capsys, argv, reason):
+        assert main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {reason}\n"
+
     def test_unknown_subcommand(self):
         result = run_cli("frobnicate")
         assert result.returncode == 1
@@ -328,6 +353,11 @@ class TestUsageErrors:
             "error: --steps times --shots must be at most 1000000000, got 100000 * 10001",
             "error: --steps must be at most 100000, got 100001",
         ]
+
+    def test_seed_zero_is_accepted(self, capsys):
+        argv = ["sweep", "--alpha", "0", "--phi-start", "0", "--phi-end", "1", "--steps", "2", "--shots", "10"]
+        assert main([*argv, "--seed", "0"]) == 0
+        assert capsys.readouterr().out.count("\n") == 3  # header and two grid points
 
     def test_largest_seed_is_accepted(self):
         result = run_cli(

@@ -361,6 +361,17 @@ class TestExactInputRule:
         with pytest.raises(TypeError, match="floats are inexact; pass Fraction or int entries$"):
             EXACT_ENTRY_POINTS[entry](0.5)
 
+    @pytest.mark.parametrize("build", [
+        lambda v: BinaryDist(v, 0.5),
+        lambda v: JointDist((v, 0.5, 0.0, 0.0)),
+        lambda v: GeneralParams(v, 0.5, 0.5),
+    ], ids=["BinaryDist", "JointDist", "GeneralParams"])
+    @pytest.mark.parametrize("value", [True, "1/2"], ids=["bool", "str"])
+    def test_real_mode_refuses_what_is_not_a_number(self, build, value):
+        # a float makes the container real mode, which takes int, Fraction and float
+        with pytest.raises(TypeError, match=f"expected int, Fraction, or float, got {type(value).__name__}$"):
+            build(value)
+
     @pytest.mark.parametrize("entry", EXACT_ENTRY_POINTS)
     @pytest.mark.parametrize("value", [1, F(1, 2)], ids=["int", "Fraction"])
     def test_ints_and_fractions_are_taken(self, entry, value):
