@@ -10,7 +10,9 @@ outcome pair::
     index 1: ab = 01      index 3: ab = 11
 
 so ``entries[2*a + b]`` is the probability of detector outcomes (a, b).
-This ordering is frozen; every module and file format uses it.
+This ordering is frozen; every module and file format uses it.  An
+outcome is a bit: 0 or 1 of type exactly ``int`` (:func:`_is_bit_pair`),
+so a bool, or a float such as 1.0, is refused.
 
 Scalar kinds
 ------------
@@ -185,6 +187,16 @@ def _check_probability(p: Scalar, what: str) -> None:
         raise InvalidDistribution(f"{what}: probability {p!r} outside [0, 1] beyond tolerance")
 
 
+#: The outcome pairs (a, b) in entry order.
+_OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _is_bit_pair(pair) -> bool:
+    """The bit rule: ``pair`` is an outcome pair (a, b) whose a and b are
+    each 0 or 1 of type exactly int, so ``(True, 0)`` and ``(1.0, 0)`` are not."""
+    return pair in _OUTCOME_PAIRS and type(pair[0]) is type(pair[1]) is int
+
+
 def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """Exact ``values`` n_i/d_i over one denominator, in integers.
 
@@ -256,7 +268,7 @@ class JointDist:
 
     def entry(self, a: int, b: int) -> Scalar:
         """Probability of the outcome pair (a, b)."""
-        if a not in (0, 1) or b not in (0, 1):
+        if not _is_bit_pair((a, b)):
             raise ValueError(f"outcomes must be bits, got (a={a}, b={b})")
         return self.entries[2 * a + b]
 
@@ -311,7 +323,7 @@ def conditional_a_given_b(joint: JointDist, b: int) -> BinaryDist:
 
     Raises :class:`ConditionOnNull` when the b-marginal is zero.
     """
-    if b not in (0, 1):
+    if not _is_bit_pair((0, b)):
         raise ValueError(f"b must be a bit, got {b}")
     top = joint.entry(0, b)
     bottom = joint.entry(1, b)

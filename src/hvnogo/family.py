@@ -48,6 +48,7 @@ from .dist import (
     GeneralParams,
     JointDist,
     _as_fraction_row,
+    _is_bit_pair,
     _show,
     _sums_to_one,
     format_rational,
@@ -69,7 +70,7 @@ CELLS = tuple((a, b, lam) for lam in LAMBDA_LABELS for a in (0, 1) for b in (0, 
 
 
 def cell_index(a: int, b: int, lam: LambdaLabel) -> int:
-    if a not in (0, 1) or b not in (0, 1):
+    if not _is_bit_pair((a, b)):
         raise ValueError(f"outcomes must be bits, got (a={a}, b={b})")
     if lam not in LAMBDA_LABELS:
         raise ValueError(f"label must be 'p' or 'w', got {lam!r}")

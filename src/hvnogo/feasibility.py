@@ -26,9 +26,11 @@ and :func:`validate_witness` audits each witness against the two
 retained assumptions in exact arithmetic.  It reads the payload in one
 place, into each setting's (a, b) joint and, for a labelled payload, its
 p(a, b, lam) masses, all as integer numerators over one common
-denominator; every check shares that reading and is decided by integer
-cross-multiplication.  Fractions appear only as payload weights and in
-the detail text of a failing check.  A :class:`WitnessModel` is built
+denominator.  That one reading also decides determinism and
+independence, the two checks that depend on the payload's type;
+adequacy and objectivity read its joints and masses and are decided by
+integer cross-multiplication.  Fractions appear only as payload weights
+and in the detail text of a failing check.  A :class:`WitnessModel` is built
 from its payload alone: the payload's type fixes its ``mode``, and with
 it which assumption is dropped.
 
@@ -52,19 +54,17 @@ from typing import Mapping, Union
 from .dist import (
     GeneralParams,
     JointDist,
+    _OUTCOME_PAIRS,
     _as_probability,
     _common_denominator,
+    _is_bit_pair,
     _show,
-    _sums_to_one,
-    format_rational,
     joint_from_params,
     parse_rational,
 )
 from .errors import MalformedInput, MalformedModel, malformed_input
 from .exactlp import FeasibilityReport, LinearSystem
 from .family import LambdaLabel, OnticTable, _adequacy_labels, _stacked_system, cell_index, special_solution
-
-_OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def check_triple(family: SettingsFamily) -> FeasibilityReport:
     lo, hi = min(xs), max(xs)
     if lo == hi:
         narrative = (
-            f"feasible: all settings share the apparatus marginal x = {format_rational(lo)}; "
+            f"feasible: all settings share the apparatus marginal x = {_show(lo)}; "
             "the witness table reproduces every setting's statistics while keeping "
             "determinism, independence, and objectivity"
         )
@@ -181,7 +181,7 @@ def check_triple(family: SettingsFamily) -> FeasibilityReport:
     certificate[4 * low : 4 * low + 4] = map(Fraction, (-1, 1, -1, 1))
     certificate[4 * high : 4 * high + 4] = map(Fraction, (1, -1, 1, -1))
     pair = sorted((low, high))
-    clash = " and ".join(f"setting {family.settings[i].label!r} demands x = {format_rational(xs[i])}" for i in pair)
+    clash = " and ".join(f"setting {family.settings[i].label!r} demands x = {_show(xs[i])}" for i in pair)
     active = [label for i in pair for label in _adequacy_labels(f"[{family.settings[i].label}]")]
     narrative = (
         f"infeasible: one setting-independent table fixes the b=0 marginal once, but {clash}. "
@@ -222,7 +222,7 @@ class OutcomeAtom:
 
     def __post_init__(self):
         assignments = tuple(tuple(pair) for pair in self.assignments)
-        if any(pair not in _OUTCOME_PAIRS for pair in assignments):
+        if not all(map(_is_bit_pair, assignments)):
             raise ValueError(f"assignments must be outcome-pair bits, got {assignments}")
         object.__setattr__(self, "assignments", assignments)
         object.__setattr__(self, "weight", _as_probability(self.weight, "OutcomeAtom.weight"))
@@ -392,20 +392,27 @@ class WitnessReport:
 
 #: One tuple of integer masses per setting, in family order, all over one denominator.
 _PerSetting = list[tuple[int, ...]]
+#: One check's verdict: whether it passed, and its detail text.
+_Verdict = tuple[bool, str]
+
+_PINNED = True, "all probability mass sits on atoms with pinned outcomes"
 
 
-def _marginals(payload: Payload, family: SettingsFamily) -> tuple[int, _PerSetting, _PerSetting | None]:
+def _marginals(
+    payload: Payload, family: SettingsFamily
+) -> tuple[int, _PerSetting, _PerSetting | None, _Verdict, _Verdict]:
     """Read ``payload`` once, checking that it matches ``family``.
 
-    Returns ``(D, joints, masses)``: each setting's predicted (a, b) joint
-    in 00, 01, 10, 11 order and, for a labelled payload, its eight
-    p(a, b, lam) masses in :class:`OnticTable` order (``None`` for an
-    :class:`OutcomeAtomModel`), all as integer numerators over the one
-    common denominator D.  A labelled joint is cell i plus cell i + 4: the
-    p mass plus the w mass.  D is the lcm of the tables' entries, the lcm
-    of the atom weights, or for stochastic responses the product of the
-    lcms of the weights, of the b0 responses and of the a responses.
-    Raises :class:`MalformedModel` on a structural mismatch.
+    Returns ``(D, joints, masses, determinism, independence)``: each
+    setting's predicted (a, b) joint in 00, 01, 10, 11 order and, for a
+    labelled payload, its eight p(a, b, lam) masses in :class:`OnticTable`
+    order (``None`` for an :class:`OutcomeAtomModel`), all as integer
+    numerators over the one common denominator D, then the verdicts of two
+    checks.  A labelled joint is cell i plus cell i + 4: the p mass plus the
+    w mass.  D is the lcm of the tables' entries, the lcm of the atom
+    weights, or for stochastic responses the product of the lcms of the
+    weights, of the b0 responses and of the a responses.  Raises
+    :class:`MalformedModel` on a structural mismatch.
     """
     labels = family.labels
     if isinstance(payload, PerSettingTables):
@@ -413,14 +420,27 @@ def _marginals(payload: Payload, family: SettingsFamily) -> tuple[int, _PerSetti
             raise MalformedModel(f"per-setting tables keyed by {sorted(payload.tables)}, family has {sorted(labels)}")
         scale, numerators = _common_denominator([v for label in labels for v in payload.tables[label].entries])
         masses = [tuple(numerators[i : i + 8]) for i in range(0, len(numerators), 8)]
-    elif isinstance(payload, OutcomeAtomModel):
+        marginals = {label: sum(m[:4]) for label, m in zip(labels, masses)}  # p(lam = p), over scale
+        if len(set(marginals.values())) > 1:
+            listing = ", ".join(f"{lbl}: {_show(Fraction(v, scale))}" for lbl, v in marginals.items())
+            independence = False, f"label marginal p(lam=p) depends on the setting ({listing})"
+        else:
+            independence = True, "label marginal p(lam=p) is the same in every setting"
+        joints = [tuple(m[i] + m[i + 4] for i in range(4)) for m in masses]
+        return scale, joints, masses, _PINNED, independence
+    w_scale, weights = _common_denominator([atom.weight for atom in payload.atoms])
+    if sum(weights) == w_scale:
+        independence = True, "one fixed atom-weight vector serves every setting"
+    else:
+        total = _show(Fraction(sum(weights), w_scale))
+        independence = False, f"atom weights sum to {total}, not a probability distribution"
+    if isinstance(payload, OutcomeAtomModel):
         if payload.setting_labels != labels:
             raise MalformedModel(f"atom model ordered by {list(payload.setting_labels)}, family has {list(labels)}")
         k = len(labels)
         for atom in payload.atoms:
             if len(atom.assignments) != k:
                 raise MalformedModel(f"atom assigns {len(atom.assignments)} outcomes for {k} settings")
-        scale, weights = _common_denominator([atom.weight for atom in payload.atoms])
         # One prefix difference per run of equal assignments, in any atom order.
         prefix = (0, *itertools.accumulate(weights))
         joints = []
@@ -432,36 +452,42 @@ def _marginals(payload: Payload, family: SettingsFamily) -> tuple[int, _PerSetti
                 cells[pair] += prefix[end] - prefix[start]
                 start = end
             joints.append(tuple(cells.values()))
-        return scale, joints, None
-    else:
-        if not payload.atoms:
-            raise MalformedModel("stochastic response model has no atoms")
-        responses = []  # atom-major, family order within each atom
-        for atom in payload.atoms:
-            for label in labels:
-                r = atom.responses.get(label)
-                if r is None:
-                    raise MalformedModel(f"atom {atom.name!r} lacks responses for setting {label!r}")
-                responses.append(r)
-        w_scale, weights = _common_denominator([atom.weight for atom in payload.atoms])
-        b_scale, b0s = _common_denominator([r.b0 for r in responses])
-        a_scale, a0s = _common_denominator([v for r in responses for v in (r.a0_given_b0, r.a0_given_b1)])
-        scale = w_scale * b_scale * a_scale
-        b0s, a0s = iter(b0s), iter(a0s)
-        sums = [[0] * 8 for _ in labels]
-        for atom, weight in zip(payload.atoms, weights):
-            # cells (0, 0), (0, 1), (1, 0), (1, 1) of the atom's label
-            i00, i01, i10, i11 = (cell_index(a, b, atom.label) for a, b in _OUTCOME_PAIRS)
-            for cells in sums:
-                b0 = weight * next(b0s)
-                b1 = weight * b_scale - b0
-                a0_given_b0, a0_given_b1 = next(a0s), next(a0s)
-                cells[i00] += b0 * a0_given_b0
-                cells[i10] += b0 * (a_scale - a0_given_b0)
-                cells[i01] += b1 * a0_given_b1
-                cells[i11] += b1 * (a_scale - a0_given_b1)
-        masses = [tuple(cells) for cells in sums]
-    return scale, [tuple(m[i] + m[i + 4] for i in range(4)) for m in masses], masses
+        return w_scale, joints, None, _PINNED, independence
+    if not payload.atoms:
+        raise MalformedModel("stochastic response model has no atoms")
+    determinism = True, "all responses are 0 or 1"
+    responses = []  # atom-major, family order within each atom
+    for atom in payload.atoms:
+        for label in labels:
+            r = atom.responses.get(label)
+            if r is None:
+                raise MalformedModel(f"atom {atom.name!r} lacks responses for setting {label!r}")
+            responses.append(r)
+            if determinism[0]:
+                for name, v in zip(_RESPONSE_FIELDS, (r.b0, r.a0_given_b0, r.a0_given_b1)):
+                    if v.denominator != 1:  # a probability strictly between 0 and 1
+                        determinism = False, (
+                            f"atom {atom.name!r}, setting {label!r}: response {name} = {_show(v)} "
+                            "is strictly between 0 and 1"
+                        )
+                        break
+    b_scale, b0s = _common_denominator([r.b0 for r in responses])
+    a_scale, a0s = _common_denominator([v for r in responses for v in (r.a0_given_b0, r.a0_given_b1)])
+    b0s, a0s = iter(b0s), iter(a0s)
+    sums = [[0] * 8 for _ in labels]
+    for atom, weight in zip(payload.atoms, weights):
+        # cells (0, 0), (0, 1), (1, 0), (1, 1) of the atom's label
+        i00, i01, i10, i11 = (cell_index(a, b, atom.label) for a, b in _OUTCOME_PAIRS)
+        for cells in sums:
+            b0 = weight * next(b0s)
+            b1 = weight * b_scale - b0
+            a0_given_b0, a0_given_b1 = next(a0s), next(a0s)
+            cells[i00] += b0 * a0_given_b0
+            cells[i10] += b0 * (a_scale - a0_given_b0)
+            cells[i01] += b1 * a0_given_b1
+            cells[i11] += b1 * (a_scale - a0_given_b1)
+    joints = [tuple(cells[i] + cells[i + 4] for i in range(4)) for cells in sums]
+    return w_scale * b_scale * a_scale, joints, [tuple(cells) for cells in sums], determinism, independence
 
 
 def _adequacy_check(family: SettingsFamily, scale: int, model_joints: _PerSetting) -> tuple[bool, str]:
@@ -515,46 +541,17 @@ def _objectivity_check(family: SettingsFamily, masses: _PerSetting | None) -> tu
     return True, "each label reveals its matching statistics in its matching outcome"
 
 
-def _determinism_check(payload: Payload, family: SettingsFamily) -> tuple[bool, str]:
-    if isinstance(payload, (PerSettingTables, OutcomeAtomModel)):
-        return True, "all probability mass sits on atoms with pinned outcomes"
-    for atom in payload.atoms:
-        for label in family.labels:
-            for field_name in _RESPONSE_FIELDS:
-                v = getattr(atom.responses[label], field_name)
-                if v != 0 and v != 1:
-                    return False, (
-                        f"atom {atom.name!r}, setting {label!r}: response {field_name} = {_show(v)} "
-                        "is strictly between 0 and 1"
-                    )
-    return True, "all responses are 0 or 1"
-
-
-def _independence_check(
-    payload: Payload, family: SettingsFamily, scale: int, masses: _PerSetting | None
-) -> tuple[bool, str]:
-    if isinstance(payload, PerSettingTables):
-        marginals = {label: sum(m[:4]) for label, m in zip(family.labels, masses)}  # p(lam = p), over scale
-        if len(set(marginals.values())) > 1:
-            listing = ", ".join(f"{lbl}: {_show(Fraction(v, scale))}" for lbl, v in marginals.items())
-            return False, f"label marginal p(lam=p) depends on the setting ({listing})"
-        return True, "label marginal p(lam=p) is the same in every setting"
-    weights = [atom.weight for atom in payload.atoms]
-    if not _sums_to_one(weights):
-        return False, f"atom weights sum to {_show(sum(weights))}, not a probability distribution"
-    return True, "one fixed atom-weight vector serves every setting"
-
-
 def validate_witness(model: WitnessModel, family: SettingsFamily) -> WitnessReport:
     """Audit a witness: adequacy plus the two retained assumptions must pass.
 
     The dropped assumption is checked too and reported informationally
     (``retained = False``); it is expected to fail for honest witnesses.
     :func:`_marginals` reads the payload once, into integers over one
-    common denominator D, and adequacy, objectivity and the tables'
-    independence read only its joints and masses, by integer
-    cross-multiplication; the atom weights' sum is checked in integers
-    too.  A Fraction is built only for the detail text of a failing check.
+    common denominator D, and decides determinism and independence in the
+    same pass; adequacy and objectivity read only its joints and masses,
+    by integer cross-multiplication.  The report lists adequacy,
+    determinism, independence and objectivity, in that order.  A Fraction
+    is built only for the detail text of a failing check.
     It raises :class:`MalformedModel` when the payload does not match the family.
 
     For :class:`PerSettingTables` independence compares only p(lam = p)
@@ -563,13 +560,12 @@ def validate_witness(model: WitnessModel, family: SettingsFamily) -> WitnessRepo
     each setting's joint under each label pass all four checks, while
     :func:`check_triple` refutes the family.
     """
-    payload = model.payload
-    scale, joints, masses = _marginals(payload, family)
+    scale, joints, masses, determinism, independence = _marginals(model.payload, family)
     dropped = model.mode.value.removeprefix("Drop").lower()  # "DropIndependence" -> "independence"
     results = (
         ("adequacy", _adequacy_check(family, scale, joints)),
-        ("determinism", _determinism_check(payload, family)),
-        ("independence", _independence_check(payload, family, scale, masses)),
+        ("determinism", determinism),
+        ("independence", independence),
         ("objectivity", _objectivity_check(family, masses)),
     )
     return WitnessReport(model.mode, tuple(AssumptionCheck(name, name != dropped, *r) for name, r in results))

@@ -38,6 +38,7 @@ from hvnogo import (
     verify_certificate,
 )
 from hvnogo.dist import _common_denominator, _show
+from hvnogo.family import cell_index
 from hvnogo.feasibility import OutcomeAtom, ResponseAtom, SettingResponse
 from hvnogo.quantum import quantum_joint
 
@@ -399,6 +400,38 @@ class TestExactInputRule:
         assert LinearSystem(((half, 1),), (0,)).matrix[0][0] is half
         for value in (Setting("a", 1).x, *JointDist((1, 0, 0, 0)).entries, *instantiate(HALF_S, 0, 0).entries):
             assert type(value) is Fraction
+
+
+UNIFORM_JOINT = JointDist((F(1, 4),) * 4)
+UNIFORM_TABLE = OnticTable((F(1, 8),) * 8)
+
+#: Each outcome entry point, with the outcome under test in one slot, and
+#: the message that refuses it there.
+BIT_ENTRY_POINTS = {
+    "JointDist.entry": (lambda v: UNIFORM_JOINT.entry(v, 0), "outcomes must be bits, got (a={v}, b=0)"),
+    "conditional_a_given_b": (lambda v: conditional_a_given_b(UNIFORM_JOINT, v), "b must be a bit, got {v}"),
+    "cell_index": (lambda v: cell_index(0, v, "p"), "outcomes must be bits, got (a=0, b={v})"),
+    "OnticTable.mass": (lambda v: UNIFORM_TABLE.mass(v, 1, "w"), "outcomes must be bits, got (a={v}, b=1)"),
+    "OutcomeAtom": (lambda v: OutcomeAtom(((0, v),), 1), "assignments must be outcome-pair bits, got ((0, {v}),)"),
+}
+
+
+class TestBitRule:
+    """Every outcome entry point takes the int 0 or 1, and refuses a bool or float equal to one."""
+
+    @pytest.mark.parametrize("entry", BIT_ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [True, 1.0, False, 0.0])
+    def test_bools_and_floats_are_refused(self, entry, value):
+        build, message = BIT_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError) as info:
+            build(value)
+        assert str(info.value) == message.format(v=value)
+
+    @pytest.mark.parametrize("entry", BIT_ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_int_bits_are_taken(self, entry, value):
+        build, _ = BIT_ENTRY_POINTS[entry]
+        build(value)
 
 
 #: Past the 4 300 digits that str() of an int allows.

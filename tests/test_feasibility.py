@@ -35,13 +35,15 @@ from hvnogo import (
     validate_witness,
     verify_certificate,
 )
-from hvnogo import exactlp, feasibility
+from hvnogo import dist, exactlp, feasibility
 from hvnogo.acceptance import _interior_fraction as interior_fraction
 from hvnogo.acceptance import _random_family, _rng
 from hvnogo.feasibility import (
     OutcomeAtom,
     OutcomeAtomModel,
     PerSettingTables,
+    ResponseAtom,
+    SettingResponse,
     StochasticResponseModel,
 )
 
@@ -101,6 +103,13 @@ class TestCheckTriple:
         assert not report.feasible
         assert verify_certificate(triple_system(TWO_SETTINGS), report.certificate)
         assert "1/3" in report.narrative and "2/3" in report.narrative
+
+    def test_an_x_too_long_to_print_keeps_its_verdict(self):
+        family = SettingsFamily(F(1, 2), F(1, 4), (Setting("a", F(1, 10**5000)), Setting("b", F(1, 2))))
+        report = check_triple(family)
+        assert not report.feasible
+        assert verify_certificate(triple_system(family), report.certificate)
+        assert "setting 'a' demands x = (an exact result needs more than 4300 digits to print)" in report.narrative
 
     def test_single_setting_is_feasible(self):
         family = SettingsFamily(F(1, 2), F(1, 4), (Setting("alpha1", F(1, 3)),))
@@ -418,7 +427,7 @@ class TestDropObjectivity:
                     cells[atom.assignments[i]] += atom.weight
                 reference.append(tuple(cells.values()))
             report = validate_witness(WitnessModel(payload), family)
-            scale, joints, masses = feasibility._marginals(payload, family)
+            scale, joints, masses, *_ = feasibility._marginals(payload, family)
             assert ([tuple(F(n, scale) for n in joint) for joint in joints], masses) == (reference, None)
             adequacy = report.check("adequacy")
             assert (adequacy.passed, adequacy.detail) == reference_adequacy_check(family, reference)
@@ -447,6 +456,18 @@ class TestDropDeterminism:
         assert not determinism.retained
         assert not determinism.passed
         assert "between 0 and 1" in determinism.detail
+
+    def test_the_first_fractional_field_is_named(self):
+        # alpha1 is pinned; alpha2 pins b0 = 1 and leaves a0_given_b0 fractional
+        responses = {"alpha1": SettingResponse(1, 0, 1), "alpha2": SettingResponse(1, F(1, 2), F(1, 3))}
+        model = WitnessModel(StochasticResponseModel((ResponseAtom("only", F(1), "p", responses),)))
+        report = validate_witness(model, TWO_SETTINGS)
+        determinism = report.check("determinism")
+        assert (determinism.passed, determinism.detail) == (
+            False,
+            "atom 'only', setting 'alpha2': response a0_given_b0 = 1/2 is strictly between 0 and 1",
+        )
+        assert report_tuples(report) == reference_validate(model, TWO_SETTINGS)
 
     def test_atom_weights_are_half_half(self):
         model = model_drop_determinism(TWO_SETTINGS)
@@ -714,7 +735,7 @@ class TestMarginals:
             atoms = list(payload.atoms)
             rnd.shuffle(atoms)
             payload = dataclasses.replace(payload, atoms=tuple(atoms))
-        scale, joints, masses = feasibility._marginals(payload, family)
+        scale, joints, masses, *_ = feasibility._marginals(payload, family)
         assert [tuple(F(n, scale) for n in joint) for joint in joints] == [
             per_atom_joint(payload, i, label) for i, label in enumerate(family.labels)
         ]
@@ -757,6 +778,15 @@ class TestMalformedWitness:
     def test_response_model_without_atoms(self):
         payload = StochasticResponseModel(())
         assert self.message(WitnessModel(payload), TWO_SETTINGS) == "stochastic response model has no atoms"
+
+    def test_a_fractional_first_atom_does_not_hide_a_later_missing_setting(self):
+        p_atom, w_atom = model_drop_determinism(FIVE_SETTINGS).payload.atoms
+        assert p_atom.responses["s0"].b0 == F(1, 7)  # so the first atom already fails determinism
+        w_faulty = dataclasses.replace(w_atom, responses={k: v for k, v in w_atom.responses.items() if k != "s2"})
+        payload = StochasticResponseModel((p_atom, w_faulty))
+        assert self.message(WitnessModel(payload), FIVE_SETTINGS) == (
+            "atom 'Lambda_w' lacks responses for setting 's2'"
+        )
 
     def test_first_atom_missing_a_setting_is_named(self):
         p_atom, w_atom = model_drop_determinism(FIVE_SETTINGS).payload.atoms
@@ -812,6 +842,22 @@ class TestSharedWork:
         assert len(calls) == 1
         validate_witness(model, FIVE_SETTINGS)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("build, expected", zip(BUILDERS, (1, 1, 3)), ids=[b.__name__ for b in BUILDERS])
+    def test_each_common_denominator_is_found_once(self, monkeypatch, build, expected):
+        # one per tables, per atom weights, and per weights, b0 and a responses; none to sum the weights again
+        model = build(FIVE_SETTINGS)
+        assert len(FIVE_SETTINGS.joints) == 5  # built before counting
+        original, calls = dist._common_denominator, []
+
+        def counted(values):
+            calls.append(values)
+            return original(values)
+
+        monkeypatch.setattr(dist, "_common_denominator", counted)
+        monkeypatch.setattr(feasibility, "_common_denominator", counted)
+        validate_witness(model, FIVE_SETTINGS)
+        assert len(calls) == expected
 
     def test_cached_joints_are_invisible(self):
         family = SettingsFamily(F(1, 2), F(1, 4), FIVE_SETTINGS.settings)
