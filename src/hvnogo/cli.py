@@ -39,22 +39,14 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import acceptance
+# Each handler imports the layers it runs, so a subcommand compiles only those.
 from .dist import GeneralParams, parse_rational, to_json
 from .errors import HvnogoError, MalformedInput
-from .family import classify, instantiate, lambda_marginal, solve_family
-from .feasibility import (
-    SettingsFamily,
-    check_triple,
-    model_drop_determinism,
-    model_drop_independence,
-    model_drop_objectivity,
-    validate_witness,
-)
-from .montecarlo import fringe_sweep, sweep_to_csv
-from .quantum import joint_state, quantum_joint, quantum_params
+
+if TYPE_CHECKING:
+    from .feasibility import SettingsFamily
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -152,6 +144,8 @@ def _dump_json(payload) -> str:
 
 
 def _load_family(path: str) -> SettingsFamily:
+    from .feasibility import SettingsFamily
+
     try:
         raw = Path(path).read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
@@ -167,6 +161,8 @@ def _load_family(path: str) -> SettingsFamily:
 
 
 def _cmd_quantum(args) -> tuple[int, str]:
+    from .quantum import joint_state, quantum_joint, quantum_params
+
     state = joint_state(args.alpha, args.phi)
     joint = quantum_joint(args.alpha, args.phi)
     params = quantum_params(args.alpha, args.phi)
@@ -183,6 +179,8 @@ def _cmd_quantum(args) -> tuple[int, str]:
 
 
 def _cmd_family(args) -> tuple[int, str]:
+    from .family import classify, instantiate, lambda_marginal, solve_family
+
     if (args.s is None) != (args.t is None):
         raise _UsageError("--s and --t must be given together")
     family = solve_family(GeneralParams(args.x, args.ep, args.ew))
@@ -199,22 +197,24 @@ def _cmd_family(args) -> tuple[int, str]:
 
 
 def _cmd_feasibility(args) -> tuple[int, str]:
+    from .feasibility import check_triple
+
     family = _load_family(args.input)
     report = check_triple(family)
     status = EXIT_OK if report.feasible else EXIT_INFEASIBLE
     return status, _dump_json(to_json(report))
 
 
-_DROP_BUILDERS = {
-    "independence": model_drop_independence,
-    "objectivity": model_drop_objectivity,
-    "determinism": model_drop_determinism,
-}
-
-
 def _cmd_demo(args) -> tuple[int, str]:
+    from .feasibility import model_drop_determinism, model_drop_independence, model_drop_objectivity, validate_witness
+
+    builders = {
+        "independence": model_drop_independence,
+        "objectivity": model_drop_objectivity,
+        "determinism": model_drop_determinism,
+    }
     family = _load_family(args.input)
-    model = _DROP_BUILDERS[args.drop](family)
+    model = builders[args.drop](family)
     report = validate_witness(model, family)
     payload = {
         "model": {**to_json(model), "mode": to_json(model.mode)},
@@ -247,12 +247,16 @@ def _cmd_sweep(args) -> tuple[int, str]:
         grid = [args.phi_start + i * span / (args.steps - 1) for i in range(args.steps)]
     if not all(math.isfinite(phi) for phi in grid):
         raise _UsageError(f"phase range {args.phi_start!r} to {args.phi_end!r} is too wide: its grid is not finite")
+    from .montecarlo import fringe_sweep, sweep_to_csv
+
     rows = fringe_sweep(args.alpha, grid, args.shots, args.seed)
     return EXIT_OK, sweep_to_csv(rows)
 
 
 def _cmd_selftest(args) -> tuple[int, str]:
     _require_numpy("selftest")
+    from . import acceptance
+
     results = acceptance.run_all()
     lines = []
     for r in results:
@@ -288,7 +292,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_feasibility)
 
     p = sub.add_parser("demo", parents=[common], help="construct and validate a pairwise witness model")
-    p.add_argument("--drop", choices=sorted(_DROP_BUILDERS), required=True, help="assumption to abandon")
+    p.add_argument("--drop", choices=("determinism", "independence", "objectivity"), required=True, help="assumption to abandon")
     p.add_argument("--input", required=True, help="settings-family JSON file")
     p.set_defaults(handler=_cmd_demo)
 

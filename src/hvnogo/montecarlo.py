@@ -26,7 +26,8 @@ one integer limit and the words are counted against it, 2^18 shots at a
 time.
 
 A sweep over phase values reuses one seed, giving point ``j`` the shot
-range ``[j*shots, (j+1)*shots)``.
+range ``[j*shots, (j+1)*shots)``; it keys one generator and reads those
+ranges from it in grid order.
 
 :func:`compare` bounds its false-alarm rate with the Chernoff bound
 rather than a normal approximation, so the bound holds even for cells
@@ -49,7 +50,7 @@ from .quantum import quantum_joint
 #: probability at most 5.7e-7, the two-sided 5-sigma normal tail.
 NKL_THRESHOLD = math.log(8 / 5.7e-7)
 
-#: sample_events draws at most this many shots at a time, so its memory
+#: The samplers draw at most this many shots at a time, so their memory
 #: does not grow with the shot count; one chunk of words is 2 MiB, small
 #: enough for the three comparisons to run in cache.
 _CHUNK_SHOTS = 1 << 18
@@ -107,6 +108,11 @@ class StatReport:
     passed: bool
 
 
+def _check_nonnegative(name: str, value) -> None:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def sample_events(dist: JointDist, n: int, seed: int, first_shot: int = 0) -> Counts4:
     """Draw ``n`` multinomial shots from a four-cell joint.
 
@@ -122,10 +128,20 @@ def sample_events(dist: JointDist, n: int, seed: int, first_shot: int = 0) -> Co
     with ``searchsorted(..., side="right")``.
     """
     for name, value in (("sample count", n), ("seed", seed), ("first_shot", first_shot)):
-        if type(value) is not int or value < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-    import numpy as np
+        _check_nonnegative(name, value)
     from numpy.random import Philox
+
+    bit_gen = Philox(key=seed)
+    # Philox advances in blocks of four words: enter the block holding
+    # first_shot and discard the words before it.
+    bit_gen.advance(first_shot // 4)
+    bit_gen.random_raw(first_shot % 4)
+    return _count_next(bit_gen, dist, n)
+
+
+def _count_next(bit_gen, dist: JointDist, n: int) -> Counts4:
+    """Bin the next ``n`` raw words of ``bit_gen`` into the cells of ``dist``."""
+    import numpy as np
 
     # JointDist admits entries down to -REAL_TOL; threshold differences are
     # cell counts only for nondecreasing breakpoints, so such rounding
@@ -134,11 +150,6 @@ def sample_events(dist: JointDist, n: int, seed: int, first_shot: int = 0) -> Co
     cumulative = np.cumsum(probs)
     cumulative /= cumulative[3]  # exact 1.0 endpoint; zero-probability cells stay zero width
     limits = [math.ceil(float(c) * 2.0**53) << 11 for c in cumulative[:3]]
-    bit_gen = Philox(key=seed)
-    # Philox advances in blocks of four words: enter the block holding
-    # first_shot and discard the words before it.
-    bit_gen.advance(first_shot // 4)
-    bit_gen.random_raw(first_shot % 4)
     below = [0, 0, 0]
     remaining = n
     while remaining:
@@ -189,14 +200,19 @@ def fringe_sweep(
     conditional detector-a frequencies.
 
     Conditioned on b=1 the frequency of a=0 tracks the interference fringe
-    cos^2(phi/2); conditioned on b=0 it stays flat at 1/2.
+    cos^2(phi/2); conditioned on b=0 it stays flat at 1/2.  Point ``j``
+    gets the counts of ``sample_events(..., shots_per_point, seed,
+    first_shot=j * shots_per_point)``, read from one generator keyed once.
     """
     if type(shots_per_point) is not int or shots_per_point <= 0:
         raise ValueError(f"shots_per_point must be a positive integer, got {shots_per_point!r}")
+    _check_nonnegative("seed", seed)
+    from numpy.random import Philox
+
+    bit_gen = Philox(key=seed)
     rows = []
-    for j, phi in enumerate(phi_grid):
-        dist = quantum_joint(alpha, float(phi))
-        counts = sample_events(dist, shots_per_point, seed, first_shot=j * shots_per_point)
+    for phi in phi_grid:
+        counts = _count_next(bit_gen, quantum_joint(alpha, float(phi)), shots_per_point)
         b1 = counts.n01 + counts.n11
         b0 = counts.n00 + counts.n10
         rows.append(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hvnogo import cli
+from hvnogo import cli, montecarlo
 from hvnogo.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -343,7 +343,7 @@ class TestUsageErrors:
 
     def test_largest_sweep_is_accepted(self, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "fringe_sweep", lambda alpha, grid, shots, seed: calls.append((len(grid), shots)) or [])
+        monkeypatch.setattr(montecarlo, "fringe_sweep", lambda alpha, grid, shots, seed: calls.append((len(grid), shots)) or [])
         argv = ["sweep", "--alpha", "0", "--phi-start", "0", "--phi-end", "1", "--seed", "1"]
         assert main([*argv, "--steps", "100000", "--shots", "10000"]) == 0
         assert main([*argv, "--steps", "100000", "--shots", "10001"]) == 1
@@ -397,6 +397,51 @@ class TestLazyNumpy:
             [sys.executable, "-c", self.SCRIPT, family_file], capture_output=True, text=True, env=env, timeout=120
         )
         assert result.returncode == 0, result.stderr
+
+
+class TestImportFootprint:
+    """Each subcommand loads exactly the hvnogo modules it runs, checked in a
+    fresh interpreter by module name, not by time."""
+
+    SCRIPT = textwrap.dedent("""
+        import contextlib, io, json, sys
+        argv = json.loads(sys.argv[1])
+        if argv is None:
+            import hvnogo
+        else:
+            from hvnogo.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = main(argv)
+            assert status == int(sys.argv[2]), status
+        print(json.dumps(sorted(name for name in sys.modules if name.partition(".")[0] == "hvnogo")))
+    """)
+    CLI = ("cli", "dist", "errors")
+    EXACT = ("exactlp", "family", "feasibility")
+    CASES = {
+        "quantum": (["quantum", "--alpha", "pi/3", "--phi", "pi/4"], 0, CLI + ("quantum",)),
+        "family": (["family", "--x", "1/3", "--ep", "1/2", "--ew", "1/4", "--s", "0", "--t", "0"], 0,
+                   CLI + ("exactlp", "family")),
+        "feasibility": (["feasibility", "--input", "@FAMILY@"], 3, CLI + EXACT),
+        "demo-determinism": (["demo", "--drop", "determinism", "--input", "@FAMILY@"], 0, CLI + EXACT),
+        "demo-independence": (["demo", "--drop", "independence", "--input", "@FAMILY@"], 0, CLI + EXACT),
+        "demo-objectivity": (["demo", "--drop", "objectivity", "--input", "@FAMILY@"], 0, CLI + EXACT),
+        "sweep": (list(SWEEP_ARGV) + ["--steps", "2", "--shots", "10"], 0, CLI + ("montecarlo", "quantum")),
+        "selftest": (["selftest"], 0, CLI + EXACT + ("acceptance", "montecarlo", "quantum")),
+        "import": (None, 0, ()),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_loaded_modules(self, case, family_file):
+        argv, status, modules = self.CASES[case]
+        if argv is not None:
+            argv = [family_file if arg == "@FAMILY@" else arg for arg in argv]
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(argv), str(status)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == sorted(["hvnogo", *(f"hvnogo.{m}" for m in modules)])
 
 
 class TestWithoutNumpy:

@@ -302,6 +302,33 @@ class TestFringeSweep:
         with pytest.raises(ValueError):
             fringe_sweep(0.5, [0.0], 0, 1)
 
+    @pytest.mark.parametrize("shots", [1, 3, 5, 7, 1000])
+    def test_points_equal_their_shot_ranges(self, shots):
+        # Shot counts off Philox's four-word block: one stream read in grid
+        # order must give each point the counts of its own shot range.
+        alpha, seed = 0.7, 2**100 + 5
+        grid = [2 * math.pi * j / 49 for j in range(50)]
+        rows = fringe_sweep(alpha, grid, shots, seed)
+        for j, row in enumerate(rows):
+            expected = sample_events(quantum_joint(alpha, grid[j]), shots, seed, first_shot=j * shots)
+            assert row.counts == expected, f"point {j}"
+
+    def test_one_generator_per_sweep(self, monkeypatch):
+        keys = []
+
+        def counted(*args, **kwargs):
+            keys.append(kwargs.get("key"))
+            return Philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        fringe_sweep(0.7, [0.0, 1.0, 2.0, 3.0], 10, 9)
+        assert keys == [9]
+
+    @pytest.mark.parametrize("seed", [-1, True])
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {seed!r}$"):
+            fringe_sweep(0.5, [0.0], 10, seed)
+
     @pytest.mark.parametrize("shots", [True, 1.0])
     def test_shots_must_be_an_int(self, shots):
         with pytest.raises(ValueError, match=f"^shots_per_point must be a positive integer, got {shots!r}$"):
