@@ -20,8 +20,9 @@ Angles accept plain radians ("0.7854") or the tokens "pi", "pi/4",
 "3*pi/4" with an optional leading minus (negative values need the
 "--flag=value" form); an angle or sweep grid point that is not finite is a
 usage error.  The sweep's --seed is a Philox key, 0 <= seed < 2**128.  The
-sweep takes at most 10**5 --steps (about 7 s of work) and at most 10**9
-shots in all, --steps times --shots (about 15 s); more is a usage error.
+sweep takes at most 10**5 --steps (about 3 s on one CPU at one shot each)
+and at most 10**9 shots in all, --steps times --shots (about 10 s); more
+is a usage error.
 Rationals use the "p/q" literal format with integer shorthand; one too
 long to print back ("1e-5000") is refused.  Output is deterministic:
 repeating an invocation (same flags, same --seed) reproduces it byte for

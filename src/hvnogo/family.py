@@ -54,7 +54,7 @@ from .dist import (
     format_rational,
     joint_from_params,
 )
-from .errors import BoundaryParams, ConditionOnNull, InvalidDistribution, NotASolution, OutOfRange, OversizedRational
+from .errors import BoundaryParams, ConditionOnNull, InvalidDistribution, NotASolution, OutOfRange
 from .exactlp import LinearSystem, residual
 
 LambdaLabel = Literal["p", "w"]
@@ -254,15 +254,10 @@ def instantiate(family: SolutionFamily, s, t) -> OnticTable:
 
 def _check_in_range(name: str, value: Fraction, bounds: tuple[Fraction, Fraction]) -> None:
     """Raise :class:`OutOfRange` unless ``lo <= value <= hi``; the message
-    names the interval unless a number in it is too long to print."""
+    names the interval, each number as :func:`dist._show` prints it."""
     lo, hi = bounds
-    if lo <= value <= hi:
-        return
-    try:
-        detail = f"{name} = {format_rational(value)} outside [{format_rational(lo)}, {format_rational(hi)}]"
-    except OversizedRational as exc:
-        detail = f"{name} outside its admissible range ({exc})"
-    raise OutOfRange(detail)
+    if not lo <= value <= hi:
+        raise OutOfRange(f"{name} = {_show(value)} outside [{_show(lo)}, {_show(hi)}]")
 
 
 def special_solution(params: GeneralParams) -> OnticTable:

@@ -67,9 +67,7 @@ class Counts4:
 
     def __post_init__(self):
         for name in ("n00", "n01", "n10", "n11"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+            _check_nonnegative(name, getattr(self, name))
 
     @property
     def total(self) -> int:

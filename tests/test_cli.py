@@ -34,6 +34,14 @@ CONSTANT_JSON = {
 SWEEP_ARGV = ("sweep", "--alpha", "0", "--phi-start", "0", "--phi-end", "1", "--seed", "1")
 
 
+def subprocess_env():
+    """This environment with the checkout's ``src`` first on ``PYTHONPATH``,
+    keeping what was there (a directory that hides numpy, say)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "hvnogo.cli", *args],
@@ -367,86 +375,61 @@ class TestUsageErrors:
         assert result.returncode == 0
 
 
-class TestLazyNumpy:
-    """Only the sampling paths load numpy; the exact layers never do."""
-
-    SCRIPT = textwrap.dedent("""
-        import contextlib, io, sys
-        from hvnogo import Counts4, StatReport, SweepRow, compare, fringe_sweep, sample_events, sweep_to_csv
-        from hvnogo.cli import main
-
-        family = sys.argv[1]
-        exact_runs = [
-            (["quantum", "--alpha", "pi/3", "--phi", "pi/4"], 0),
-            (["family", "--x", "1/3", "--ep", "1/2", "--ew", "1/4", "--s", "0", "--t", "0"], 0),
-            (["feasibility", "--input", family], 3),
-        ] + [(["demo", "--drop", drop, "--input", family], 0) for drop in ("independence", "objectivity", "determinism")]
-        for argv, expected in exact_runs:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(argv) == expected, argv
-            assert "numpy" not in sys.modules, argv
-        sweep = ["sweep", "--alpha", "pi/4", "--phi-start", "0", "--phi-end", "1", "--steps", "2", "--shots", "10", "--seed", "1"]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(sweep) == 0
-        assert "numpy" in sys.modules
-    """)
-
-    def test_only_the_sampler_loads_numpy(self, family_file):
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, family_file], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert result.returncode == 0, result.stderr
-
-
 class TestImportFootprint:
-    """Each subcommand loads exactly the hvnogo modules it runs, checked in a
-    fresh interpreter by module name, not by time."""
+    """Each subcommand loads exactly the hvnogo modules it runs, and numpy
+    only if it samples, checked in a fresh interpreter by module name, not
+    by time."""
 
     SCRIPT = textwrap.dedent("""
         import contextlib, io, json, sys
+        import hvnogo
         argv = json.loads(sys.argv[1])
-        if argv is None:
-            import hvnogo
-        else:
+        if argv == "exports":
+            for name in hvnogo.__all__:
+                getattr(hvnogo, name)
+        elif argv is not None:
             from hvnogo.cli import main
             with contextlib.redirect_stdout(io.StringIO()):
                 status = main(argv)
             assert status == int(sys.argv[2]), status
-        print(json.dumps(sorted(name for name in sys.modules if name.partition(".")[0] == "hvnogo")))
+        modules = sorted(name for name in sys.modules if name.partition(".")[0] == "hvnogo")
+        print(json.dumps([modules, "numpy" in sys.modules]))
     """)
     CLI = ("cli", "dist", "errors")
     EXACT = ("exactlp", "family", "feasibility")
+    #: case -> (argv, exit status, hvnogo modules, whether numpy is loaded)
     CASES = {
-        "quantum": (["quantum", "--alpha", "pi/3", "--phi", "pi/4"], 0, CLI + ("quantum",)),
+        "quantum": (["quantum", "--alpha", "pi/3", "--phi", "pi/4"], 0, CLI + ("quantum",), False),
         "family": (["family", "--x", "1/3", "--ep", "1/2", "--ew", "1/4", "--s", "0", "--t", "0"], 0,
-                   CLI + ("exactlp", "family")),
-        "feasibility": (["feasibility", "--input", "@FAMILY@"], 3, CLI + EXACT),
-        "demo-determinism": (["demo", "--drop", "determinism", "--input", "@FAMILY@"], 0, CLI + EXACT),
-        "demo-independence": (["demo", "--drop", "independence", "--input", "@FAMILY@"], 0, CLI + EXACT),
-        "demo-objectivity": (["demo", "--drop", "objectivity", "--input", "@FAMILY@"], 0, CLI + EXACT),
-        "sweep": (list(SWEEP_ARGV) + ["--steps", "2", "--shots", "10"], 0, CLI + ("montecarlo", "quantum")),
-        "selftest": (["selftest"], 0, CLI + EXACT + ("acceptance", "montecarlo", "quantum")),
-        "import": (None, 0, ()),
+                   CLI + ("exactlp", "family"), False),
+        "feasibility": (["feasibility", "--input", "@FAMILY@"], 3, CLI + EXACT, False),
+        "demo-determinism": (["demo", "--drop", "determinism", "--input", "@FAMILY@"], 0, CLI + EXACT, False),
+        "demo-independence": (["demo", "--drop", "independence", "--input", "@FAMILY@"], 0, CLI + EXACT, False),
+        "demo-objectivity": (["demo", "--drop", "objectivity", "--input", "@FAMILY@"], 0, CLI + EXACT, False),
+        "sweep": (list(SWEEP_ARGV) + ["--steps", "2", "--shots", "10"], 0, CLI + ("montecarlo", "quantum"), True),
+        "selftest": (["selftest"], 0, CLI + EXACT + ("acceptance", "montecarlo", "quantum"), True),
+        "import": (None, 0, (), False),
+        "exports": ("exports", 0, ("dist", "errors", "montecarlo", "quantum") + EXACT, False),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_loaded_modules(self, case, family_file):
-        argv, status, modules = self.CASES[case]
-        if argv is not None:
+        argv, status, modules, loads_numpy = self.CASES[case]
+        if loads_numpy:
+            pytest.importorskip("numpy", exc_type=ImportError)
+        if isinstance(argv, list):
             argv = [family_file if arg == "@FAMILY@" else arg for arg in argv]
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         result = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, json.dumps(argv), str(status)],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout) == sorted(["hvnogo", *(f"hvnogo.{m}" for m in modules)])
+        assert json.loads(result.stdout) == [sorted(["hvnogo", *(f"hvnogo.{m}" for m in modules)]), loads_numpy]
 
 
 class TestWithoutNumpy:
     """The sampling commands stop before any work, with one error line, when
-    numpy is missing; ``TestLazyNumpy`` shows the others never import it."""
+    numpy is missing; ``TestImportFootprint`` shows the others never import it."""
 
     SCRIPT = textwrap.dedent("""
         import contextlib, io, json, sys
@@ -465,9 +448,9 @@ class TestWithoutNumpy:
         output = tmp_path / "out.txt"
         sweep = ["sweep", "--alpha", "pi/4", "--phi-start", "0", "--phi-end", "1", "--steps", "2", "--shots", "10", "--seed", "1"]
         argvs = [argv + extra for argv in (sweep, ["selftest"]) for extra in ([], ["--output", str(output)])]
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps(argvs)], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
         )
         assert result.returncode == 0, result.stderr
         for argv, run in zip(argvs, json.loads(result.stdout), strict=True):

@@ -119,7 +119,8 @@ class TestInstantiate:
         # s_range ends at x*e_p = 1/10^5000, past the 4300 digits str() allows.
         tiny = F(1, 10**2500)
         family = solve_family(GeneralParams(tiny, tiny, F(1, 3)))
-        with pytest.raises(OutOfRange, match=r"^s outside its admissible range \(an exact result needs more than"):
+        message = r"^s = 1/2 outside \[0, \(an exact result needs more than 4300 digits to print\)\]$"
+        with pytest.raises(OutOfRange, match=message):
             instantiate(family, F(1, 2), F(0))
 
     def test_family_soundness_randomized(self):

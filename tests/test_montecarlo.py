@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from fractions import Fraction
+from http import HTTPStatus
 
 import numpy as np
 import pytest
@@ -213,7 +214,7 @@ class TestSampleEvents:
 
 
 class TestCounts4:
-    @pytest.mark.parametrize("bad", [-1, 1.0, True, None])
+    @pytest.mark.parametrize("bad", [-1, 1.0, True, None, HTTPStatus.OK])
     def test_each_count_is_a_nonnegative_int(self, bad):
         for cell in range(4):
             values = [0, 0, 0, 0]
