@@ -45,6 +45,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import ConditionOnNull, InvalidDistribution, OversizedRational
@@ -95,11 +96,14 @@ def _digit_bound(literal: str) -> int:
 def format_rational(value: Fraction) -> str:
     """Inverse of :func:`parse_rational`; integers print without "/1".
 
+    ``value`` obeys the exact-input rule (:func:`_as_fraction_row`), so a
+    float, bool or str raises ``TypeError``.
+
     Raises :class:`OversizedRational` when the numerator or denominator
     has more than ``sys.get_int_max_str_digits()`` digits: a product of
     legal inputs can outgrow what an input may hold.
     """
-    value = Fraction(value)
+    value = _as_fraction_row((value,), "format_rational")[0]
     try:
         return str(value)
     except ValueError:
@@ -110,7 +114,8 @@ def format_rational(value: Fraction) -> str:
 def _show(value: Fraction) -> str:
     """``value`` in a message: its :func:`format_rational` text, or where
     that is too long to print, the :class:`OversizedRational` reason in
-    parentheses.  Never raises, so every message can be built."""
+    parentheses.  Never raises for an exact value, so every message can be
+    built."""
     try:
         return format_rational(value)
     except OversizedRational as exc:
@@ -145,13 +150,25 @@ def _as_fraction_row(row, what: str) -> tuple[Fraction, ...]:
     """The exact-input rule: a value of type exactly Fraction passes through
     uncopied (Fractions are immutable), one of type exactly int becomes
     ``Fraction(v)``, and anything else (a float, bool, str, Decimal, numpy
-    integer or subclass) raises ``TypeError``."""
+    integer or subclass) raises ``TypeError``.
+
+    When every value is already a Fraction, ``tuple(row)`` itself is
+    returned, so a tuple of Fractions comes back as the same object; a
+    converted tuple is built only when some value is an int.  No value is
+    hashed: a caller that merges duplicates merges them by exact value,
+    each Fraction's ``(numerator, denominator)``, as
+    :func:`exactlp.enumerate_basic_solutions` does."""
     values = tuple(row)
+    all_fractions = True
     for v in values:
-        if type(v) is not Fraction and type(v) is not int:
-            if isinstance(v, float):
-                raise TypeError(f"{what}: floats are inexact; pass Fraction or int entries")
-            raise TypeError(f"{what}: expected Fraction or int, got {type(v).__name__}")
+        if type(v) is not Fraction:
+            if type(v) is not int:
+                if isinstance(v, float):
+                    raise TypeError(f"{what}: floats are inexact; pass Fraction or int entries")
+                raise TypeError(f"{what}: expected Fraction or int, got {type(v).__name__}")
+            all_fractions = False
+    if all_fractions:
+        return values
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
@@ -294,6 +311,22 @@ class GeneralParams:
         for name, value in zip(("x", "e_p", "e_w"), values):
             object.__setattr__(self, name, value)
             _check_probability(value, f"GeneralParams.{name}")
+
+    @cached_property
+    def _hash(self) -> int:
+        """``hash((x, e_p, e_w))``, the dataclass hash, computed on first use:
+        hashing a Fraction costs a modular inverse, and the memo of
+        ``family.constraint_system`` hashes its key on every call.  Not a
+        field, so equality, repr and output are unchanged."""
+        return hash((self.x, self.e_p, self.e_w))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # A pickle holds the fields alone: a numeric hash is reduced modulo
+        # a prime that depends on the platform, so the kept one may not travel.
+        return {name: self.__dict__[name] for name in ("x", "e_p", "e_w")}
 
     @property
     def exact(self) -> bool:

@@ -51,6 +51,13 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _check_rectangular(rows: Sequence[Sequence]) -> None:
+    """Raise :class:`DimensionMismatch` unless every row has the same width."""
+    widths = {len(r) for r in rows}
+    if len(widths) > 1:
+        raise DimensionMismatch(f"ragged matrix rows: widths {sorted(widths)}")
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """Equality system ``matrix . w = rhs`` with w constrained nonnegative.
@@ -68,9 +75,7 @@ class LinearSystem:
         rhs = _as_fraction_row(self.rhs, "LinearSystem.rhs")
         if len(rows) != len(rhs):
             raise DimensionMismatch(f"{len(rows)} rows vs {len(rhs)} right-hand sides")
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise DimensionMismatch(f"ragged matrix rows: widths {sorted(widths)}")
+        _check_rectangular(rows)
         labels = tuple(self.labels)
         if labels and len(labels) != len(rows):
             raise DimensionMismatch(f"{len(labels)} labels vs {len(rows)} rows")
@@ -257,8 +262,12 @@ def _eliminate(work: list[list[int]], r: int, col: int) -> None:
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of an exact rational matrix by fraction-free Gaussian elimination."""
+    """Rank of an exact rational matrix by fraction-free Gaussian elimination.
+
+    Raises :class:`DimensionMismatch` when the rows differ in width.
+    """
     work = [_integer_row(_as_fraction_row(r, "matrix")) for r in rows]
+    _check_rectangular(work)
     if not work:
         return 0
     n = len(work[0])
@@ -332,9 +341,15 @@ def enumerate_basic_solutions(system: LinearSystem) -> tuple[tuple[Fraction, ...
     feasible solution exists; this makes the enumerator an oracle for
     :func:`lp_feasible`.
 
+    A degenerate vertex is the basic solution of several bases; these
+    duplicates are merged by exact value, each coordinate's
+    ``(numerator, denominator)``, which hashes ints rather than Fractions.
+    The vertices are returned in sorted order.
+
     Intended for small systems only (the search is combinatorial).
     """
-    return tuple(sorted(set(_basic_solutions(system))))
+    vertices = {tuple((v.numerator, v.denominator) for v in point): point for point in _basic_solutions(system)}
+    return tuple(sorted(vertices.values()))
 
 
 def brute_force_feasible(system: LinearSystem) -> bool:

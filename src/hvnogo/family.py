@@ -100,7 +100,7 @@ class OnticTable:
             raise InvalidDistribution(f"OnticTable needs 8 entries, got {len(entries)}")
         object.__setattr__(self, "entries", entries)
         for key, v in zip(CELL_KEYS, entries):
-            if v < 0:
+            if v.numerator < 0:
                 raise InvalidDistribution(f"OnticTable[{key}] = {_show(v)} is negative")
         if not _sums_to_one(entries):
             raise InvalidDistribution(f"OnticTable entries sum to {_show(sum(entries))}, expected 1")
@@ -291,13 +291,16 @@ def classify(table: OnticTable, params: GeneralParams) -> Classification:
     for i, r in enumerate(res):
         if r != 0:
             raise NotASolution(f"table violates {system.label(i)} by {_show(r)}")
-    cross_w0 = table.branch_mass(0, "w")
-    cross_p1 = table.branch_mass(1, "p")
-    if cross_w0 == 0 and cross_p1 == 0:
+    # A cross mass is zero iff both its cells are, since no cell is negative:
+    # p(b=0, lam=w) sums cells 00w and 10w, p(b=1, lam=p) cells 01p and 11p.
+    cells = table.entries
+    cross_w0 = cells[4] or cells[6]
+    cross_p1 = cells[1] or cells[3]
+    if not cross_w0 and not cross_p1:
         kind = CollapseKind.SPECIAL
-    elif cross_p1 == 0:
+    elif not cross_p1:
         kind = CollapseKind.COLLAPSE_W_AT_B0
-    elif cross_w0 == 0:
+    elif not cross_w0:
         kind = CollapseKind.COLLAPSE_P_AT_B1
     else:
         kind = CollapseKind.COLLAPSE_BOTH

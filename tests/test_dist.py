@@ -1,7 +1,9 @@
 """Distribution primitives: frozen examples plus algebraic property tests."""
 
+import dataclasses
 import enum
 import math
+import pickle
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -37,7 +39,7 @@ from hvnogo import (
     tv_distance,
     verify_certificate,
 )
-from hvnogo.dist import _common_denominator, _show
+from hvnogo.dist import _as_fraction_row, _common_denominator, _show
 from hvnogo.family import cell_index
 from hvnogo.feasibility import OutcomeAtom, ResponseAtom, SettingResponse
 from hvnogo.quantum import quantum_joint
@@ -222,6 +224,40 @@ def exact_tables(draw, size):
     return entries
 
 
+class TestGeneralParamsHash:
+    """GeneralParams keeps its hash; the value is the dataclass's own."""
+
+    @given(rational_prob(), rational_prob(), rational_prob())
+    def test_equals_the_hash_of_the_fields(self, x, e_p, e_w):
+        assert hash(GeneralParams(x, e_p, e_w)) == hash((x, e_p, e_w))
+        real = GeneralParams(float(x), float(e_p), float(e_w))
+        assert hash(real) == hash((float(x), float(e_p), float(e_w)))
+
+    def test_exact_and_real_halves_are_equal_and_hash_equal(self):
+        exact, real = GeneralParams(F(1, 2), F(1, 2), F(1, 2)), GeneralParams(0.5, 0.5, 0.5)
+        assert exact == real
+        assert hash(exact) == hash(real)
+
+    def test_replace_hashes_the_new_value(self):
+        params = GeneralParams(F(1, 3), F(1, 2), F(1, 4))
+        hash(params)
+        moved = dataclasses.replace(params, x=F(2, 3))
+        assert hash(moved) == hash((F(2, 3), F(1, 2), F(1, 4)))
+        assert moved != params
+
+    def test_repr_fields_json_and_pickle_are_unchanged(self):
+        params = GeneralParams(F(1, 3), F(1, 2), F(1, 4))
+        fresh_pickle = pickle.dumps(params)
+        hash(params)
+        assert repr(params) == "GeneralParams(x=Fraction(1, 3), e_p=Fraction(1, 2), e_w=Fraction(1, 4))"
+        assert [f.name for f in dataclasses.fields(params)] == ["x", "e_p", "e_w"]
+        assert to_json(params) == {"x": "1/3", "e_p": "1/2", "e_w": "1/4"}
+        assert pickle.dumps(params) == fresh_pickle  # the kept hash is not pickled
+        again = pickle.loads(fresh_pickle)
+        assert again == params
+        assert hash(again) == hash(params)
+
+
 class TestSumToOne:
     @pytest.mark.parametrize("build,size,message", [
         (lambda entries: BinaryDist(*entries), 2, "BinaryDist: entries sum to {}, expected 1"),
@@ -271,9 +307,18 @@ class TestRationalLiterals:
         with pytest.raises(ValueError, match="digits"):
             parse_rational(refused)
 
-    @pytest.mark.parametrize("value,text", [(F(1, 3), "1/3"), (F(2), "2"), (F(0), "0")])
+    @pytest.mark.parametrize("value,text", [(F(1, 3), "1/3"), (F(2), "2"), (F(0), "0"), (-3, "-3")])
     def test_format(self, value, text):
         assert format_rational(value) == text
+
+    @pytest.mark.parametrize("value,reason", [
+        (0.1, "floats are inexact; pass Fraction or int entries"),
+        (True, "expected Fraction or int, got bool"),
+        ("1/3", "expected Fraction or int, got str"),
+    ], ids=["float", "bool", "str"])
+    def test_format_obeys_the_exact_input_rule(self, value, reason):
+        with pytest.raises(TypeError, match=f"^format_rational: {reason}$"):
+            format_rational(value)
 
     def test_results_too_long_to_print_are_a_domain_error(self):
         longest = parse_rational("1/1" + "0" * 4299)  # a 4 300-digit denominator still prints
@@ -341,6 +386,7 @@ EXACT_ENTRY_POINTS = {
     "BinaryDist": lambda v: BinaryDist(v, 1 - F(v)),
     "JointDist": lambda v: JointDist((v, 1 - F(v), 0, 0)),
     "GeneralParams": lambda v: GeneralParams(v, F(1, 2), F(1, 2)),
+    "format_rational": format_rational,
 }
 
 #: The dist containers take a float into real mode, so only the others refuse one.
@@ -400,6 +446,18 @@ class TestExactInputRule:
         assert LinearSystem(((half, 1),), (0,)).matrix[0][0] is half
         for value in (Setting("a", 1).x, *JointDist((1, 0, 0, 0)).entries, *instantiate(HALF_S, 0, 0).entries):
             assert type(value) is Fraction
+
+    def test_an_all_fraction_tuple_comes_back_as_itself(self):
+        row = (F(1, 2), F(0), F(-3, 7))
+        assert _as_fraction_row(row, "row") is row
+        assert _as_fraction_row(list(row), "row") == row
+        converted = _as_fraction_row((F(1, 2), 3, 0), "row")
+        assert converted == (F(1, 2), F(3), F(0))
+        assert [type(v) for v in converted] == [Fraction] * 3
+        with pytest.raises(TypeError, match="^row: floats are inexact; pass Fraction or int entries$"):
+            _as_fraction_row(row + (0.5,), "row")
+        with pytest.raises(TypeError, match="^row: expected Fraction or int, got bool$"):
+            _as_fraction_row(row + (True,), "row")
 
 
 UNIFORM_JOINT = JointDist((F(1, 4),) * 4)

@@ -183,6 +183,11 @@ class TestRank:
             rank += 1
             assert all(gcd(*row) == 1 for row in work if any(row)), work
 
+    @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [3, 4]]], ids=["wide-first", "narrow-first"])
+    def test_ragged_rows_are_refused(self, rows):
+        with pytest.raises(DimensionMismatch, match=r"^ragged matrix rows: widths \[1, 2\]$"):
+            matrix_rank(rows)
+
     def test_constraint_matrix_rank_is_six_for_interior_parameters(self):
         rng = Generator(Philox(key=8))
         for _ in range(40):
@@ -243,6 +248,17 @@ class TestEnumeratorProperty:
     def test_matches_one_solve_per_subset_and_the_simplex(self, system):
         assert list(_basic_solutions(system)) == reference_basic_solutions(system)
         assert brute_force_feasible(system) == lp_feasible(system).feasible
+
+    @given(small_systems())
+    @settings(max_examples=100, deadline=None)
+    def test_vertices_are_the_distinct_basic_solutions_in_order(self, system):
+        assert enumerate_basic_solutions(system) == tuple(sorted(set(reference_basic_solutions(system))))
+
+    def test_degenerate_vertex_is_listed_once(self):
+        # Every basis holding column 0 gives the vertex (1, 0, 0): it is degenerate.
+        system = LinearSystem(((F(1), F(1), F(0)), (F(1), F(0), F(1))), (F(1), F(1)))
+        assert list(_basic_solutions(system)) == [(F(1), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(1))]
+        assert enumerate_basic_solutions(system) == ((F(0), F(1), F(1)), (F(1), F(0), F(0)))
 
     def test_prefix_without_pivot_prunes_its_extensions(self):
         # Columns 0 and 1 are equal, so no subset holding both is a basis;

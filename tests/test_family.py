@@ -22,6 +22,7 @@ from hvnogo import (
     enumerate_basic_solutions,
     instantiate,
     lambda_marginal,
+    matrix_rank,
     residual,
     solve_family,
     special_solution,
@@ -31,6 +32,9 @@ from hvnogo.acceptance import _interior_params as interior_params
 F = Fraction
 
 PARAMS = GeneralParams(F(1, 3), F(1, 2), F(1, 4))
+
+#: The 5 x 5 grid of a benchmark vertex job: s and t at these fractions of their range.
+GRID = tuple(F(k, 4) for k in range(5))
 
 #: Interior probabilities, small denominators and denominators up to 10**6.
 INTERIOR = st.one_of(
@@ -237,6 +241,21 @@ class TestClassify:
                     verdict = classify(instantiate(family, s, t), params)
                     assert (verdict.kind is CollapseKind.SPECIAL) == (s == 0 and t == 0)
 
+    @given(INTERIOR, INTERIOR, INTERIOR, st.sampled_from(GRID), st.sampled_from(GRID))
+    @settings(max_examples=100, deadline=None)
+    def test_kind_follows_the_cross_branch_masses(self, x, e_p, e_w, u, v):
+        params = GeneralParams(x, e_p, e_w)
+        family = solve_family(params)
+        table = instantiate(family, u * family.s_range[1], v * family.t_range[1])
+        nonzero = (table.branch_mass(0, "w") != 0, table.branch_mass(1, "p") != 0)
+        expected = {
+            (False, False): CollapseKind.SPECIAL,
+            (True, False): CollapseKind.COLLAPSE_W_AT_B0,
+            (False, True): CollapseKind.COLLAPSE_P_AT_B1,
+            (True, True): CollapseKind.COLLAPSE_BOTH,
+        }
+        assert classify(table, params).kind is expected[nonzero]
+
     def test_indistinguishable_flag(self):
         params = GeneralParams(F(1, 3), F(1, 4), F(1, 4))
         assert classify(special_solution(params), params).indistinguishable
@@ -257,6 +276,33 @@ class TestClassify:
         for _ in range(3):
             with pytest.raises(NotASolution, match=r"adequacy\(a=0,b=0\) by -1/6"):
                 classify(special_solution(PARAMS), other)
+
+
+class TestVertexPathHashesNoFraction:
+    """Hashing a Fraction costs a modular inverse; the vertex path decides its
+    memo lookups, merges and signs without one."""
+
+    def test_no_fraction_is_hashed(self, monkeypatch):
+        params = GeneralParams(F(123457, 999983), F(5, 123451), F(77777, 876543))
+        constraint_system(params)  # the memo's first lookup computes the params' hash
+        hashed = []
+        unpatched = Fraction.__hash__
+
+        def counting_hash(value):
+            hashed.append(value)
+            return unpatched(value)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+        system = constraint_system(params)
+        assert matrix_rank(system.matrix) == 6
+        family = solve_family(params)
+        for u in GRID:
+            for v in GRID:
+                member = instantiate(family, u * family.s_range[1], v * family.t_range[1])
+                residual(system, member.entries)
+                classify(member, params)
+        assert len(enumerate_basic_solutions(system)) == 4
+        assert len(hashed) == 0
 
 
 class TestConstraintSystemMemo:
