@@ -24,7 +24,9 @@ sweep takes at most 10**5 --steps (about 3 s on one CPU at one shot each)
 and at most 10**9 shots in all, --steps times --shots (about 10 s); more
 is a usage error.
 Rationals use the "p/q" literal format with integer shorthand; one too
-long to print back ("1e-5000") is refused.  Output is deterministic:
+long to print back ("1e-5000") is refused.  In a settings-family file a
+rational may also be a JSON number, read exactly as written: 1e-400 is
+1/10**400, not a float rounded to 0.  Output is deterministic:
 repeating an invocation (same flags, same --seed) reproduces it byte for
 byte, and nothing is written on failure.
 """
@@ -32,6 +34,7 @@ byte, and nothing is written on failure.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import io
 import json
@@ -152,8 +155,9 @@ def _load_family(path: str) -> SettingsFamily:
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise MalformedInput(f"cannot read input file {path!r}: {exc}") from exc
     try:
-        # Decoded as Path.read_text would, universal newlines included.
-        data = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
+        # Decoded as Path.read_text would, universal newlines included.  A
+        # JSON number is kept as its literal (a Decimal), never rounded to a float.
+        data = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read(), parse_float=decimal.Decimal)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise MalformedInput(f"input file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

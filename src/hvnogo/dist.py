@@ -45,7 +45,6 @@ import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import ConditionOnNull, InvalidDistribution, OversizedRational
@@ -311,22 +310,6 @@ class GeneralParams:
         for name, value in zip(("x", "e_p", "e_w"), values):
             object.__setattr__(self, name, value)
             _check_probability(value, f"GeneralParams.{name}")
-
-    @cached_property
-    def _hash(self) -> int:
-        """``hash((x, e_p, e_w))``, the dataclass hash, computed on first use:
-        hashing a Fraction costs a modular inverse, and the memo of
-        ``family.constraint_system`` hashes its key on every call.  Not a
-        field, so equality, repr and output are unchanged."""
-        return hash((self.x, self.e_p, self.e_w))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __getstate__(self) -> dict:
-        # A pickle holds the fields alone: a numeric hash is reduced modulo
-        # a prime that depends on the platform, so the kept one may not travel.
-        return {name: self.__dict__[name] for name in ("x", "e_p", "e_w")}
 
     @property
     def exact(self) -> bool:

@@ -202,16 +202,20 @@ def constraint_system(params: GeneralParams) -> LinearSystem:
     implied by adequacy.
 
     The result is memoized in a least-recently-used cache of 32 parameter
-    sets, so equal ``params`` get the same object back while they stay in
-    it; a :class:`LinearSystem` is immutable, so sharing it is safe.
-    Real-mode ``params`` are rejected before the memo is consulted, since
-    floats compare equal to Fractions.
+    sets, keyed by the six integers of x, e_p and e_w, each a numerator and
+    a denominator, so no Fraction is hashed.  Equal ``params`` have equal
+    integers and get the same object back while they stay in it; a
+    :class:`LinearSystem` is immutable, so sharing it is safe.  Real-mode
+    ``params`` are rejected before any key is formed.
     """
-    return _memoized_system(_exact_params(params, "constraint_system"))
+    params = _exact_params(params, "constraint_system")
+    x, e_p, e_w = params.x, params.e_p, params.e_w
+    return _memoized_system(x.numerator, x.denominator, e_p.numerator, e_p.denominator, e_w.numerator, e_w.denominator)
 
 
 @lru_cache(maxsize=32)
-def _memoized_system(params: GeneralParams) -> LinearSystem:
+def _memoized_system(x_num: int, x_den: int, e_p_num: int, e_p_den: int, e_w_num: int, e_w_den: int) -> LinearSystem:
+    params = GeneralParams(Fraction(x_num, x_den), Fraction(e_p_num, e_p_den), Fraction(e_w_num, e_w_den))
     return _stacked_system(params.e_p, params.e_w, (("", joint_from_params(params)),))
 
 

@@ -235,6 +235,10 @@ class OutcomeAtomModel:
     setting_labels: tuple[str, ...]
     atoms: tuple[OutcomeAtom, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "setting_labels", tuple(self.setting_labels))
+        object.__setattr__(self, "atoms", tuple(self.atoms))
+
 
 _RESPONSE_FIELDS = ("b0", "a0_given_b0", "a0_given_b1")
 
@@ -471,6 +475,9 @@ def _marginals(
                             "is strictly between 0 and 1"
                         )
                         break
+        if len(atom.responses) != len(labels):  # every family label is there, so some are extra
+            extra = sorted(set(atom.responses).difference(labels))
+            raise MalformedModel(f"atom {atom.name!r} has responses for settings {extra} not in the family")
     b_scale, b0s = _common_denominator([r.b0 for r in responses])
     a_scale, a0s = _common_denominator([v for r in responses for v in (r.a0_given_b0, r.a0_given_b1)])
     b0s, a0s = iter(b0s), iter(a0s)

@@ -4,12 +4,11 @@ Criteria 1-8 run in-process through :mod:`hvnogo.acceptance` (the same code
 ``hvnogo selftest`` executes); criterion 9 drives the CLI itself.
 """
 
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from checkout import run_python
 from hvnogo import acceptance
 
 SELFTEST_GOLDEN = Path(__file__).parent / "golden" / "selftest.out"
@@ -63,12 +62,8 @@ def test_criterion_8_monte_carlo_phenomenology():
 
 @pytest.mark.slow
 def test_criterion_9_selftest_is_deterministic_and_green():
-    first = subprocess.run(
-        [sys.executable, "-m", "hvnogo.cli", "selftest"], capture_output=True, text=False
-    )
-    second = subprocess.run(
-        [sys.executable, "-m", "hvnogo.cli", "selftest"], capture_output=True, text=False
-    )
+    first = run_python("-m", "hvnogo.cli", "selftest", capture_output=True, text=False)
+    second = run_python("-m", "hvnogo.cli", "selftest", capture_output=True, text=False)
     assert first.returncode == 0, first.stdout.decode()
     assert second.returncode == 0
     assert first.stdout == second.stdout, "selftest output must be byte-identical between runs"

@@ -4,20 +4,17 @@ import contextlib
 import io
 import json
 import math
-import os
-import subprocess
 import sys
 import textwrap
-from pathlib import Path
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from checkout import run_python
 from hvnogo import cli, montecarlo
 from hvnogo.cli import main
-
-ROOT = Path(__file__).resolve().parents[1]
 
 FAMILY_JSON = {
     "e_p": "1/2",
@@ -34,20 +31,8 @@ CONSTANT_JSON = {
 SWEEP_ARGV = ("sweep", "--alpha", "0", "--phi-start", "0", "--phi-end", "1", "--seed", "1")
 
 
-def subprocess_env():
-    """This environment with the checkout's ``src`` first on ``PYTHONPATH``,
-    keeping what was there (a directory that hides numpy, say)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return env
-
-
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "hvnogo.cli", *args],
-        capture_output=True,
-        text=True,
-    )
+    return run_python("-m", "hvnogo.cli", *args, capture_output=True, text=True)
 
 
 @pytest.fixture()
@@ -172,10 +157,15 @@ class TestFeasibility:
         (["feasibility"], "[" * 100_000 + "]" * 100_000, "not valid JSON"),
         (["feasibility"], json.dumps({**FAMILY_JSON, "settings": [{"label": {"a": 1}, "x": "1/3"}]}),
          "settings[0].label"),
+        (["feasibility"], '{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": 0.5, "x": "1/3"}]}',
+         "settings[0].label"),
+        (["feasibility"], '{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": "a", "x": NaN}]}', "settings[0].x"),
+        (["feasibility"], '{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": "a", "x": Infinity}]}',
+         "settings[0].x"),
         (["feasibility"], None, "cannot read input file"),
     ], ids=[
         "x_out_of_range", "demo_x_out_of_range", "not_utf8", "x_too_long_to_print", "int_too_long", "deep_nesting",
-        "label_not_a_string", "nul_byte_in_path",
+        "label_not_a_string", "label_a_number", "x_nan", "x_infinity", "nul_byte_in_path",
     ])
     def test_rejected_with_one_error_line(self, tmp_path, capsys, command, content, fragment):
         # In-process, because no subprocess argv can carry a NUL byte.
@@ -189,6 +179,23 @@ class TestFeasibility:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
+
+    def test_json_numbers_are_read_as_their_literal(self, tmp_path, capsys):
+        # Read as floats, 1e-400 would underflow to the boundary value 0 and
+        # 0.30000000000000001 would round to 3/10.
+        path = tmp_path / "family.json"
+        path.write_text(
+            '{"e_p": 0.5, "e_w": "1/4", "settings": [{"label": "tiny", "x": 1e-400}, '
+            '{"label": "long", "x": 0.30000000000000001}, {"label": "half", "x": 0.5}]}',
+            encoding="utf-8",
+        )
+        family = cli._load_family(str(path))
+        assert family.e_p == Fraction(1, 2)
+        xs = [Fraction(1, 10**400), Fraction(30000000000000001, 10**17), Fraction(1, 2)]
+        assert [s.x for s in family.settings] == xs
+        assert main(["feasibility", "--input", str(path)]) == 3
+        narrative = json.loads(capsys.readouterr().out)["narrative"]
+        assert f"setting 'tiny' demands x = 1/{10**400}" in narrative
 
 
 #: A legal probability whose denominator has 2 501 digits: the square of
@@ -419,10 +426,7 @@ class TestImportFootprint:
             pytest.importorskip("numpy", exc_type=ImportError)
         if isinstance(argv, list):
             argv = [family_file if arg == "@FAMILY@" else arg for arg in argv]
-        result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps(argv), str(status)],
-            capture_output=True, text=True, env=subprocess_env(), timeout=120,
-        )
+        result = run_python("-c", self.SCRIPT, json.dumps(argv), str(status), capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == [sorted(["hvnogo", *(f"hvnogo.{m}" for m in modules)]), loads_numpy]
 
@@ -448,10 +452,7 @@ class TestWithoutNumpy:
         output = tmp_path / "out.txt"
         sweep = ["sweep", "--alpha", "pi/4", "--phi-start", "0", "--phi-end", "1", "--steps", "2", "--shots", "10", "--seed", "1"]
         argvs = [argv + extra for argv in (sweep, ["selftest"]) for extra in ([], ["--output", str(output)])]
-        result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
-            capture_output=True, text=True, env=subprocess_env(), timeout=120,
-        )
+        result = run_python("-c", self.SCRIPT, json.dumps(argvs), capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         for argv, run in zip(argvs, json.loads(result.stdout), strict=True):
             assert run == [1, "", f"error: hvnogo {argv[0]} needs numpy\n"], argv

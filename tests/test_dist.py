@@ -225,7 +225,8 @@ def exact_tables(draw, size):
 
 
 class TestGeneralParamsHash:
-    """GeneralParams keeps its hash; the value is the dataclass's own."""
+    """GeneralParams is a plain frozen dataclass: its hash, equality, repr,
+    JSON and pickle are the dataclass's own, whatever was hashed before."""
 
     @given(rational_prob(), rational_prob(), rational_prob())
     def test_equals_the_hash_of_the_fields(self, x, e_p, e_w):
@@ -252,7 +253,7 @@ class TestGeneralParamsHash:
         assert repr(params) == "GeneralParams(x=Fraction(1, 3), e_p=Fraction(1, 2), e_w=Fraction(1, 4))"
         assert [f.name for f in dataclasses.fields(params)] == ["x", "e_p", "e_w"]
         assert to_json(params) == {"x": "1/3", "e_p": "1/2", "e_w": "1/4"}
-        assert pickle.dumps(params) == fresh_pickle  # the kept hash is not pickled
+        assert pickle.dumps(params) == fresh_pickle  # hashing leaves nothing behind to pickle
         again = pickle.loads(fresh_pickle)
         assert again == params
         assert hash(again) == hash(params)

@@ -280,11 +280,12 @@ class TestClassify:
 
 class TestVertexPathHashesNoFraction:
     """Hashing a Fraction costs a modular inverse; the vertex path decides its
-    memo lookups, merges and signs without one."""
+    memo lookups, merges and signs without one.  The memo is keyed by the
+    parameters' numerators and denominators, so even its first lookup, which
+    builds the system, hashes no Fraction."""
 
     def test_no_fraction_is_hashed(self, monkeypatch):
         params = GeneralParams(F(123457, 999983), F(5, 123451), F(77777, 876543))
-        constraint_system(params)  # the memo's first lookup computes the params' hash
         hashed = []
         unpatched = Fraction.__hash__
 

@@ -353,6 +353,14 @@ class TestDropIndependence:
 
 
 class TestDropObjectivity:
+    def test_atom_model_from_lists_validates_like_tuples(self):
+        payload = model_drop_objectivity(TWO_SETTINGS).payload
+        from_lists = OutcomeAtomModel(list(TWO_SETTINGS.labels), list(payload.atoms))
+        assert from_lists == payload
+        report = validate_witness(WitnessModel(from_lists), TWO_SETTINGS)
+        assert report.overall_pass
+        assert report == validate_witness(WitnessModel(payload), TWO_SETTINGS)
+
     def test_single_setting_atoms_are_the_outcomes(self):
         family = SettingsFamily(F(1, 2), F(1, 4), (Setting("only", F(1, 3)),))
         model = model_drop_objectivity(family)
@@ -796,6 +804,22 @@ class TestMalformedWitness:
         payload = StochasticResponseModel((p_faulty, w_faulty))
         assert self.message(WitnessModel(payload), FIVE_SETTINGS) == (
             "atom 'Lambda_p' lacks responses for setting 's3'"
+        )
+
+    def test_responses_for_a_setting_outside_the_family(self):
+        p_atom, w_atom = model_drop_determinism(TWO_SETTINGS).payload.atoms
+        zeta = p_atom.responses["alpha1"]
+        atoms = tuple(dataclasses.replace(a, responses={**a.responses, "zeta": zeta}) for a in (p_atom, w_atom))
+        assert self.message(WitnessModel(StochasticResponseModel(atoms)), TWO_SETTINGS) == (
+            "atom 'Lambda_p' has responses for settings ['zeta'] not in the family"
+        )
+
+    def test_a_missing_setting_is_named_before_an_extra_one(self):
+        p_atom, w_atom = model_drop_determinism(TWO_SETTINGS).payload.atoms
+        swapped = {"alpha1": p_atom.responses["alpha1"], "zeta": p_atom.responses["alpha2"]}
+        payload = StochasticResponseModel((dataclasses.replace(p_atom, responses=swapped), w_atom))
+        assert self.message(WitnessModel(payload), TWO_SETTINGS) == (
+            "atom 'Lambda_p' lacks responses for setting 'alpha2'"
         )
 
 

@@ -1,10 +1,6 @@
 """The pytest settings in pyproject.toml report a failing property instead of aborting the session."""
 
-import subprocess
-import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
+from checkout import ROOT, run_python
 
 FAILING_PROPERTY = """
 from hypothesis import given, settings
@@ -24,15 +20,12 @@ def test_passes():
 
 def test_failing_property_reports_its_example(tmp_path):
     (tmp_path / "test_failing_property.py").write_text(FAILING_PROPERTY)
-    result = subprocess.run(
-        [
-            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-            "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_failing_property.py",
-        ],
+    result = run_python(
+        "-m", "pytest", "-q", "-p", "no:cacheprovider",
+        "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_failing_property.py",
         cwd=tmp_path,
         capture_output=True,
         text=True,
-        timeout=120,
     )
     output = result.stdout + result.stderr
     assert "INTERNALERROR" not in output
