@@ -16,15 +16,10 @@ ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 120
 
 
-def subprocess_env() -> dict[str, str]:
-    """This environment with the checkout's ``src`` first on ``PYTHONPATH``,
-    keeping what was there (a directory that hides numpy, say)."""
+def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """``python *args`` with the checkout's ``src`` first on ``PYTHONPATH``,
+    keeping what was there (a directory that hides numpy, say), stopped
+    after :data:`TIMEOUT_S`; ``kwargs`` go to :func:`subprocess.run`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return env
-
-
-def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
-    """``python *args`` under :func:`subprocess_env` and :data:`TIMEOUT_S`;
-    ``kwargs`` go to :func:`subprocess.run`."""
-    return subprocess.run([sys.executable, *args], env=subprocess_env(), timeout=TIMEOUT_S, **kwargs)
+    return subprocess.run([sys.executable, *args], env=env, timeout=TIMEOUT_S, **kwargs)

@@ -226,7 +226,7 @@ def exact_tables(draw, size):
 
 class TestGeneralParamsHash:
     """GeneralParams is a plain frozen dataclass: its hash, equality, repr,
-    JSON and pickle are the dataclass's own, whatever was hashed before."""
+    JSON and pickle are the dataclass's own, and hashing it keeps nothing."""
 
     @given(rational_prob(), rational_prob(), rational_prob())
     def test_equals_the_hash_of_the_fields(self, x, e_p, e_w):
