@@ -49,7 +49,6 @@ _EXPORTS = {
     "exactlp": (
         "FeasibilityReport",
         "LinearSystem",
-        "brute_force_feasible",
         "enumerate_basic_solutions",
         "lp_feasible",
         "matrix_rank",

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dist import REAL_TOL, GeneralParams, JointDist, joint_from_params, tv_distance
+from .dist import REAL_TOL, GeneralParams, joint_from_params
 from .exactlp import enumerate_basic_solutions, lp_feasible, matrix_rank, residual, verify_certificate
 from .family import (
     conditional_given,
@@ -255,17 +255,14 @@ def criterion_8():
     if worst_wave >= 0.02 or worst_flat >= 0.02:
         return False, f"sweep deviations too large: wave {worst_wave!r}, flat {worst_flat!r}"
     exact = quantum_joint(math.pi / 3.0, math.pi / 4.0)
-    counts = sample_events(exact, 1_000_000, seed=802)
-    empirical = JointDist(tuple(Fraction(c, counts.total) for c in counts.as_tuple()))
-    tv = float(tv_distance(empirical, exact))
-    stat = compare(counts, exact)
-    if tv >= 0.005:
-        return False, f"million-shot TV distance {tv!r} not below 0.005"
+    stat = compare(sample_events(exact, 1_000_000, seed=802), exact)
+    if stat.tv >= 0.005:
+        return False, f"million-shot TV distance {stat.tv!r} not below 0.005"
     if not stat.passed:
         return False, f"million-shot n*KL {stat.nkl_max!r} above {NKL_THRESHOLD!r}"
     return True, (
         f"17-point sweep: max fringe deviation {worst_wave!r}, max flat deviation {worst_flat!r}; "
-        f"million-shot TV {tv!r}, max n*KL {stat.nkl_max!r}"
+        f"million-shot TV {stat.tv!r}, max n*KL {stat.nkl_max!r}"
     )
 
 

@@ -156,8 +156,11 @@ def _load_family(path: str) -> SettingsFamily:
         raise MalformedInput(f"cannot read input file {path!r}: {exc}") from exc
     try:
         # Decoded as Path.read_text would, universal newlines included.  A
-        # JSON number is kept as its literal (a Decimal), never rounded to a float.
-        data = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read(), parse_float=decimal.Decimal)
+        # JSON number, integer or not, is kept as its literal (a Decimal): it
+        # is never rounded to a float, and its digits are counted by
+        # parse_rational's rule, not by int's.
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+        data = json.loads(text, parse_float=decimal.Decimal, parse_int=decimal.Decimal)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise MalformedInput(f"input file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

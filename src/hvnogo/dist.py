@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
@@ -55,6 +56,10 @@ Scalar = Union[Fraction, float]
 REAL_TOL = 1e-12
 
 
+#: The exponent of a decimal literal, as ``Fraction`` reads it.
+_EXPONENT = re.compile(r"[-+]?\d+(_\d+)*")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the rational literal format "p/q", with integer shorthand "p".
 
@@ -65,13 +70,18 @@ def parse_rational(text: str) -> Fraction:
 
     A literal whose numerator or denominator would need more than
     ``sys.get_int_max_str_digits()`` digits, and so could not be printed
-    back, is refused before it is built.
+    back, is refused before it is built.  A zero mantissa is read without
+    its exponent, since zero times any power of ten is zero: "0e-5000" is 0.
     """
+    literal = text.strip()
+    mantissa, _, exponent = literal.lower().partition("e")
+    if _EXPONENT.fullmatch(exponent) and not any(c.isdecimal() and int(c) for c in mantissa):
+        literal = mantissa + "e0"  # the same zero, well formed exactly when the whole literal is
     limit = sys.get_int_max_str_digits()
-    if limit and _digit_bound(text.strip()) > limit:
+    if limit and _digit_bound(literal) > limit:
         raise ValueError(f"rational literal needs more than {limit} digits")
     try:
-        return Fraction(text.strip())
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
 

@@ -41,10 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Any, Iterator, Optional, Sequence
 
-from .dist import _as_fraction_row
+from .dist import _as_fraction_row, _common_denominator
 from .errors import DimensionMismatch
 
 ZERO = Fraction(0)
@@ -229,13 +229,13 @@ def lp_feasible(system: LinearSystem) -> FeasibilityReport:
 
 
 def _integer_row(row: Sequence[Fraction]) -> list[int]:
-    """``row`` times the lcm of its denominators, divided by the gcd of the result.
+    """``row``'s numerators over its :func:`dist._common_denominator`,
+    divided by their gcd.
 
     A positive multiple of ``row`` with coprime integer entries, which is the
     same equation; :func:`matrix_rank` and the enumerator eliminate on these.
     """
-    scale = lcm(*(v.denominator for v in row))
-    ints = [v.numerator * (scale // v.denominator) for v in row]
+    ints = _common_denominator(row)[1]
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 
@@ -350,8 +350,3 @@ def enumerate_basic_solutions(system: LinearSystem) -> tuple[tuple[Fraction, ...
     """
     vertices = {tuple((v.numerator, v.denominator) for v in point): point for point in _basic_solutions(system)}
     return tuple(sorted(vertices.values()))
-
-
-def brute_force_feasible(system: LinearSystem) -> bool:
-    """Feasibility by basis enumeration, stopped at the first vertex; independent of the simplex."""
-    return next(_basic_solutions(system), None) is not None

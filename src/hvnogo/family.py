@@ -143,7 +143,8 @@ class SolutionFamily:
 
     Members are indexed by the cross-branch masses s = p(0,0,w) in
     ``s_range`` and t = p(0,1,p) in ``t_range``; both intervals are closed
-    and exact.
+    and exact, and their upper ends x*e_p and (1-x)*e_w are also the
+    closed form's a=0 masses at s = t = 0.
     """
 
     params: GeneralParams
@@ -151,12 +152,12 @@ class SolutionFamily:
     t_range: tuple[Fraction, Fraction]
 
     @cached_property
-    def _coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """``(x*e_p, (1-x)*e_w, r_p, r_w)``, the parts of every member that
-        (s, t) does not change; built on first use.  Not a field, so
-        equality, hashing and repr are unchanged."""
-        x, e_p, e_w = self.params.x, self.params.e_p, self.params.e_w
-        return x * e_p, (1 - x) * e_w, (1 - e_p) / e_p, (1 - e_w) / e_w
+    def _ratios(self) -> tuple[Fraction, Fraction]:
+        """``(r_p, r_w)``, the a=1 to a=0 ratios that every member shares;
+        built on first use.  Not a field, so equality, hashing and repr are
+        unchanged."""
+        e_p, e_w = self.params.e_p, self.params.e_w
+        return (1 - e_p) / e_p, (1 - e_w) / e_w
 
 
 #: Adequacy rows ``p(a,b,p) + p(a,b,w)``, one per outcome pair in 00, 01, 10, 11 order.
@@ -240,8 +241,8 @@ def solve_family(params: GeneralParams) -> SolutionFamily:
 
 def _family_entries(family: SolutionFamily, s: Fraction, t: Fraction) -> tuple[Fraction, ...]:
     """The eight closed-form entries of the member at (s, t), in storage order."""
-    s_max, t_max, r_p, r_w = family._coefficients
-    p00, w01 = s_max - s, t_max - t
+    r_p, r_w = family._ratios
+    p00, w01 = family.s_range[1] - s, family.t_range[1] - t
     return (p00, t, p00 * r_p, t * r_w, s, w01, s * r_p, w01 * r_w)
 
 
@@ -316,10 +317,11 @@ def conditional_given(table: OnticTable, b: int, lam: LambdaLabel) -> BinaryDist
 
     Raises :class:`ConditionOnNull` when no mass sits on (b, lam).
     """
-    norm = table.branch_mass(b, lam)
+    m0, m1 = table.mass(0, b, lam), table.mass(1, b, lam)
+    norm = m0 + m1
     if norm == 0:
         raise ConditionOnNull(f"no mass on (b={b}, lam={lam})")
-    return BinaryDist(table.mass(0, b, lam) / norm, table.mass(1, b, lam) / norm)
+    return BinaryDist(m0 / norm, m1 / norm)
 
 
 def lambda_marginal(table: OnticTable) -> BinaryDist:

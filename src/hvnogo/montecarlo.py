@@ -179,13 +179,12 @@ def compare(counts: Counts4, exact: JointDist) -> StatReport:
     probability zero that collected counts diverges, an immediate failure.
     The cost is some power at large counts: there n*KL is about z^2/2, so
     the threshold sits near a standardized deviation of 5.7.  Raises
-    :class:`EmptySample` when there are no events to compare.
+    :class:`EmptySample` when there are no events to compare, through
+    :meth:`Counts4.frequencies`.
     """
-    n = counts.total
-    if n == 0:
-        raise EmptySample("cannot compare an empty sample")
-    q = [float(e) for e in exact.entries]
     f = counts.frequencies()
+    n = counts.total
+    q = [float(e) for e in exact.entries]
     tv = 0.5 * sum(abs(fi - qi) for fi, qi in zip(f, q))
     nkl_max = max(n * _binary_kl(fi, qi) for fi, qi in zip(f, q))
     return StatReport(tv=tv, nkl_max=nkl_max, passed=nkl_max <= NKL_THRESHOLD)

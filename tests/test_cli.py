@@ -153,7 +153,8 @@ class TestFeasibility:
          "settings[0]"),
         (["feasibility"], b"\xff\xfe{}", "utf-8"),
         (["feasibility"], json.dumps({**FAMILY_JSON, "settings": [{"label": "a", "x": "1e-5000"}]}), "settings[0].x"),
-        (["feasibility"], '{"e_p": ' + "1" * 5000 + "}", "not valid JSON"),
+        (["feasibility"], '{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": "a", "x": 0}, '
+         '{"label": "b", "x": ' + "1" * 5000 + "}]}", "settings[1].x: rational literal needs more than 4300 digits"),
         (["feasibility"], "[" * 100_000 + "]" * 100_000, "not valid JSON"),
         (["feasibility"], json.dumps({**FAMILY_JSON, "settings": [{"label": {"a": 1}, "x": "1/3"}]}),
          "settings[0].label"),
@@ -196,6 +197,40 @@ class TestFeasibility:
         assert main(["feasibility", "--input", str(path)]) == 3
         narrative = json.loads(capsys.readouterr().out)["narrative"]
         assert f"setting 'tiny' demands x = 1/{10**400}" in narrative
+
+    def test_a_zero_with_a_long_exponent_is_read_as_zero(self, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text(
+            '{"e_p": "1/2", "e_w": 0E+12345, "settings": [{"label": "a", "x": 0e-5000}, {"label": "b", "x": 1}]}',
+            encoding="utf-8",
+        )
+        family = cli._load_family(str(path))
+        assert (family.e_w, [s.x for s in family.settings]) == (0, [0, 1])
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("label", "1.5", "settings[0].label: expected a string, got number"),
+        ("label", "3", "settings[0].label: expected a string, got number"),
+        ("label", "true", "settings[0].label: expected a string, got boolean"),
+        ("label", "null", "settings[0].label: expected a string, got null"),
+        ("label", "[1]", "settings[0].label: expected a string, got array"),
+        ("label", "{}", "settings[0].label: expected a string, got object"),
+        ("e_p", "true", "field 'e_p': expected a rational string or number, got boolean"),
+        ("e_w", "null", "field 'e_w': expected a rational string or number, got null"),
+        ("x", "[1]", "settings[0].x: expected a rational string or number, got array"),
+        ("x", "{}", "settings[0].x: expected a rational string or number, got object"),
+    ], ids=[
+        "label_decimal", "label_integer", "label_true", "label_null", "label_array", "label_object", "e_p_true",
+        "e_w_null", "x_array", "x_object",
+    ])
+    def test_errors_name_the_json_type(self, tmp_path, capsys, field, value, message):
+        fields = {"e_p": '"1/2"', "e_w": '"1/4"', "label": '"a"', "x": '"1/3"', field: value}
+        path = tmp_path / "family.json"
+        path.write_text(
+            '{{"e_p": {e_p}, "e_w": {e_w}, "settings": [{{"label": {label}, "x": {x}}}]}}'.format(**fields),
+            encoding="utf-8",
+        )
+        assert main(["feasibility", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 #: A legal probability whose denominator has 2 501 digits: the square of
@@ -521,6 +556,14 @@ _FAMILY_JSON = st.fixed_dictionaries({
         max_size=3,
     ) | _JSON,
 })
+#: Family texts that ``json.dumps`` never writes: a zero with a long
+#: exponent, a 5 000-digit integer x, a number label and a boolean x.
+_RAW_FAMILIES = [
+    b'{"e_p": "1/2", "e_w": 0e-5000, "settings": [{"label": "a", "x": 0E+5000}]}',
+    b'{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": "a", "x": ' + b"7" * 5000 + b"}]}",
+    b'{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": 1.5, "x": "1/3"}]}',
+    b'{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": "a", "x": true}]}',
+]
 _BAD = sorted({value for _, bad in _VALUES.values() for value in bad})
 _STRAYS = st.sampled_from([*_VALUES, "--help", "-h", *_BAD]) | _TOKENS
 
@@ -557,7 +600,12 @@ def _argv(draw):
 class TestTotality:
     """Every argv ends in an exit status 0-4; an error is one line on stderr."""
 
-    @given(argv=_argv(), content=st.binary(max_size=40) | _FAMILY_JSON.map(lambda d: json.dumps(d).encode()))
+    @given(
+        argv=_argv(),
+        content=st.binary(max_size=40)
+        | _FAMILY_JSON.map(lambda d: json.dumps(d).encode())
+        | st.sampled_from(_RAW_FAMILIES),
+    )
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_argv_exits_zero_to_four(self, tmp_path, monkeypatch, argv, content):
         monkeypatch.chdir(tmp_path)  # a mutated file flag may take a relative name

@@ -175,6 +175,14 @@ class TestScalarKinds:
         with pytest.raises(InvalidDistribution):
             JointDist((F(-1, 4), F(1, 2), F(1, 2), F(1, 4)))
 
+    @pytest.mark.parametrize("entries,message", [
+        ((F(1, 3),) * 3, "JointDist needs 4 entries, got 3"),
+        ((math.nan, 0.5, 0.25, 0.25), r"JointDist\.entries\[0\]: probability is not finite"),
+    ], ids=["three_entries", "real_nan"])
+    def test_malformed_joint_rejected(self, entries, message):
+        with pytest.raises(InvalidDistribution, match=f"^{message}$"):
+            JointDist(entries)
+
     def test_bad_sum_rejected_exact(self):
         with pytest.raises(InvalidDistribution):
             BinaryDist(F(1, 2), F(1, 3))
@@ -296,6 +304,21 @@ class TestRationalLiterals:
     def test_parse_rejects_junk(self):
         with pytest.raises(ValueError):
             parse_rational("one third")
+
+    @pytest.mark.parametrize("text", ["0e-5000", "0e5000", "-0.000e-9000", "0E+12345", "\u0660e-5000"])
+    def test_a_zero_mantissa_is_zero_whatever_its_exponent(self, text):
+        value = parse_rational(text)
+        assert value == 0 and type(value) is F
+
+    @pytest.mark.parametrize("text,reason", [
+        ("0e-5000x", "not a rational literal"),
+        ("0e", "not a rational literal"),
+        ("0 e5", "not a rational literal"),
+        ("1e-5000", "rational literal needs more than 4300 digits"),
+    ])
+    def test_other_long_exponents_stay_refused(self, text, reason):
+        with pytest.raises(ValueError, match=f"^{reason}"):
+            parse_rational(text)
 
     @pytest.mark.parametrize("longest,refused", [
         ("1e4299", "1e4300"),

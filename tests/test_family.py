@@ -28,6 +28,7 @@ from hvnogo import (
     special_solution,
 )
 from hvnogo.acceptance import _interior_params as interior_params
+from hvnogo.family import cell_index
 
 F = Fraction
 
@@ -87,6 +88,14 @@ class TestSolveFamily:
     def test_float_table_entries_rejected(self):
         with pytest.raises(TypeError):
             OnticTable((0.5, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0))
+
+    def test_a_table_needs_eight_entries(self):
+        with pytest.raises(InvalidDistribution, match="^OnticTable needs 8 entries, got 7$"):
+            OnticTable((F(1, 7),) * 7)
+
+    def test_a_cell_label_is_p_or_w(self):
+        with pytest.raises(ValueError, match="^label must be 'p' or 'w', got 'q'$"):
+            cell_index(0, 0, "q")
 
     def test_negative_entry_too_long_to_print(self):
         tiny = F(1, 10**5000)

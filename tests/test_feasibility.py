@@ -20,9 +20,9 @@ from hvnogo import (
     SettingsFamily,
     WitnessMode,
     WitnessModel,
-    brute_force_feasible,
     check_triple,
     constraint_system,
+    enumerate_basic_solutions,
     lambda_marginal,
     lp_feasible,
     model_drop_determinism,
@@ -242,7 +242,7 @@ class TestCheckTriple:
         for trial in range(12):
             family = _random_family(rng, distinct_x=trial % 2 == 0, k=int(rng.integers(2, 5)))
             system = triple_system(family)
-            assert check_triple(family).feasible == brute_force_feasible(system)
+            assert check_triple(family).feasible == (enumerate_basic_solutions(system) != ())
 
     def test_adding_a_fresh_setting_never_restores_feasibility(self):
         rng = Generator(Philox(key=62))
@@ -823,6 +823,28 @@ class TestMalformedWitness:
         )
 
 
+class TestWitnessParts:
+    """A witness payload refuses a part of the wrong kind when it is built, and a report an unknown check."""
+
+    @pytest.mark.parametrize("build,error,message", [
+        (lambda: PerSettingTables({"a": TWO_SETTINGS.joints[0]}), TypeError,
+         "table for setting 'a' must be an OnticTable"),
+        (lambda: ResponseAtom("L", 1, "q", {}), ValueError, "atom 'L' has label 'q', expected 'p' or 'w'"),
+        (lambda: ResponseAtom("L", 1, "p", {"a": (1, 0, 0)}), TypeError,
+         "atom 'L': response for 'a' must be a SettingResponse"),
+    ], ids=["table_not_an_ontic_table", "atom_label", "response_not_a_setting_response"])
+    def test_a_part_of_the_wrong_kind(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_an_unknown_check_is_a_key_error(self):
+        report = validate_witness(model_drop_independence(TWO_SETTINGS), TWO_SETTINGS)
+        with pytest.raises(KeyError) as info:
+            report.check("honesty")
+        assert info.value.args == ("honesty",)
+
+
 class TestSharedWork:
     def test_each_joint_is_built_once_per_family(self, monkeypatch):
         # a new family, so that no earlier test has asked for its joints
@@ -938,3 +960,7 @@ class TestSettingsFamilyJson:
     def test_a_non_setting_is_rejected_by_index(self):
         with pytest.raises(TypeError, match=r"settings\[1\]"):
             SettingsFamily(F(1, 2), F(1, 4), (Setting("a", F(1, 3)), ("b", F(1, 3))))
+
+    def test_a_family_needs_a_setting(self):
+        with pytest.raises(ValueError, match="^a settings family needs at least one setting$"):
+            SettingsFamily(F(1, 2), F(1, 4), ())

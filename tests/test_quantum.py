@@ -80,6 +80,10 @@ class TestJointState:
         with pytest.raises(ValueError):
             StateVector4((1.0, 1.0, 0.0, 0.0))
 
+    def test_wrong_amplitude_count_rejected(self):
+        with pytest.raises(ValueError, match="^StateVector4 needs 4 amplitudes, got 3$"):
+            StateVector4((1.0, 0.0, 0.0))
+
 
 class TestQuantumJoint:
     def test_pure_particle(self):
