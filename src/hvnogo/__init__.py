@@ -31,7 +31,6 @@ _EXPORTS = {
         "marginal_b",
         "parse_rational",
         "to_json",
-        "tv_distance",
     ),
     "errors": (
         "BoundaryParams",

@@ -56,8 +56,8 @@ Scalar = Union[Fraction, float]
 REAL_TOL = 1e-12
 
 
-#: The exponent of a decimal literal, as ``Fraction`` reads it.
-_EXPONENT = re.compile(r"[-+]?\d+(_\d+)*")
+#: A run of decimal digits, as ``Fraction``'s grammar reads one (``\d``).
+_DIGIT_RUN = re.compile(r"\d+")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -68,38 +68,85 @@ def parse_rational(text: str) -> Fraction:
     >>> parse_rational("2")
     Fraction(2, 1)
 
-    A literal whose numerator or denominator would need more than
-    ``sys.get_int_max_str_digits()`` digits, and so could not be printed
-    back, is refused before it is built.  A zero mantissa is read without
-    its exponent, since zero times any power of ten is zero: "0e-5000" is 0.
+    The grammar is ``Fraction``'s.  A literal is accepted when the
+    numerator and the denominator of its value each print within
+    ``sys.get_int_max_str_digits()`` digits, so "100e-4300" (1/10^4298),
+    "0001e4297" and "0e-5000" (0) are read.  That is decided from the
+    significant digits, in time linear in the spelling, before any number
+    longer than the limit is built.  So the limit also binds two parts of
+    the spelling: p and q in "p/q" without their leading zeros, and a
+    decimal's digits without their leading and trailing zeros; a literal
+    is refused when either is too long, even where a common factor would
+    shrink the value.
     """
     literal = text.strip()
-    mantissa, _, exponent = literal.lower().partition("e")
-    if _EXPONENT.fullmatch(exponent) and not any(c.isdecimal() and int(c) for c in mantissa):
-        literal = mantissa + "e0"  # the same zero, well formed exactly when the whole literal is
-    limit = sys.get_int_max_str_digits()
-    if limit and _digit_bound(literal) > limit:
-        raise ValueError(f"rational literal needs more than {limit} digits")
     try:
-        return Fraction(literal)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
-
-
-def _digit_bound(literal: str) -> int:
-    """Most digits the numerator or denominator of ``Fraction(literal)`` can
-    have; 0 where ``int`` bounds them ("p/q") or ``Fraction`` rejects it."""
-    mantissa, _, exponent = literal.lower().partition("e")
-    try:
-        shift = int(exponent or 0)
+        Fraction(_DIGIT_RUN.sub("1", literal))  # the grammar alone: every digit run read as "1"
     except ValueError:
-        return 0
-    if "/" in mantissa:
-        return 0
-    whole, _, decimals = mantissa.partition(".")
-    n_whole = sum(c.isdigit() for c in whole)
-    n_decimals = sum(c.isdigit() for c in decimals)
-    return max(n_whole + n_decimals + max(shift, 0), n_decimals + max(-shift, 0) + 1)
+        raise ValueError(f"not a rational literal: {text!r}") from None
+    limit = sys.get_int_max_str_digits() or math.inf
+    body = literal.lstrip("+-")
+    if "/" in body:
+        p, q = (_without_leading_zeros(part.strip()) for part in body.split("/"))
+        if not q:
+            raise ValueError(f"not a rational literal: {text!r}")
+        if max(len(p), len(q)) > limit:
+            raise _too_long(limit)
+        value = Fraction(int(p or "0"), int(q))
+    else:
+        mantissa, _, exponent = body.lower().partition("e")
+        whole, _, decimals = mantissa.partition(".")
+        decimals = decimals.replace("_", "")
+        digits = _without_leading_zeros(whole + decimals)
+        significant = _without_leading_zeros(digits[::-1])[::-1]
+        if not significant:
+            return Fraction(0)
+        exponent_digits = _without_leading_zeros(exponent.lstrip("+-"))
+        if len(exponent_digits) > limit:
+            raise _too_long(limit)
+        shift = int(exponent_digits or "0") * (-1 if exponent.startswith("-") else 1)
+        value = _decimal_value(significant, shift + len(digits) - len(significant) - len(decimals), limit)
+    return -value if literal.startswith("-") else value
+
+
+def _without_leading_zeros(digits: str) -> str:
+    """A run of decimal digits, ASCII or not, and underscores, without the
+    underscores and the leading zeros; "" for zero."""
+    digits = digits.replace("_", "")
+    return digits[next((i for i, c in enumerate(digits) if int(c)), len(digits)) :]
+
+
+def _too_long(limit: int) -> ValueError:
+    return ValueError(f"rational literal needs more than {limit} digits")
+
+
+def _decimal_value(significant: str, shift: int, limit: float) -> Fraction:
+    """The decimal digits ``significant``, with no leading or trailing
+    zero, times 10**shift.
+
+    Raises ``ValueError`` when the value's numerator or denominator needs
+    more than ``limit`` digits, before any number that long is built.  For
+    shift = -d the digits' integer m is reduced by hand: g = gcd(m, 10**d)
+    is a power of 2 or of 5 (m is no multiple of 10), and the denominator
+    10**d / g fits exactly when d < limit or 10**(d - limit) < g.
+    """
+    if len(significant) > limit:
+        raise _too_long(limit)
+    m = int(significant)
+    if shift >= 0:
+        if len(significant) + shift > limit:
+            raise _too_long(limit)
+        return Fraction(m * 10**shift)
+    d = -shift
+    if d - limit >= len(significant):  # 10**(d - limit) > m >= g
+        raise _too_long(limit)
+    twos = min((m & -m).bit_length() - 1, d)
+    rest, fives = m >> twos, 0
+    while fives < d and rest % 5 == 0:
+        rest, fives = rest // 5, fives + 1
+    if d >= limit and 10 ** (d - limit) >= 5**fives << twos:
+        raise _too_long(limit)
+    return Fraction(rest, 5 ** (d - fives) << (d - twos))
 
 
 def format_rational(value: Fraction) -> str:
@@ -357,15 +404,3 @@ def conditional_a_given_b(joint: JointDist, b: int) -> BinaryDist:
     if norm <= 0:
         raise ConditionOnNull(f"marginal probability of b={b} is zero")
     return BinaryDist(top / norm, bottom / norm)
-
-
-def tv_distance(d1: JointDist, d2: JointDist) -> Scalar:
-    """Total-variation distance: half the entrywise L1 distance.
-
-    Exact when both joints are exact; otherwise a float.
-    """
-    diffs = [abs(p - q) for p, q in zip(d1.entries, d2.entries)]
-    total = sum(diffs)
-    if d1.exact and d2.exact:
-        return total / 2
-    return float(total) / 2.0

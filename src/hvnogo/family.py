@@ -268,16 +268,18 @@ def _check_in_range(name: str, value: Fraction, bounds: tuple[Fraction, Fraction
 def special_solution(params: GeneralParams) -> OnticTable:
     """The unique objectivity-preserving solution: label and apparatus
     outcome perfectly correlated (all mass has lam=p with b=0, lam=w with
-    b=1).  Defined for boundary parameters too.
+    b=1).  Defined for boundary parameters too.  It is
+    :func:`dist.joint_from_params` placed by :func:`_special_table`.
     """
-    params = _exact_params(params, "special_solution")
-    x, e_p, e_w = params.x, params.e_p, params.e_w
-    entries = [Fraction(0)] * 8
-    entries[cell_index(0, 0, "p")] = x * e_p
-    entries[cell_index(1, 0, "p")] = x * (1 - e_p)
-    entries[cell_index(0, 1, "w")] = (1 - x) * e_w
-    entries[cell_index(1, 1, "w")] = (1 - x) * (1 - e_w)
-    return OnticTable(tuple(entries))
+    return _special_table(joint_from_params(_exact_params(params, "special_solution")))
+
+
+def _special_table(joint: JointDist) -> OnticTable:
+    """An exact ``joint`` placed with its b=0 cells under label p and its
+    b=1 cells under label w; every cross cell is zero."""
+    e00, e01, e10, e11 = joint.entries
+    zero = Fraction(0)
+    return OnticTable((e00, zero, e10, zero, zero, e01, zero, e11))
 
 
 def classify(table: OnticTable, params: GeneralParams) -> Classification:

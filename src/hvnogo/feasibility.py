@@ -65,7 +65,7 @@ from .dist import (
 )
 from .errors import MalformedInput, MalformedModel, malformed_input
 from .exactlp import FeasibilityReport, LinearSystem
-from .family import LambdaLabel, OnticTable, _adequacy_labels, _stacked_system, cell_index, special_solution
+from .family import LambdaLabel, OnticTable, _adequacy_labels, _special_table, _stacked_system, cell_index, special_solution
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,9 @@ class Setting:
 class SettingsFamily:
     """Settings sharing (e_p, e_w); only the apparatus marginal x varies.
 
-    :attr:`params` and :attr:`joints` hold each setting's
-    :class:`GeneralParams` and :class:`JointDist`, in the order of
-    ``settings``.  Each tuple is built on first use and kept for the
-    family's lifetime.  They are not fields: equality, hashing and repr see
+    :attr:`joints` holds each setting's :class:`JointDist`, in the order of
+    ``settings``.  The tuple is built on first use and kept for the
+    family's lifetime.  It is not a field: equality, hashing and repr see
     only (e_p, e_w, settings).
     """
 
@@ -109,12 +108,8 @@ class SettingsFamily:
         object.__setattr__(self, "settings", settings)
 
     @cached_property
-    def params(self) -> tuple[GeneralParams, ...]:
-        return tuple(GeneralParams(s.x, self.e_p, self.e_w) for s in self.settings)
-
-    @cached_property
     def joints(self) -> tuple[JointDist, ...]:
-        return tuple(joint_from_params(params) for params in self.params)
+        return tuple(joint_from_params(GeneralParams(s.x, self.e_p, self.e_w)) for s in self.settings)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -343,8 +338,9 @@ class WitnessModel:
 def model_drop_independence(family: SettingsFamily) -> WitnessModel:
     """Keep determinism and objectivity; let the hidden state depend on the
     setting.  Each setting gets its own perfectly-correlated special table,
-    so the label marginal tracks (x, 1-x) and varies with the setting."""
-    tables = {s.label: special_solution(params) for s, params in zip(family.settings, family.params)}
+    its kept joint placed by :func:`family._special_table`, so the label
+    marginal tracks (x, 1-x) and varies with the setting."""
+    tables = {s.label: _special_table(joint) for s, joint in zip(family.settings, family.joints)}
     return WitnessModel(PerSettingTables(tables))
 
 
@@ -442,10 +438,12 @@ def _marginals(
     order (``None`` for an :class:`OutcomeAtomModel`), all as integer
     numerators over the one common denominator D, then the verdicts of two
     checks.  A labelled joint is cell i plus cell i + 4: the p mass plus the
-    w mass.  D is the lcm of the tables' entries, the lcm of the atom
-    weights, or for stochastic responses the product of the lcms of the
-    weights, of the b0 responses and of the a responses.  Raises
-    :class:`MalformedModel` on a structural mismatch.
+    w mass.  An outcome atom adds its integer weight to the cell its
+    assignment names in each setting, so atom order does not matter.  D is
+    the lcm of the tables' entries, the lcm of the atom weights, or for
+    stochastic responses the product of the lcms of the weights, of the b0
+    responses and of the a responses.  Raises :class:`MalformedModel` on a
+    structural mismatch.
     """
     labels = family.labels
     if isinstance(payload, PerSettingTables):
@@ -474,18 +472,11 @@ def _marginals(
         for atom in payload.atoms:
             if len(atom.assignments) != k:
                 raise MalformedModel(f"atom assigns {len(atom.assignments)} outcomes for {k} settings")
-        # One prefix difference per run of equal assignments, in any atom order.
-        prefix = (0, *itertools.accumulate(weights))
-        joints = []
-        for i in range(k):
-            cells = dict.fromkeys(_OUTCOME_PAIRS, 0)
-            start = 0
-            for pair, run in itertools.groupby(atom.assignments[i] for atom in payload.atoms):
-                end = start + sum(1 for _ in run)
-                cells[pair] += prefix[end] - prefix[start]
-                start = end
-            joints.append(tuple(cells.values()))
-        return w_scale, joints, None, _PINNED, independence
+        sums = [[0] * 4 for _ in labels]
+        for atom, weight in zip(payload.atoms, weights):
+            for cells, (a, b) in zip(sums, atom.assignments):
+                cells[2 * a + b] += weight
+        return w_scale, [tuple(cells) for cells in sums], None, _PINNED, independence
     if not payload.atoms:
         raise MalformedModel("stochastic response model has no atoms")
     determinism = True, "all responses are 0 or 1"

@@ -563,6 +563,11 @@ _RAW_FAMILIES = [
     b'{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": "a", "x": ' + b"7" * 5000 + b"}]}",
     b'{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": 1.5, "x": "1/3"}]}',
     b'{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": "a", "x": true}]}',
+    # spellings whose value prints within the digit limit, though the spelling is longer
+    *(b'{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": "a", "x": ' + x + b"}]}" for x in (
+        b"100e-4300", b"1000e-4302", b'"0001e4297"', b'"' + b"0" * 4400 + b'1"', b"1." + b"0" * 4400,
+        b'"1/' + b"0" * 4400 + b'3"',
+    )),
 ]
 _BAD = sorted({value for _, bad in _VALUES.values() for value in bad})
 _STRAYS = st.sampled_from([*_VALUES, "--help", "-h", *_BAD]) | _TOKENS

@@ -2,15 +2,17 @@
 
 import dataclasses
 import enum
+import itertools
 import math
 import pickle
+import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvnogo import (
@@ -36,7 +38,6 @@ from hvnogo import (
     residual,
     solve_family,
     to_json,
-    tv_distance,
     verify_certificate,
 )
 from hvnogo.dist import _as_fraction_row, _common_denominator, _show
@@ -137,28 +138,6 @@ class TestConditional:
             cond = conditional_a_given_b(joint, b)
             assert joint.entry(0, b) == cond.p0 * p_b
             assert joint.entry(1, b) == cond.p1 * p_b
-
-
-class TestTvDistance:
-    def test_identity(self):
-        d = JointDist((F(1, 6), F(1, 6), F(1, 6), F(1, 2)))
-        assert tv_distance(d, d) == 0
-
-    def test_disjoint_support(self):
-        a = JointDist((F(1), F(0), F(0), F(0)))
-        b = JointDist((F(0), F(1), F(0), F(0)))
-        assert tv_distance(a, b) == 1
-
-    def test_worked_example(self):
-        # (1/2)(1/12 + 1/12 + 1/12 + 1/4) by hand
-        d1 = JointDist((F(1, 6), F(1, 6), F(1, 6), F(1, 2)))
-        d2 = JointDist((F(1, 4),) * 4)
-        assert tv_distance(d1, d2) == F(1, 4)
-
-    def test_mixed_kinds_promote_to_float(self):
-        exact = JointDist((F(1, 4),) * 4)
-        real = JointDist((0.25,) * 4)
-        assert isinstance(tv_distance(exact, real), float)
 
 
 class TestScalarKinds:
@@ -296,7 +275,111 @@ class TestCommonDenominator:
         assert _common_denominator([]) == (1, [])
 
 
+#: Significant digits for a literal: short ones, powers of 2 and of 5 (which
+#: cancel against a negative exponent), and runs about as long as the
+#: default limit of 4 300 digits.
+_CORES = st.sampled_from(["1", "7", "5", "25", "625", "2", "64", "1024", "10", "123", str(5**6149), str(2**14270)])
+_CORES |= st.builds(str.__mul__, st.sampled_from("157"), st.integers(4298, 4301))
+_ZEROS = st.sampled_from([0, 1, 2, 4299, 4400]).map("0".__mul__)
+
+
+@st.composite
+def _literals(draw):
+    """A literal with leading and trailing zeros, '.', 'e', '/', signs,
+    underscores and spaces, and the digit runs whose length the rule bounds:
+    p and q, or a decimal's digits."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    if draw(st.booleans()):
+        p = draw(_ZEROS) + draw(_CORES | st.just(""))
+        q = draw(_ZEROS) + draw(_CORES | st.just("0"))
+        text, parts = f"{sign}{p}/{q}", (p, q)
+    else:
+        digits = draw(_ZEROS) + draw(_CORES) + draw(_ZEROS)
+        cut = draw(st.integers(0, len(digits))) if draw(st.booleans()) else len(digits)
+        mantissa = digits[:cut] + "." + digits[cut:] if cut < len(digits) or draw(st.booleans()) else digits
+        # the value is the core times 10**shift: aim near the limit either way
+        shift = draw(st.integers(-3, 3) | st.integers(4290, 4305) | st.integers(-4315, -4295) | st.integers(-13000, 13000))
+        exponent = shift + (len(digits) - cut) - (len(digits) - len(digits.rstrip("0")))
+        spelled = draw(st.sampled_from(["", "+"])) if exponent >= 0 else "-"
+        spelled += draw(_ZEROS) + str(abs(exponent))
+        text = sign + mantissa + (draw(st.sampled_from("eE")) + spelled if exponent or draw(st.booleans()) else "")
+        parts = (digits,)
+    for _ in range(draw(st.integers(0, 2))):  # spoil it, or not: Fraction decides
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from("_ x")) + text[i:]
+    if draw(st.booleans()):
+        text = text.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"))
+    return text, parts
+
+
+def _reference(text: str, parts: tuple[str, ...]):
+    """``Fraction(text)`` with no digit limit, or None where Fraction refuses
+    the spelling; then whether the value and the bounded parts fit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        try:
+            value = F(text)
+        except (ValueError, ZeroDivisionError):
+            return None, False
+        if len(parts) == 1:
+            sizes = [len(str(int(parts[0])).rstrip("0"))]
+        else:
+            sizes = [len(str(int(part or "0"))) for part in parts]
+        fits = max(abs(value.numerator), value.denominator) < 10**limit and max(sizes) <= limit
+        return value, fits
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class TestRationalLiterals:
+    @given(_literals())
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_exactly_when_fraction_reads_it_and_the_value_fits(self, literal):
+        text, parts = literal
+        value, fits = _reference(text, parts)
+        if value is None:
+            with pytest.raises(ValueError, match="^not a rational literal"):
+                parse_rational(text)
+        elif not fits:
+            with pytest.raises(ValueError, match="^rational literal needs more than 4300 digits$"):
+                parse_rational(text)
+        else:
+            assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text,value", [
+        ("100e-4300", F(1, 10**4298)),
+        ("1000e-4302", F(1, 10**4299)),
+        ("0001e4297", F(10**4297)),
+        ("0" * 4400 + "1", F(1)),
+        ("1." + "0" * 4400, F(1)),
+        ("1/" + "0" * 4400 + "3", F(1, 3)),
+        ("5e-4300", F(1, 2 * 10**4299)),
+        ("-25e-4301", F(-1, 4 * 10**4299)),
+    ], ids=["100e-4300", "1000e-4302", "0001e4297", "leading_zeros", "trailing_zeros", "denominator_zeros",
+            "five_cancels", "twenty_five_cancels"])
+    def test_the_value_is_counted_not_the_spelling(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", ["5e-4301", "1" + "0" * 4300, "1/1" + "0" * 4300, "7" * 4301 + "e-1"])
+    def test_a_value_one_digit_too_long_is_refused(self, text):
+        with pytest.raises(ValueError, match="^rational literal needs more than 4300 digits$"):
+            parse_rational(text)
+
+    def test_a_value_that_prints_parses_back(self):
+        limit = sys.get_int_max_str_digits()
+        top = 10**limit  # the least integer with one digit too many
+        twos = top.bit_length() - 1  # 2**twos < top
+        fives = next(j for j in itertools.count(int(limit / math.log10(5)), -1) if 5**j < top)
+        for value in (F(top - 1), F(1, top // 10), F(-(top - 1), 2**twos), F(5**fives, top - 3), F(1, 2 * top // 10)):
+            assert parse_rational(format_rational(value)) == value
+        for value in (F(top), F(1, top), F(1, 2 ** (twos + 1))):
+            with pytest.raises(OversizedRational):
+                format_rational(value)
+        for text in (f"1e{limit}", f"1e-{limit}", f"5e-{limit + 1}"):
+            with pytest.raises(ValueError, match="digits"):
+                parse_rational(text)
+
     @pytest.mark.parametrize("text,value", [("1/3", F(1, 3)), ("1", F(1)), ("0", F(0)), ("7/7", F(1))])
     def test_parse(self, text, value):
         assert parse_rational(text) == value

@@ -1,5 +1,6 @@
 """Constraint-system family: closed forms, classification, exact identities."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,44 @@ class TestSpecialSolution:
     def test_conditioning_on_empty_branch_raises(self):
         with pytest.raises(ConditionOnNull):
             conditional_given(special_solution(PARAMS), 0, "w")
+
+
+class TestClosedFormsOnAGrid:
+    """Identities proved, not sampled, by the grid lemma (Alon, Combin. Probab.
+    Comput. 8, 1999): a polynomial of degree at most d in each variable that
+    vanishes on a product grid with d + 1 values per variable is zero.  Each
+    test reads its degree bound from the code it names; the grid proves the
+    identity only under that bound.  The point off the grid is evidence
+    against a wrong bound, not part of the proof."""
+
+    OFF_GRID = (F(2, 9), F(7, 11), F(3, 13))
+
+    def test_special_solution_is_its_closed_form(self):
+        """Degree <= 1 in each of x, e_p and e_w: ``special_solution`` places
+        the entries of ``dist.joint_from_params``, each a product of x or
+        1 - x with e_p, 1 - e_p, e_w or 1 - e_w; the label marginal adds two
+        of them.  So 2 values per variable, 8 points, suffice."""
+        for x, e_p, e_w in [*itertools.product((F(1, 3), F(3, 4)), repeat=3), self.OFF_GRID]:
+            table = special_solution(GeneralParams(x, e_p, e_w))
+            zero = F(0)
+            assert table.entries == (x * e_p, zero, x * (1 - e_p), zero, zero, (1 - x) * e_w, zero, (1 - x) * (1 - e_w))
+            assert lambda_marginal(table).as_tuple() == (x, 1 - x)
+
+    def test_every_member_solves_the_constraint_system(self):
+        """Degree <= 2 in e_p and e_w and <= 1 in x, u and v, for s = u*x*e_p
+        and t = v*(1-x)*e_w: each entry of ``family._family_entries`` is then
+        a product of one factor per variable (r_p = (1-e_p)/e_p cancels the
+        e_p in x*e_p - s, r_w the e_w in (1-x)*e_w - t), the rows of
+        ``_stacked_system`` multiply an entry by at most e_p, 1 - e_p, e_w or
+        1 - e_w, and the joint on the right is of degree 1.  So 3 values per
+        variable, 243 points, suffice; e_p and e_w stay off 0, where the code
+        divides."""
+        probabilities, shares = (F(1, 3), F(1, 2), F(5, 7)), (F(0), F(1, 2), F(1))
+        grid = itertools.product(probabilities, probabilities, probabilities, shares, shares)
+        for x, e_p, e_w, u, v in [*grid, (*self.OFF_GRID, F(3, 8), F(5, 6))]:
+            params = GeneralParams(x, e_p, e_w)
+            member = instantiate(solve_family(params), u * x * e_p, v * (1 - x) * e_w)
+            assert all(r == 0 for r in residual(constraint_system(params), member.entries))
 
 
 class TestClassify:

@@ -1,6 +1,7 @@
 """Triple check, certificates, and the three pairwise witness models."""
 
 import dataclasses
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -136,6 +137,36 @@ class TestCheckTriple:
             report = check_triple(family)
             assert report.feasible
             assert all(r == 0 for r in residual(triple_system(family), report.witness.entries))
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["low_first", "high_first"])
+    def test_the_certificate_holds_for_every_pair_by_the_grid_lemma(self, reverse):
+        """Proved, not sampled, by the grid lemma (Alon, Combin. Probab.
+        Comput. 8, 1999).  With the low and high values apart, the
+        certificate's pattern does not depend on the parameters, and y^T A
+        reads only the constant adequacy rows, since objectivity gets 0.  So
+        y^T b - 2 (x_hi - x_lo) is a polynomial of degree <= 1 in each of
+        x_lo, x_hi, e_p and e_w: each entry of ``dist.joint_from_params`` is
+        a product of one factor per variable.  2 values per variable, 16
+        families, suffice; the grid proves the identity only under that bound."""
+        low, high = (-1, 1, -1, 1), (1, -1, 1, -1)
+        grid = itertools.product((F(0), F(1, 3)), (F(1, 2), F(1)), (F(1, 4), F(2, 3)), (F(1, 4), F(2, 3)))
+        for x_lo, x_hi, e_p, e_w in grid:
+            settings = (Setting("lo", x_lo), Setting("hi", x_hi))
+            family = SettingsFamily(e_p, e_w, settings[::-1] if reverse else settings)
+            report = check_triple(family)
+            system = triple_system(family)
+            y = report.certificate
+            assert y == (*(high + low if reverse else low + high), 0, 0)
+            assert all(sum(y_i * row[j] for y_i, row in zip(y, system.matrix)) == 0 for j in range(8))
+            assert sum(y_i * b_i for y_i, b_i in zip(y, system.rhs)) == 2 * (x_hi - x_lo)
+            assert verify_certificate(system, y)
+
+    def test_a_setting_between_the_extremes_gets_no_multiplier(self):
+        settings = (Setting("lo", F(1, 3)), Setting("mid", F(1, 2)), Setting("hi", F(1)))
+        family = SettingsFamily(F(1, 4), F(2, 3), settings)
+        y = check_triple(family).certificate
+        assert y == (-1, 1, -1, 1, 0, 0, 0, 0, 1, -1, 1, -1, 0, 0)
+        assert verify_certificate(triple_system(family), y)
 
     def test_constant_x_witness_keeps_all_three_assumptions(self):
         rng = _rng(601)  # criterion 6's draws: 100 distinct-x families, then the constant-x ones
@@ -293,6 +324,19 @@ class TestDropIndependence:
         # the dropped assumption really is violated: the label depends on the setting
         assert not report.check("independence").passed
         assert not report.check("independence").retained
+
+    def test_tables_are_placed_from_the_kept_joints(self, monkeypatch):
+        family = SettingsFamily(FIVE_SETTINGS.e_p, FIVE_SETTINGS.e_w, FIVE_SETTINGS.settings)
+        joints = family.joints
+
+        def unreachable(params):
+            raise AssertionError("model_drop_independence recomputed a joint")
+
+        monkeypatch.setattr(feasibility, "special_solution", unreachable)
+        built = _count_calls(monkeypatch, "joint_from_params")
+        model = model_drop_independence(family)
+        assert built == [] and family.joints is joints
+        assert validate_witness(model, family).overall_pass
 
     def test_single_setting_reduces_to_the_special_solution(self):
         family = SettingsFamily(F(1, 2), F(1, 4), (Setting("only", F(1, 3)),))
@@ -873,7 +917,7 @@ class TestSharedWork:
         report = check_triple(family)
         assert report.feasible is not distinct
         assert built == []
-        assert "joints" not in family.__dict__ and "params" not in family.__dict__
+        assert "joints" not in family.__dict__
         system = triple_system(family)
         if distinct:
             assert verify_certificate(system, report.certificate)
@@ -914,7 +958,6 @@ class TestSharedWork:
         assert repr(family) == before == repr(fresh)
         moved = dataclasses.replace(family, e_p=F(1, 3))
         for i, s in enumerate(family.settings):
-            assert moved.params[i] == GeneralParams(s.x, F(1, 3), F(1, 4))
             assert moved.joints[i].entry(0, 0) == s.x * F(1, 3)
             assert family.joints[i].entry(0, 0) == s.x * F(1, 2)
 

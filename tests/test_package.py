@@ -1,9 +1,11 @@
 """The package namespace: every export, resolved from its defining module on first use."""
 
 import importlib
+import re
 import sys
 
 import pytest
+from checkout import ROOT
 
 import hvnogo
 
@@ -11,7 +13,7 @@ import hvnogo
 EXPORTS = {
     "dist": [
         "REAL_TOL", "BinaryDist", "GeneralParams", "JointDist", "conditional_a_given_b", "format_rational",
-        "joint_from_params", "marginal_b", "parse_rational", "to_json", "tv_distance",
+        "joint_from_params", "marginal_b", "parse_rational", "to_json",
     ],
     "errors": [
         "BoundaryParams", "ConditionOnNull", "DimensionMismatch", "EmptySample", "HvnogoError",
@@ -40,7 +42,22 @@ EXPORTS = {
 
 def test_all_lists_every_export():
     assert hvnogo.__all__ == [name for names in EXPORTS.values() for name in names]
-    assert len(hvnogo.__all__) == 64
+    assert len(hvnogo.__all__) == 63
+
+
+def test_every_export_is_used():
+    # a use is a whole-word occurrence outside the name's own module-level def, class or assignment
+    sources = [p for p in (ROOT / "src" / "hvnogo").glob("*.py") if p.name != "__init__.py"]
+    sources += [p for folder in ("demos", "perfbench") for p in sorted((ROOT / folder).rglob("*")) if p.is_file()]
+    sources.append(ROOT / "README.md")
+    lines = [line for path in sources for line in path.read_text(encoding="utf-8").splitlines()]
+    unused = []
+    for name in hvnogo.__all__:
+        word = re.compile(rf"\b{name}\b")
+        own = re.compile(rf"(?:(?:async )?def |class ){name}\b|{name}\s*(?::[^=]*)?=(?!=)")
+        if not any(word.search(line) and not own.match(line) for line in lines):
+            unused.append(name)
+    assert unused == []
 
 
 @pytest.mark.parametrize("home", list(EXPORTS))
