@@ -297,14 +297,18 @@ def _literals(draw):
         digits = draw(_ZEROS) + draw(_CORES) + draw(_ZEROS)
         cut = draw(st.integers(0, len(digits))) if draw(st.booleans()) else len(digits)
         mantissa = digits[:cut] + "." + digits[cut:] if cut < len(digits) or draw(st.booleans()) else digits
-        # the value is the core times 10**shift: aim near the limit either way
-        shift = draw(st.integers(-3, 3) | st.integers(4290, 4305) | st.integers(-4315, -4295) | st.integers(-13000, 13000))
+        # the value is the core times 10**shift: aim near the limit either way, and most often just
+        # past -limit, where the core's factors of 2 or 5 decide whether the denominator fits
+        if draw(st.booleans()):
+            shift = draw(st.integers(-4306, -4298))
+        else:
+            shift = draw(st.integers(-3, 3) | st.integers(4290, 4305) | st.integers(-13000, 13000))
         exponent = shift + (len(digits) - cut) - (len(digits) - len(digits.rstrip("0")))
         spelled = draw(st.sampled_from(["", "+"])) if exponent >= 0 else "-"
         spelled += draw(_ZEROS) + str(abs(exponent))
         text = sign + mantissa + (draw(st.sampled_from("eE")) + spelled if exponent or draw(st.booleans()) else "")
         parts = (digits,)
-    for _ in range(draw(st.integers(0, 2))):  # spoil it, or not: Fraction decides
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):  # spoil it, or not: Fraction decides
         i = draw(st.integers(0, len(text)))
         text = text[:i] + draw(st.sampled_from("_ x")) + text[i:]
     if draw(st.booleans()):
