@@ -74,10 +74,11 @@ def parse_rational(text: str) -> Fraction:
     "0001e4297" and "0e-5000" (0) are read.  That is decided from the
     significant digits, in time linear in the spelling, before any number
     longer than the limit is built.  So the limit also binds two parts of
-    the spelling: p and q in "p/q" without their leading zeros, and a
-    decimal's digits without their leading and trailing zeros; a literal
-    is refused when either is too long, even where a common factor would
-    shrink the value.
+    the spelling: p and q in "p/q" without their leading zeros and their
+    common trailing zeros (so "2" + "0" * 4400 + "/1" + "0" * 4400 is 2),
+    and a decimal's digits without their leading and trailing zeros; a
+    literal is refused when either is too long, even where a common factor
+    other than a power of ten would shrink the value.
     """
     literal = text.strip()
     try:
@@ -90,6 +91,9 @@ def parse_rational(text: str) -> Fraction:
         p, q = (_without_leading_zeros(part.strip()) for part in body.split("/"))
         if not q:
             raise ValueError(f"not a rational literal: {text!r}")
+        # p/q = (p/10**z)/(q/10**z); a zero p ("") takes any z
+        z = _trailing_zeros(q) if not p else min(_trailing_zeros(p), _trailing_zeros(q))
+        p, q = p[: len(p) - z], q[: len(q) - z]
         if max(len(p), len(q)) > limit:
             raise _too_long(limit)
         value = Fraction(int(p or "0"), int(q))
@@ -114,6 +118,11 @@ def _without_leading_zeros(digits: str) -> str:
     underscores and the leading zeros; "" for zero."""
     digits = digits.replace("_", "")
     return digits[next((i for i, c in enumerate(digits) if int(c)), len(digits)) :]
+
+
+def _trailing_zeros(digits: str) -> int:
+    """How many zeros, ASCII or not, end a run of decimal digits."""
+    return len(digits) - len(_without_leading_zeros(digits[::-1]))
 
 
 def _too_long(limit: int) -> ValueError:
@@ -287,12 +296,22 @@ def _sums_to_one(values: tuple[Fraction, ...]) -> bool:
     return sum(numerators) == scale
 
 
-def _check_normalized(entries, what: str) -> None:
-    if isinstance(entries[0], Fraction):
-        if not _sums_to_one(entries):
-            raise InvalidDistribution(f"{what}: entries sum to {_show(sum(entries))}, expected 1")
+def _check_distribution(values: tuple[Scalar, ...], names: tuple[str, ...], what: str) -> None:
+    """The one validation pass over a distribution's coerced ``values``:
+    each is a probability, in order, under the matching name of ``names``,
+    then they sum to 1.  An exact value's range is read off its numerator
+    and denominator and the sum is :func:`_sums_to_one`'s; a message is
+    built only for the check that fails."""
+    if type(values[0]) is Fraction:
+        for name, p in zip(names, values):
+            if p.numerator < 0 or p.numerator > p.denominator:
+                _check_probability(p, name)
+        if not _sums_to_one(values):
+            raise InvalidDistribution(f"{what}: entries sum to {_show(sum(values))}, expected 1")
         return
-    total = sum(entries)
+    for name, p in zip(names, values):
+        _check_probability(p, name)
+    total = sum(values)
     if abs(total - 1.0) > REAL_TOL:
         raise InvalidDistribution(f"{what}: entries sum to {total!r}, expected 1 within {REAL_TOL}")
 
@@ -300,6 +319,10 @@ def _check_normalized(entries, what: str) -> None:
 def is_exact(value: Scalar) -> bool:
     """True for exact rationals, False for floats."""
     return isinstance(value, Fraction)
+
+
+#: Each value's name in :class:`BinaryDist`'s messages.
+_BINARY_NAMES = ("BinaryDist.p0", "BinaryDist.p1")
 
 
 @dataclass(frozen=True)
@@ -311,10 +334,9 @@ class BinaryDist:
 
     def __post_init__(self):
         values = _coerce_homogeneous((self.p0, self.p1), "BinaryDist")
-        for name, value in zip(("p0", "p1"), values):
-            object.__setattr__(self, name, value)
-            _check_probability(value, f"BinaryDist.{name}")
-        _check_normalized(values, "BinaryDist")
+        object.__setattr__(self, "p0", values[0])
+        object.__setattr__(self, "p1", values[1])
+        _check_distribution(values, _BINARY_NAMES, "BinaryDist")
 
     @property
     def exact(self) -> bool:
@@ -324,9 +346,19 @@ class BinaryDist:
         return (self.p0, self.p1)
 
 
+#: Each entry's name in :class:`JointDist`'s messages.
+_JOINT_NAMES = tuple(f"JointDist.entries[{i}]" for i in range(4))
+
+
 @dataclass(frozen=True)
 class JointDist:
-    """Joint distribution over detector outcomes (a, b), order 00, 01, 10, 11."""
+    """Joint distribution over detector outcomes (a, b), order 00, 01, 10, 11.
+
+    Every construction checks, in this order: the entry types
+    (:func:`_coerce_homogeneous`), the count of 4, each entry's range, then
+    the sum, in one pass (:func:`_check_distribution`) that builds a
+    message only for the check that fails.
+    """
 
     entries: tuple[Scalar, Scalar, Scalar, Scalar]
 
@@ -335,9 +367,7 @@ class JointDist:
         if len(entries) != 4:
             raise InvalidDistribution(f"JointDist needs 4 entries, got {len(entries)}")
         object.__setattr__(self, "entries", entries)
-        for i, e in enumerate(entries):
-            _check_probability(e, f"JointDist.entries[{i}]")
-        _check_normalized(entries, "JointDist")
+        _check_distribution(entries, _JOINT_NAMES, "JointDist")
 
     def entry(self, a: int, b: int) -> Scalar:
         """Probability of the outcome pair (a, b)."""
@@ -374,15 +404,32 @@ class GeneralParams:
 
 
 def joint_from_params(params: GeneralParams) -> JointDist:
-    """Reconstruct the joint from (x, e_p, e_w).
+    """Reconstruct the joint from (x, e_p, e_w): :func:`_joints_at` at the one x.
 
     Returns (x*e_p, (1-x)*e_w, x*(1-e_p), (1-x)*(1-e_w)): the b-marginal is
     (x, 1-x) and the conditional a-distributions are (e_p, 1-e_p) at b=0 and
     (e_w, 1-e_w) at b=1.
     """
-    x, e_p, e_w = params.x, params.e_p, params.e_w
-    one = Fraction(1) if params.exact else 1.0
-    return JointDist((x * e_p, (one - x) * e_w, x * (one - e_p), (one - x) * (one - e_w)))
+    return _joints_at((params.x,), params.e_p, params.e_w)[0]
+
+
+def _joints_at(xs: Sequence[Scalar], e_p: Scalar, e_w: Scalar) -> tuple[JointDist, ...]:
+    """The package's one joint formula: the joint of each b-marginal x in
+    ``xs``, in order, all sharing the conditionals (e_p, e_w).
+
+    1-e_p and 1-e_w are formed once per call and 1-x once per x; each
+    joint is then four products, checked by :class:`JointDist` as every
+    joint is.  The values must already be probabilities of one kind, as a
+    :class:`GeneralParams` or a :class:`feasibility.SettingsFamily` holds
+    them.
+    """
+    one = Fraction(1) if type(e_p) is Fraction else 1.0
+    q_p, q_w = one - e_p, one - e_w
+    joints = []
+    for x in xs:
+        y = one - x
+        joints.append(JointDist((x * e_p, y * e_w, x * q_p, y * q_w)))
+    return tuple(joints)
 
 
 def marginal_b(joint: JointDist) -> BinaryDist:

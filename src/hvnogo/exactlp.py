@@ -71,7 +71,12 @@ class LinearSystem:
     labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        rows = tuple(_as_fraction_row(r, "LinearSystem.matrix") for r in self.matrix)
+        matrix = tuple(self.matrix)  # holds every row, so no id below is reused while it is in use
+        checked: dict[int, tuple[Fraction, ...]] = {}  # a row object given many times is checked once
+        for r in matrix:
+            if id(r) not in checked:
+                checked[id(r)] = _as_fraction_row(r, "LinearSystem.matrix")
+        rows = tuple(checked[id(r)] for r in matrix)
         rhs = _as_fraction_row(self.rhs, "LinearSystem.rhs")
         if len(rows) != len(rhs):
             raise DimensionMismatch(f"{len(rows)} rows vs {len(rhs)} right-hand sides")

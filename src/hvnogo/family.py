@@ -168,7 +168,8 @@ _ADEQUACY_ROWS = tuple(
 
 def _adequacy_labels(tag: str) -> tuple[str, ...]:
     """The labels ``adequacy<tag>(a=..,b=..)`` of one joint's four adequacy rows, in 00, 01, 10, 11 order."""
-    return tuple(f"adequacy{tag}(a={a},b={b})" for a in (0, 1) for b in (0, 1))
+    head = "adequacy" + tag
+    return (head + "(a=0,b=0)", head + "(a=0,b=1)", head + "(a=1,b=0)", head + "(a=1,b=1)")
 
 
 def _stacked_system(e_p: Fraction, e_w: Fraction, tagged_joints: Iterable[tuple[str, JointDist]]) -> LinearSystem:

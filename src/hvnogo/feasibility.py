@@ -59,8 +59,8 @@ from .dist import (
     _as_probability,
     _common_denominator,
     _is_bit_pair,
+    _joints_at,
     _show,
-    joint_from_params,
     parse_rational,
 )
 from .errors import MalformedInput, MalformedModel, malformed_input
@@ -109,7 +109,11 @@ class SettingsFamily:
 
     @cached_property
     def joints(self) -> tuple[JointDist, ...]:
-        return tuple(joint_from_params(GeneralParams(s.x, self.e_p, self.e_w)) for s in self.settings)
+        """Each setting's joint, from one call of the joint formula
+        :func:`dist._joints_at` over the settings' x values; no
+        :class:`GeneralParams` is built, since ``Setting`` and the family
+        have checked x, e_p and e_w already."""
+        return _joints_at([s.x for s in self.settings], self.e_p, self.e_w)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -192,15 +196,21 @@ def check_triple(family: SettingsFamily) -> FeasibilityReport:
     their coefficients, so y^T A = 0, while y^T b = 2 (x_hi - x_lo) > 0.
     """
     xs = [s.x for s in family.settings]
-    lo, hi = min(xs), max(xs)
-    if lo == hi:
+    low = high = 0
+    lo_n, lo_d = hi_n, hi_d = xs[0].numerator, xs[0].denominator
+    for i, (n, d) in enumerate([(x.numerator, x.denominator) for x in xs]):
+        if n * lo_d < lo_n * d:  # x < lo, cross-multiplied: every denominator is positive
+            low, lo_n, lo_d = i, n, d
+        elif n * hi_d > hi_n * d:
+            high, hi_n, hi_d = i, n, d
+    if low == high:  # no x lies below or above the first: all are equal
+        lo = xs[low]
         narrative = (
             f"feasible: all settings share the apparatus marginal x = {_show(lo)}; "
             "the witness table reproduces every setting's statistics while keeping "
             "determinism, independence, and objectivity"
         )
         return FeasibilityReport(True, special_solution(GeneralParams(lo, family.e_p, family.e_w)), None, narrative)
-    low, high = xs.index(lo), xs.index(hi)
     certificate = [Fraction(0)] * (4 * len(xs) + 2)
     certificate[4 * low : 4 * low + 4] = map(Fraction, (-1, 1, -1, 1))
     certificate[4 * high : 4 * high + 4] = map(Fraction, (1, -1, 1, -1))

@@ -184,6 +184,52 @@ class TestScalarKinds:
             GeneralParams(F(3, 2), F(1, 2), F(1, 2))
 
 
+class TestJointDistRefusals:
+    """Each refusal of ``JointDist``, its class and its whole message.  The
+    checks run in a fixed order (entry types, length, each entry's range in
+    entry order, then the sum), so the first failing one names the refusal."""
+
+    @pytest.mark.parametrize("entries,error,message", [
+        ((F(1, 2), F(-1, 4), F(1, 2), F(1, 4)), InvalidDistribution,
+         "JointDist.entries[1]: probability -1/4 outside [0, 1]"),
+        ((F(0), F(3, 2), F(0), F(-1, 2)), InvalidDistribution,
+         "JointDist.entries[1]: probability 3/2 outside [0, 1]"),
+        ((F(5, 4), F(-1, 4), 0, 0), InvalidDistribution, "JointDist.entries[0]: probability 5/4 outside [0, 1]"),
+        ((F(1, 3),) * 3, InvalidDistribution, "JointDist needs 4 entries, got 3"),
+        ((F(-1), 1, 1, 0, 0), InvalidDistribution, "JointDist needs 4 entries, got 5"),
+        ((F(1, 4), F(1, 4), F(1, 4), F(1, 3)), InvalidDistribution, "JointDist: entries sum to 13/12, expected 1"),
+        ((F(1, 4), 0, 0, 0), InvalidDistribution, "JointDist: entries sum to 1/4, expected 1"),
+        ((True, 0, 0, 0), TypeError, "JointDist: expected Fraction or int, got bool"),
+        (("1/2", F(1, 2), 0, 0), TypeError, "JointDist: expected Fraction or int, got str"),
+        ((Decimal("0.5"), F(1, 2), 0, 0), TypeError, "JointDist: expected Fraction or int, got Decimal"),
+        ((F(-1), F(1), "x"), TypeError, "JointDist: expected Fraction or int, got str"),
+        ((0.5, F(1, 3), 0, 0), InvalidDistribution,
+         "JointDist: entries sum to 0.8333333333333333, expected 1 within 1e-12"),
+        ((1.5, F(-1, 2), 0, 0), InvalidDistribution,
+         "JointDist.entries[0]: probability 1.5 outside [0, 1] beyond tolerance"),
+        ((0.5, True, 0, 0), TypeError, "JointDist: expected int, Fraction, or float, got bool"),
+        ((0.5, Decimal("0.5"), 0, 0), TypeError, "JointDist: expected int, Fraction, or float, got Decimal"),
+        ((0.5, 0.5, -2e-12, 2e-12), InvalidDistribution,
+         "JointDist.entries[2]: probability -2e-12 outside [0, 1] beyond tolerance"),
+        ((0.5, 0.5, 0.0, 1 + 2e-12), InvalidDistribution,
+         "JointDist.entries[3]: probability 1.000000000002 outside [0, 1] beyond tolerance"),
+        ((0.5, math.inf, 0.0, 0.0), InvalidDistribution, "JointDist.entries[1]: probability is not finite"),
+        ((0.5, 0.5 + 1e-9, 0.0, 0.0), InvalidDistribution,
+         "JointDist: entries sum to 1.000000001, expected 1 within 1e-12"),
+        ((0.5, 0.5), InvalidDistribution, "JointDist needs 4 entries, got 2"),
+    ], ids=[
+        "negative", "above_one", "first_failing_entry_named", "three_entries", "length_before_range",
+        "sum_above_one", "sum_below_one", "bool", "str", "Decimal", "type_before_length",
+        "float_with_fraction_sum", "float_with_fraction_range", "real_mode_bool", "real_mode_Decimal",
+        "float_below_tolerance", "float_above_tolerance", "float_infinite", "float_sum", "float_length",
+    ])
+    def test_message(self, entries, error, message):
+        with pytest.raises(error) as info:
+            JointDist(entries)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 #: Probabilities with small denominators and denominators up to 10**6.
 PROBABILITY = st.one_of(
     st.fractions(min_value=0, max_value=1, max_denominator=12),
@@ -290,8 +336,9 @@ def _literals(draw):
     p and q, or a decimal's digits."""
     sign = draw(st.sampled_from(["", "+", "-"]))
     if draw(st.booleans()):
-        p = draw(_ZEROS) + draw(_CORES | st.just(""))
-        q = draw(_ZEROS) + draw(_CORES | st.just("0"))
+        tail = draw(_ZEROS)  # trailing zeros of p, which q shares or not
+        p = draw(_ZEROS) + draw(_CORES | st.just("")) + tail
+        q = draw(_ZEROS) + draw(_CORES | st.just("0")) + draw(st.just(tail) | _ZEROS)
         text, parts = f"{sign}{p}/{q}", (p, q)
     else:
         digits = draw(_ZEROS) + draw(_CORES) + draw(_ZEROS)
@@ -318,7 +365,9 @@ def _literals(draw):
 
 def _reference(text: str, parts: tuple[str, ...]):
     """``Fraction(text)`` with no digit limit, or None where Fraction refuses
-    the spelling; then whether the value and the bounded parts fit."""
+    the spelling; then whether the value and the bounded parts fit: p and q
+    once their common factors of 10 are divided out, or a decimal's digits
+    without their trailing zeros."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -329,7 +378,10 @@ def _reference(text: str, parts: tuple[str, ...]):
         if len(parts) == 1:
             sizes = [len(str(int(parts[0])).rstrip("0"))]
         else:
-            sizes = [len(str(int(part or "0"))) for part in parts]
+            p, q = (int(part or "0") for part in parts)
+            while q and p % 10 == q % 10 == 0:
+                p, q = p // 10, q // 10
+            sizes = [len(str(p)), len(str(q))]
         fits = max(abs(value.numerator), value.denominator) < 10**limit and max(sizes) <= limit
         return value, fits
     finally:
@@ -360,10 +412,22 @@ class TestRationalLiterals:
         ("1/" + "0" * 4400 + "3", F(1, 3)),
         ("5e-4300", F(1, 2 * 10**4299)),
         ("-25e-4301", F(-1, 4 * 10**4299)),
+        ("2" + "0" * 4400 + "/1" + "0" * 4400, F(2)),
+        ("2" + "0" * 4400 + "/4" + "0" * 4399, F(5)),
+        ("0/1" + "0" * 4400, F(0)),
     ], ids=["100e-4300", "1000e-4302", "0001e4297", "leading_zeros", "trailing_zeros", "denominator_zeros",
-            "five_cancels", "twenty_five_cancels"])
+            "five_cancels", "twenty_five_cancels", "common_tens_cancel", "the_fewer_tens_cancel", "zero_over_tens"])
     def test_the_value_is_counted_not_the_spelling(self, text, value):
         assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "3" * 4301 + "/" + "3" * 4301,
+        "2" * 4301 + "0/1" + "0" * 4400,
+        "0/" + "3" * 4301,
+    ], ids=["common_threes", "too_long_after_the_tens", "zero_over_threes"])
+    def test_a_common_factor_other_than_ten_is_not_cancelled(self, text):
+        with pytest.raises(ValueError, match="^rational literal needs more than 4300 digits$"):
+            parse_rational(text)
 
     @pytest.mark.parametrize("text", ["5e-4301", "1" + "0" * 4300, "1/1" + "0" * 4300, "7" * 4301 + "e-1"])
     def test_a_value_one_digit_too_long_is_refused(self, text):

@@ -100,6 +100,20 @@ class TestToySystems:
         with pytest.raises(DimensionMismatch):
             LinearSystem(((F(1), F(2)), (F(1),)), (F(1), F(1)))
 
+    def test_a_row_given_many_times_is_checked_once_and_kept_once(self):
+        row = (F(1, 2), 1)
+        system = LinearSystem((row, row, (1, F(1, 3)), row), (0, 0, 0, 0))
+        assert system.matrix == (((F(1, 2), F(1)),) * 2 + ((F(1), F(1, 3)),) + ((F(1, 2), F(1)),))
+        assert all(type(v) is Fraction for r in system.matrix for v in r)
+        assert system.matrix[0] is system.matrix[1] is system.matrix[3]
+        with pytest.raises(TypeError, match="^LinearSystem.matrix: expected Fraction or int, got bool$"):
+            LinearSystem(((F(1),), (True,), (True,)), (0, 0, 0))
+
+    def test_rows_made_and_dropped_one_by_one_stay_distinct(self):
+        # each list dies once converted, so its id may come back for the next one
+        system = LinearSystem(([F(i), 1] for i in range(50)), (0,) * 50)
+        assert system.matrix == tuple((F(i), F(1)) for i in range(50))
+
     @pytest.mark.parametrize("rhs,labels,message", [
         ((F(1),), (), "2 rows vs 1 right-hand sides"),
         ((F(1), F(1)), ("only",), "1 labels vs 2 rows"),

@@ -255,6 +255,27 @@ class TestClosedFormsOnAGrid:
             member = instantiate(solve_family(params), u * x * e_p, v * (1 - x) * e_w)
             assert all(r == 0 for r in residual(constraint_system(params), member.entries))
 
+    def test_cross_branch_mass_shows_the_apparatus_statistics(self):
+        """Criterion 4's collapse identities, cross-multiplied so that no
+        branch mass divides: p(0,0,w) (1 - e_p) = p(1,0,w) e_p and
+        p(0,1,p) (1 - e_w) = p(1,1,p) e_w.  With s = u*x*e_p and
+        t = v*(1-x)*e_w, ``family._family_entries`` gives p(0,0,w) = s,
+        p(1,0,w) = s*r_p, p(0,1,p) = t and p(1,1,p) = t*r_w, where the
+        ``SolutionFamily._ratios`` r_p = (1-e_p)/e_p and r_w = (1-e_w)/e_w
+        cancel the e_p in s and the e_w in t.  Each side is then degree <= 2
+        in e_p and e_w and <= 1 in x, u and v: 3 values for e_p and e_w and
+        2 for x, u and v, 72 points, suffice.  u and v stay off 0, so every
+        member has s > 0 and t > 0, and there the identities say that both
+        conditionals are the apparatus statistics; e_p and e_w stay off 0,
+        where the code divides."""
+        probabilities, shares = (F(1, 3), F(1, 2), F(5, 7)), (F(1, 3), F(1))
+        grid = itertools.product((F(1, 3), F(3, 4)), probabilities, probabilities, shares, shares)
+        for x, e_p, e_w, u, v in [*grid, (*self.OFF_GRID, F(3, 8), F(5, 6))]:
+            params = GeneralParams(x, e_p, e_w)
+            member = instantiate(solve_family(params), u * x * e_p, v * (1 - x) * e_w)
+            assert member.mass(0, 0, "w") * (1 - e_p) == member.mass(1, 0, "w") * e_p
+            assert member.mass(0, 1, "p") * (1 - e_w) == member.mass(1, 1, "p") * e_w
+
 
 class TestClassify:
     def test_special(self):

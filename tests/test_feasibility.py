@@ -92,6 +92,23 @@ def _count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
+def _count_joints(monkeypatch) -> list[int]:
+    """Wrap the one joint formula, ``dist._joints_at``, where ``dist`` calls
+    it (``joint_from_params``) and where ``feasibility`` calls it
+    (``SettingsFamily.joints``); each call appends the number of joints it
+    builds to the returned list."""
+    original, built = dist._joints_at, []
+
+    def counted(xs, e_p, e_w):
+        joints = original(xs, e_p, e_w)
+        built.append(len(joints))
+        return joints
+
+    monkeypatch.setattr(dist, "_joints_at", counted)
+    monkeypatch.setattr(feasibility, "_joints_at", counted)
+    return built
+
+
 def _extreme_pair(family: SettingsFamily) -> tuple[int, int]:
     """Indices, in family order, of the first setting with the smallest x and the first with the largest."""
     xs = [s.x for s in family.settings]
@@ -289,6 +306,55 @@ class TestCheckTriple:
             assert not check_triple(extended).feasible
 
 
+class TestWitnessMassesOnAGrid:
+    """The per-setting masses that ``feasibility._marginals`` reads from two
+    witnesses at k = 2, proved, not sampled, by the grid lemma (Alon,
+    Combin. Probab. Comput. 8, 1999): a polynomial of degree at most d in
+    each variable that vanishes on a product grid with d + 1 values per
+    variable is zero.  ``_marginals`` returns integer numerators over one
+    denominator D; each mass is compared as numerator/D, the exact value it
+    stands for.  The grid proves the identities only under the degree bound
+    each test states; the point off the grid is evidence against a wrong
+    bound, not part of the proof."""
+
+    GRID = list(itertools.product((F(1, 3), F(3, 4)), (F(0), F(2, 5)), (F(1, 4), F(2, 3)), (F(1, 6), F(1))))
+    OFF_GRID = (F(2, 9), F(7, 11), F(3, 13), F(5, 17))
+
+    @staticmethod
+    def masses(build, x1, x2, e_p, e_w):
+        family = SettingsFamily(e_p, e_w, (Setting("one", x1), Setting("two", x2)))
+        scale, joints, masses, _, _ = feasibility._marginals(build(family).payload, family)
+        values = [[tuple(F(n, scale) for n in row) for row in rows] for rows in (masses, joints)]
+        return values[0], values[1]
+
+    def test_drop_independence_places_each_setting_joint(self):
+        """Degree <= 1 in each of x1, x2, e_p and e_w: ``dist._joints_at``
+        forms each joint entry as x or 1 - x times e_p, 1 - e_p, e_w or
+        1 - e_w, ``family._special_table`` places the entries, and
+        ``_marginals`` only scales them to one denominator.  So 2 values per
+        variable, 16 families, suffice."""
+        for x1, x2, e_p, e_w in [*self.GRID, self.OFF_GRID]:
+            masses, joints = self.masses(model_drop_independence, x1, x2, e_p, e_w)
+            for x, cells, joint in zip((x1, x2), masses, joints):
+                zero = F(0)
+                assert cells == (x * e_p, zero, x * (1 - e_p), zero, zero, (1 - x) * e_w, zero, (1 - x) * (1 - e_w))
+                assert joint == (x * e_p, (1 - x) * e_w, x * (1 - e_p), (1 - x) * (1 - e_w))
+
+    def test_drop_determinism_halves_each_setting_joint(self):
+        """Degree <= 1 in each of x1, x2, e_p and e_w: in ``_marginals``
+        each cell is an atom weight (1/2, from ``model_drop_determinism``)
+        times b0 or 1 - b0 (b0 = x) times a0 or 1 - a0 (a0 = e_p at b = 0,
+        e_w at b = 1), and each setting reads its own x only.  So 2 values
+        per variable, 16 families, suffice."""
+        half = F(1, 2)
+        for x1, x2, e_p, e_w in [*self.GRID, self.OFF_GRID]:
+            masses, joints = self.masses(model_drop_determinism, x1, x2, e_p, e_w)
+            for x, cells, joint in zip((x1, x2), masses, joints):
+                label = tuple(half * v for v in (x * e_p, (1 - x) * e_w, x * (1 - e_p), (1 - x) * (1 - e_w)))
+                assert cells == label + label  # the p atom's cells, then the w atom's
+                assert joint == (x * e_p, (1 - x) * e_w, x * (1 - e_p), (1 - x) * (1 - e_w))
+
+
 class TestTripleSystem:
     @pytest.mark.parametrize("x,e_p,e_w", [
         (F(1, 3), F(1, 2), F(1, 4)),
@@ -333,7 +399,7 @@ class TestDropIndependence:
             raise AssertionError("model_drop_independence recomputed a joint")
 
         monkeypatch.setattr(feasibility, "special_solution", unreachable)
-        built = _count_calls(monkeypatch, "joint_from_params")
+        built = _count_joints(monkeypatch)
         model = model_drop_independence(family)
         assert built == [] and family.joints is joints
         assert validate_witness(model, family).overall_pass
@@ -893,22 +959,35 @@ class TestSharedWork:
     def test_each_joint_is_built_once_per_family(self, monkeypatch):
         # a new family, so that no earlier test has asked for its joints
         family = SettingsFamily(FIVE_SETTINGS.e_p, FIVE_SETTINGS.e_w, FIVE_SETTINGS.settings)
-        calls = _count_calls(monkeypatch, "joint_from_params")
+        built = _count_joints(monkeypatch)
         models = [build(family) for build in BUILDERS]
         for model in models:
             assert validate_witness(model, family).overall_pass
-        assert len(calls) == 5
+        assert built == [5]  # one call of the formula, one joint per setting
         # the stacked system reads its right-hand sides from the kept joints
         check_triple(family)
         triple_system(family)
-        assert len(calls) == 5
+        assert built == [5]
+
+    def test_a_family_builds_its_joints_without_params(self, monkeypatch):
+        family = SettingsFamily(F(1, 2), F(1, 4), tuple(Setting(f"s{i}", F(i, 63)) for i in range(64)))
+        original, params = GeneralParams.__post_init__, []
+
+        def counted(self):
+            params.append(self)
+            original(self)
+
+        monkeypatch.setattr(GeneralParams, "__post_init__", counted)
+        assert len(family.joints) == 64
+        assert params == []
+        assert family.joints[63].entries == (F(1, 2), F(0), F(1, 2), F(0))
 
     @pytest.mark.parametrize("distinct", [True, False], ids=["distinct_x", "equal_x"])
     def test_check_triple_builds_no_joint_and_runs_no_solver(self, monkeypatch, distinct):
         k = 2_000
         xs = [F(i + 1, k + 2) if distinct else F(1, 3) for i in range(k)]
         family = SettingsFamily(F(1, 2), F(1, 4), tuple(Setting(f"s{i}", x) for i, x in enumerate(xs)))
-        built = _count_calls(monkeypatch, "joint_from_params")
+        built = _count_joints(monkeypatch)
 
         def unreachable(system):
             raise AssertionError("check_triple reached the simplex")
@@ -916,7 +995,7 @@ class TestSharedWork:
         monkeypatch.setattr(exactlp, "lp_feasible", unreachable)
         report = check_triple(family)
         assert report.feasible is not distinct
-        assert built == []
+        assert built == ([] if distinct else [1])  # equal x: the witness places the one joint of that x
         assert "joints" not in family.__dict__
         system = triple_system(family)
         if distinct:
