@@ -379,9 +379,9 @@ def _reference(text: str, parts: tuple[str, ...]):
             sizes = [len(str(int(parts[0])).rstrip("0"))]
         else:
             p, q = (int(part or "0") for part in parts)
-            while q and p % 10 == q % 10 == 0:
-                p, q = p // 10, q // 10
-            sizes = [len(str(p)), len(str(q))]
+            common = str(math.gcd(p, q))  # 10**z divides p and q exactly when it divides their gcd
+            tens = 10 ** (len(common) - len(common.rstrip("0")))
+            sizes = [len(str(p // tens)), len(str(q // tens))]
         fits = max(abs(value.numerator), value.denominator) < 10**limit and max(sizes) <= limit
         return value, fits
     finally:

@@ -324,8 +324,7 @@ class TestWitnessMassesOnAGrid:
     def masses(build, x1, x2, e_p, e_w):
         family = SettingsFamily(e_p, e_w, (Setting("one", x1), Setting("two", x2)))
         scale, joints, masses, _, _ = feasibility._marginals(build(family).payload, family)
-        values = [[tuple(F(n, scale) for n in row) for row in rows] for rows in (masses, joints)]
-        return values[0], values[1]
+        return tuple([tuple(F(n, scale) for n in row) for row in rows] for rows in (masses, joints))
 
     def test_drop_independence_places_each_setting_joint(self):
         """Degree <= 1 in each of x1, x2, e_p and e_w: ``dist._joints_at``
