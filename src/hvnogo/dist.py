@@ -220,9 +220,10 @@ def _as_fraction_row(row, what: str) -> tuple[Fraction, ...]:
     When every value is already a Fraction, ``tuple(row)`` itself is
     returned, so a tuple of Fractions comes back as the same object; a
     converted tuple is built only when some value is an int.  No value is
-    hashed: a caller that merges duplicates merges them by exact value,
-    each Fraction's ``(numerator, denominator)``, as
-    :func:`exactlp.enumerate_basic_solutions` does."""
+    hashed: a caller that merges duplicates merges them by exact value as
+    integers, as :func:`exactlp.enumerate_basic_solutions` merges its
+    points' reduced ``(numerator, denominator)`` pairs before it builds any
+    Fraction."""
     values = tuple(row)
     all_fractions = True
     for v in values:

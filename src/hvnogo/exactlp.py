@@ -19,21 +19,24 @@ artificial, so memory grows with the nonzeros, not as the rows squared.
 A brute-force basic-solution enumerator (:func:`enumerate_basic_solutions`)
 is provided as an independent cross-check: it shares no code with the
 simplex and decides feasibility by inspecting every candidate basis.  It
-walks the size-rank(A) column subsets depth first, in lexicographic order:
-each child copies its parent's partly eliminated augmented matrix and
-eliminates one more column, so subsets that share a prefix share its
-elimination, and a prefix whose last column has no pivot (it depends on
-the columns before it) prunes every subset that extends it.
+reduces ``[A | b]`` once to echelon form, whose pivot columns are the
+first basis and whose pivot count is rank(A).  It then visits the
+size-rank(A) column subsets in lexicographic order and reaches each one
+from that form by swapping in its entering columns, one elimination per
+column; an entering column without a pivot among the rows whose variable
+leaves makes the subset dependent.  Duplicate points are merged as
+integers before any Fraction is built.
 
-The enumerator and :func:`matrix_rank` eliminate fraction-free, in the
-manner of Bareiss: each row of ``[A | b]`` is scaled once to coprime
-integers, and a step sets every other row to ``pivot * row - factor *
-pivot_row`` and divides out the gcd of its entries, so no step builds a
-Fraction.  A walk node's pivot rows carry their pivot in one trailing
-slot, which survives the slicing off of the pivot's column; a vertex's
-basic variable is then ``Fraction(b, slot)``, the only Fraction built per
-coordinate.  :func:`residual` likewise sums each row as one unreduced
-numerator and denominator and reduces it once.
+The enumerator and :func:`matrix_rank` share one echelon routine and
+eliminate fraction-free, in the manner of Bareiss: each row of
+``[A | b]`` is scaled once to coprime integers, and a step sets every
+other row to ``pivot * row - factor * pivot_row`` and divides out the gcd
+of its entries, so no step builds a Fraction.  A basis's rows carry the
+coefficient of their basic variable in one trailing slot, so that
+variable is ``b / slot``, kept as a reduced integer pair, and a distinct
+vertex gets one Fraction per nonzero coordinate.  :func:`residual` likewise reads
+an integer form of the system that :class:`LinearSystem` caches, sums each
+row as one unreduced numerator and denominator and reduces it once.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import gcd
 from typing import Any, Iterator, Optional, Sequence
 
@@ -100,9 +104,16 @@ class LinearSystem:
         return self.labels[i] if self.labels else f"row {i}"
 
     @cached_property
-    def sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """Each row's nonzero ``(column, coefficient)`` pairs, built on first use."""
-        return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in self.matrix)
+    def integer_rows(self) -> tuple[tuple[tuple[tuple[int, int, int], ...], int, int], ...]:
+        """Per row, each nonzero's ``(column, numerator, denominator)``, then
+        the right-hand side's numerator and denominator; the form that
+        :func:`residual` reads.  Built on first use and not a field, so
+        equality, hashing and repr ignore it, and ``dataclasses.replace``
+        starts without it."""
+        return tuple(
+            (tuple((j, a.numerator, a.denominator) for j, a in enumerate(row) if a), b.numerator, b.denominator)
+            for row, b in zip(self.matrix, self.rhs)
+        )
 
 
 @dataclass(frozen=True)
@@ -122,18 +133,20 @@ class FeasibilityReport:
 def residual(system: LinearSystem, point: Sequence) -> tuple[Fraction, ...]:
     """``A w - b`` for an exact point; all-zero means the point solves the system.
 
-    Each row is summed as one unreduced numerator and denominator and
-    reduced once at the end.
+    Reads the system's :attr:`LinearSystem.integer_rows` and the point's
+    numerators and denominators once; each row is summed as one unreduced
+    numerator and denominator and reduced once at the end.
     """
     w = _as_fraction_row(point, "point")
     if len(w) != system.num_vars:
         raise DimensionMismatch(f"point has {len(w)} entries, system has {system.num_vars} variables")
+    nums = [v.numerator for v in w]
+    dens = [v.denominator for v in w]
     out = []
-    for row, b in zip(system.sparse_rows, system.rhs):
-        num, den = -b.numerator, b.denominator
-        for j, c in row:
-            v = w[j]
-            n, d = c.numerator * v.numerator, c.denominator * v.denominator
+    for terms, b_num, b_den in system.integer_rows:
+        num, den = -b_num, b_den
+        for j, c_num, c_den in terms:
+            n, d = c_num * nums[j], c_den * dens[j]
             if d == den:
                 num += n
             else:
@@ -266,6 +279,32 @@ def _eliminate(work: list[list[int]], r: int, col: int) -> None:
             target[:] = [v // g for v in row] if g > 1 else row
 
 
+def _echelon(work: list[list[int]], width: int) -> list[int]:
+    """Reduce integer rows to fraction-free reduced echelon form over their
+    first ``width`` columns, in place.
+
+    Columns are scanned left to right; a column with a nonzero entry at or
+    below the next pivot row swaps that row up and :func:`_eliminate` clears
+    the column from every other row.  Returns the pivot columns, the one of
+    pivot row i at index i, so their count is the rank of those columns.
+    Every pivot stays positive: a later step scales a pivot row by a
+    positive pivot and subtracts a multiple of a row that is zero in its
+    pivot column.
+    """
+    pivots: list[int] = []
+    for col in range(width):
+        rank = len(pivots)
+        if rank == len(work):
+            break
+        pivot_row = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        _eliminate(work, rank, col)
+        pivots.append(col)
+    return pivots
+
+
 def matrix_rank(rows: Sequence[Sequence]) -> int:
     """Rank of an exact rational matrix by fraction-free Gaussian elimination.
 
@@ -273,85 +312,80 @@ def matrix_rank(rows: Sequence[Sequence]) -> int:
     """
     work = [_integer_row(_as_fraction_row(r, "matrix")) for r in rows]
     _check_rectangular(work)
-    if not work:
-        return 0
-    n = len(work[0])
-    rank = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        _eliminate(work, rank, col)
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return len(_echelon(work, len(work[0]))) if work else 0
 
 
-def _basic_solutions(system: LinearSystem) -> Iterator[tuple[Fraction, ...]]:
-    """Yield each nonnegative basic solution once per basis that gives it.
+def _basic_solutions(system: LinearSystem) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Yield each nonnegative basic solution once per basis that gives it,
+    as one reduced ``(numerator, denominator)`` pair per coordinate.
 
-    Walks the size-rank(A) column subsets depth first, in lexicographic
-    order.  A node holds the augmented matrix ``[A | b]``, each row scaled to
-    coprime integers (:func:`_integer_row`), with its prefix's columns
-    eliminated fraction-free (:func:`_eliminate`), restricted to the columns
-    from its last one on, plus one trailing pivot slot.  A child copies it
-    and eliminates one more column; the slot of the row that pivoted then
-    takes the pivot, and later eliminations scale slot and row alike, so the
-    slot keeps the coefficient of that row's basic variable after its
-    column is sliced off.  When the new column has no pivot left it
-    depends on the prefix, so the child and every subset that extends it
-    are skipped.  A full subset is a basis; it gives a basic solution when
-    the rows below its pivots have zero right-hand side, and then pivot row
-    i's basic variable is ``Fraction(b_i, s_i)``.  Pivots, and so slots,
-    are positive, so the variable is nonnegative iff ``b_i >= 0``.
+    ``[A | b]``, each row scaled to coprime integers (:func:`_integer_row`),
+    is reduced once over A's columns (:func:`_echelon`).  Its r pivot
+    columns are the first basis; when a row without a pivot keeps a
+    nonzero right-hand side, b is outside A's column span and no basis
+    gives a point.  Every size-r column subset is then visited in
+    lexicographic order.  Each pivot row is cut down to the subset's
+    entering columns (those outside the first basis), its right-hand side
+    and a slot holding the coefficient of its basic variable: its pivot
+    when that variable stays, 0 when it leaves.  Each entering column is
+    swapped in by one :func:`_eliminate` on a row whose variable leaves,
+    and that row's slot takes the new pivot; later steps scale slot and row
+    alike.  When an entering column has no nonzero entry left among those
+    rows, the subset's columns are dependent and it is not a basis.  Slots
+    stay positive, so row i's basic variable ``b_i / s_i`` is nonnegative
+    iff ``b_i >= 0``.
     """
-    m, n = system.num_rows, system.num_vars
-    r = matrix_rank(system.matrix)
-    if r == 0:
-        if all(b == 0 for b in system.rhs):
-            yield tuple([ZERO] * n)
+    n = system.num_vars
+    work = [_integer_row((*row, b)) for row, b in zip(system.matrix, system.rhs)]
+    pivots = _echelon(work, n)
+    r = len(pivots)
+    if any(row[n] for row in work[r:]):
         return
-
-    def walk(work: list[list[int]], first: int, subset: tuple[int, ...]) -> Iterator[tuple[Fraction, ...]]:
-        d = len(subset)
-        for col in range(subset[-1] + 1 if subset else 0, n - r + d + 1):
-            child = [row[col - first :] for row in work]
-            pivot_row = next((i for i in range(d, m) if child[i][0] != 0), None)
+    rows = work[:r]
+    row_of = {j: i for i, j in enumerate(pivots)}
+    zero = (0, 1)
+    for subset in combinations(range(n), r):
+        chosen = set(subset)
+        entering = [j for j in subset if j not in row_of]
+        leaving = [i for i, j in enumerate(pivots) if j not in chosen]
+        cut = [[row[j] for j in entering] + [row[n], row[j] if j in chosen else 0] for row, j in zip(rows, pivots)]
+        variables = list(pivots)
+        for k, j in enumerate(entering):
+            pivot_row = next((i for i in leaving if cut[i][k]), None)
             if pivot_row is None:
-                continue  # rank-deficient prefix: no subset extending it is a basis
-            child[d], child[pivot_row] = child[pivot_row], child[d]
-            _eliminate(child, d, 0)
-            child[d][-1] = child[d][0]
-            chosen = subset + (col,)
-            if d + 1 < r:
-                yield from walk(child, col, chosen)
-            elif all(row[-2] == 0 for row in child[r:]) and all(row[-2] >= 0 for row in child[:r]):
-                point = [ZERO] * n
-                for j, row in zip(chosen, child):
-                    point[j] = Fraction(row[-2], row[-1])
+                break  # the subset's columns are dependent
+            leaving.remove(pivot_row)
+            _eliminate(cut, pivot_row, k)
+            cut[pivot_row][-1] = cut[pivot_row][k]
+            variables[pivot_row] = j
+        else:
+            if all(row[-2] >= 0 for row in cut):
+                point = [zero] * n
+                for j, row in zip(variables, cut):
+                    b, slot = row[-2], row[-1]
+                    if b:
+                        g = gcd(b, slot)
+                        point[j] = (b // g, slot // g)
                 yield tuple(point)
-
-    yield from walk([[*_integer_row((*row, b)), 0] for row, b in zip(system.matrix, system.rhs)], 0, ())
 
 
 def enumerate_basic_solutions(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:
     """All basic feasible solutions (vertices) of ``{w >= 0 : A w = b}``.
 
     Brute force: try every size-rank(A) column subset, solve it exactly,
-    keep nonnegative solutions (subsets that share a prefix share its
-    elimination; see :func:`_basic_solutions`).  The feasible region lies
-    in the nonnegative orthant, so it is pointed and nonempty iff some basic
-    feasible solution exists; this makes the enumerator an oracle for
-    :func:`lp_feasible`.
+    keep nonnegative solutions (all from one echelon form; see
+    :func:`_basic_solutions`).  The feasible region lies in the nonnegative
+    orthant, so it is pointed and nonempty iff some basic feasible solution
+    exists; this makes the enumerator an oracle for :func:`lp_feasible`.
 
     A degenerate vertex is the basic solution of several bases; these
-    duplicates are merged by exact value, each coordinate's
-    ``(numerator, denominator)``, which hashes ints rather than Fractions.
-    The vertices are returned in sorted order.
+    duplicates are merged by exact value, each coordinate's reduced
+    ``(numerator, denominator)`` pair, before any Fraction is built.  Each
+    distinct vertex then gets one Fraction per nonzero coordinate and
+    ``ZERO`` for the rest.  The vertices are returned in sorted order.
 
     Intended for small systems only (the search is combinatorial).
     """
-    vertices = {tuple((v.numerator, v.denominator) for v in point): point for point in _basic_solutions(system)}
-    return tuple(sorted(vertices.values()))
+    return tuple(
+        sorted(tuple(Fraction(n, d) if n else ZERO for n, d in point) for point in set(_basic_solutions(system)))
+    )

@@ -152,12 +152,19 @@ class SolutionFamily:
     t_range: tuple[Fraction, Fraction]
 
     @cached_property
-    def _ratios(self) -> tuple[Fraction, Fraction]:
-        """``(r_p, r_w)``, the a=1 to a=0 ratios that every member shares;
+    def _integers(self) -> tuple[int, int, int, int, int, int, int, int]:
+        """Numerator and denominator of x*e_p (the upper end of ``s_range``),
+        of (1-x)*e_w (that of ``t_range``) and of the a=1 to a=0 ratios
+        r_p = (1-e_p)/e_p and r_w = (1-e_w)/e_w that every member shares;
         built on first use.  Not a field, so equality, hashing and repr are
         unchanged."""
+        s_max, t_max = self.s_range[1], self.t_range[1]
         e_p, e_w = self.params.e_p, self.params.e_w
-        return (1 - e_p) / e_p, (1 - e_w) / e_w
+        # n/d in lowest terms gives (d - n)/n, also in lowest terms
+        return (
+            s_max.numerator, s_max.denominator, t_max.numerator, t_max.denominator,
+            e_p.denominator - e_p.numerator, e_p.numerator, e_w.denominator - e_w.numerator, e_w.numerator,
+        )
 
 
 #: Adequacy rows ``p(a,b,p) + p(a,b,w)``, one per outcome pair in 00, 01, 10, 11 order.
@@ -241,10 +248,23 @@ def solve_family(params: GeneralParams) -> SolutionFamily:
 
 
 def _family_entries(family: SolutionFamily, s: Fraction, t: Fraction) -> tuple[Fraction, ...]:
-    """The eight closed-form entries of the member at (s, t), in storage order."""
-    r_p, r_w = family._ratios
-    p00, w01 = family.s_range[1] - s, family.t_range[1] - t
-    return (p00, t, p00 * r_p, t * r_w, s, w01, s * r_p, w01 * r_w)
+    """The eight closed-form entries of the member at (s, t), in storage
+    order; each of the six that is not s or t is one Fraction built from
+    integer products of :attr:`SolutionFamily._integers` and (s, t)."""
+    sm_num, sm_den, tm_num, tm_den, rp_num, rp_den, rw_num, rw_den = family._integers
+    s_num, s_den, t_num, t_den = s.numerator, s.denominator, t.numerator, t.denominator
+    p_num, p_den = sm_num * s_den - s_num * sm_den, sm_den * s_den  # p(0,0,p) = x*e_p - s
+    w_num, w_den = tm_num * t_den - t_num * tm_den, tm_den * t_den  # p(0,1,w) = (1-x)*e_w - t
+    return (
+        Fraction(p_num, p_den),
+        t,
+        Fraction(p_num * rp_num, p_den * rp_den),
+        Fraction(t_num * rw_num, t_den * rw_den),
+        s,
+        Fraction(w_num, w_den),
+        Fraction(s_num * rp_num, s_den * rp_den),
+        Fraction(w_num * rw_num, w_den * rw_den),
+    )
 
 
 def instantiate(family: SolutionFamily, s, t) -> OnticTable:

@@ -1,8 +1,9 @@
 """Exact LP engine: toy systems, certificate audits, and the brute-force oracle."""
 
 import ast
+import dataclasses
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from hvnogo import (
 )
 from hvnogo import exactlp
 from hvnogo.exactlp import _basic_solutions, _eliminate, _integer_row
+from hvnogo.family import _memoized_system
 
 F = Fraction
 
@@ -262,11 +264,20 @@ def reference_basic_solutions(system):
     return points
 
 
+def basic_solutions(system):
+    """``_basic_solutions``'s points as Fractions, each pair checked to be reduced."""
+    points = []
+    for point in _basic_solutions(system):
+        assert all(d > 0 and gcd(n, d) == 1 for n, d in point), point
+        points.append(tuple(F(n, d) for n, d in point))
+    return points
+
+
 class TestEnumeratorProperty:
     @given(small_systems())
     @settings(max_examples=150, deadline=None)
     def test_matches_one_solve_per_subset_and_the_simplex(self, system):
-        assert list(_basic_solutions(system)) == reference_basic_solutions(system)
+        assert basic_solutions(system) == reference_basic_solutions(system)
         assert (enumerate_basic_solutions(system) != ()) == lp_feasible(system).feasible
 
     @given(small_systems())
@@ -277,14 +288,53 @@ class TestEnumeratorProperty:
     def test_degenerate_vertex_is_listed_once(self):
         # Every basis holding column 0 gives the vertex (1, 0, 0): it is degenerate.
         system = LinearSystem(((F(1), F(1), F(0)), (F(1), F(0), F(1))), (F(1), F(1)))
-        assert list(_basic_solutions(system)) == [(F(1), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(1))]
+        assert basic_solutions(system) == [(F(1), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(1))]
         assert enumerate_basic_solutions(system) == ((F(0), F(1), F(1)), (F(1), F(0), F(0)))
 
-    def test_prefix_without_pivot_prunes_its_extensions(self):
-        # Columns 0 and 1 are equal, so no subset holding both is a basis;
-        # the bases {0, 2} and {1, 2} give the two vertices.
+    def test_constraint_system_at_every_boundary(self):
+        # 0 and 1 make objectivity or adequacy rows degenerate, so the rank drops below 6 there.
+        values = (F(0), F(1, 3), F(1, 2), F(5, 7), F(1))
+        for x, e_p, e_w in product(values, repeat=3):
+            system = constraint_system(GeneralParams(x, e_p, e_w))
+            expected = reference_basic_solutions(system)
+            assert basic_solutions(system) == expected, (x, e_p, e_w)
+            assert enumerate_basic_solutions(system) == tuple(sorted(set(expected))), (x, e_p, e_w)
+
+    def test_subset_with_dependent_columns_gives_no_point(self):
+        # Columns 0 and 1 are equal: swapping column 1 into the first basis {0, 2}
+        # for column 2 finds a zero in row 1, the only row whose variable leaves,
+        # so {0, 1} is no basis; the bases {0, 2} and {1, 2} give the two vertices.
         system = LinearSystem(((F(1), F(1), F(0)), (F(0), F(0), F(1))), (F(1), F(2)))
-        assert list(_basic_solutions(system)) == [(F(1), F(0), F(2)), (F(0), F(1), F(2))]
+        assert basic_solutions(system) == [(F(1), F(0), F(2)), (F(0), F(1), F(2))]
+
+
+class TestEnumeratorWork:
+    """The enumerator reduces ``[A | b]`` once and builds a Fraction only for
+    a nonzero coordinate of a distinct vertex."""
+
+    SYSTEM = constraint_system(GeneralParams(F(1, 3), F(1, 2), F(1, 4)))
+
+    def test_at_most_one_fraction_per_nonzero_vertex_coordinate(self, monkeypatch):
+        # 16 bases give a point with 6 basic coordinates each, 96 in all; the 4 vertices have 16 nonzeros.
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(exactlp, "Fraction", counting)
+        vertices = enumerate_basic_solutions(self.SYSTEM)
+        assert len(vertices) == 4
+        assert len(built) <= 16
+
+    def test_rank_comes_from_the_echelon_form(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("the enumerator reads the rank off its own echelon form")
+
+        expected = enumerate_basic_solutions(self.SYSTEM)
+        monkeypatch.setattr(exactlp, "matrix_rank", refuse)
+        assert enumerate_basic_solutions(self.SYSTEM) == expected
+        assert len(expected) == 4
 
 
 class TestSparseResidual:
@@ -299,10 +349,61 @@ class TestSparseResidual:
         assert result == dense
         assert all(type(r) is Fraction for r in result)
 
-    def test_sparse_rows_hold_the_nonzero_entries(self):
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_int_valued_coefficients(self, data):
+        m = data.draw(st.integers(min_value=1, max_value=4))
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        ints = st.integers(min_value=-5, max_value=5)
+        rows = [data.draw(st.lists(ints, min_size=n, max_size=n)) for _ in range(m)]
+        rhs = data.draw(st.lists(ints, min_size=m, max_size=m))
+        point = data.draw(st.lists(st.one_of(ints, ENTRIES), min_size=n, max_size=n))
+        dense = tuple(sum((c * v for c, v in zip(row, point)), F(0)) - b for row, b in zip(rows, rhs))
+        result = residual(LinearSystem(tuple(map(tuple, rows)), tuple(rhs)), point)
+        assert result == dense
+        assert all(type(r) is Fraction for r in result)
+
+    def test_row_whose_terms_share_one_denominator(self):
+        # every term and b are sevenths, so the row sum never changes its denominator
+        system = LinearSystem(((F(1, 7), F(3, 7), F(-2, 7)),), (F(2, 7),))
+        assert residual(system, (1, 2, 3)) == (F(-1, 7),)
+        assert residual(system, (F(2), F(2), F(2))) == (F(2, 7),)
+        assert residual(system, (0, 0, -1)) == (F(0),)
+
+    def test_integer_rows_hold_the_nonzero_entries(self):
         system = LinearSystem(((F(0), F(-2, 3), F(1)), (F(0), F(0), F(0))), (F(1), F(0)))
-        assert system.sparse_rows == (((1, F(-2, 3)), (2, F(1))), ())
+        assert system.integer_rows == ((((1, -2, 3), (2, 1, 1)), 1, 1), ((), 0, 1))
         assert residual(system, (F(5), F(3), F(1))) == (F(-2), F(0))
+
+
+class TestIntegerRowsAreNotAField:
+    """``LinearSystem.integer_rows`` is cached on first use, outside the dataclass fields."""
+
+    @staticmethod
+    def system():
+        return LinearSystem(((F(1, 2), F(0)), (F(1), F(-3, 4))), (F(1), F(2, 5)), ("first", "second"))
+
+    def test_equal_systems_compare_hash_and_print_equal(self):
+        used, fresh = self.system(), self.system()
+        residual(used, (F(2), F(1)))
+        assert "integer_rows" in vars(used) and "integer_rows" not in vars(fresh)
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+
+    def test_replace_starts_with_a_fresh_form(self):
+        used = self.system()
+        assert residual(used, (F(2), F(0))) == (F(0), F(8, 5))
+        moved = dataclasses.replace(used, rhs=(F(0), F(0)))
+        assert "integer_rows" not in vars(moved)
+        assert residual(moved, (F(2), F(0))) == (F(1), F(2))
+
+    def test_memoized_constraint_system_is_the_same_object(self):
+        params = GeneralParams(F(3, 11), F(2, 9), F(4, 13))
+        system = constraint_system(params)
+        residual(system, (0,) * 8)
+        assert constraint_system(params) is system
+        assert _memoized_system(3, 11, 2, 9, 4, 13) is system
 
 
 class TestOraclesShareNoCode:
@@ -333,6 +434,6 @@ class TestOraclesShareNoCode:
         enumerator = self.reachable("_basic_solutions")
         # the walk sees each side's own helpers
         assert {"residual", "verify_certificate"} <= simplex
-        assert {"matrix_rank", "_eliminate", "_integer_row"} <= enumerator
+        assert {"_echelon", "_eliminate", "_integer_row"} <= enumerator
         assert "_integer_row" not in simplex  # the fraction-free kernel is the enumerator's alone
         assert simplex & enumerator <= self.SHARED

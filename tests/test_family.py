@@ -29,7 +29,7 @@ from hvnogo import (
     special_solution,
 )
 from hvnogo.acceptance import _interior_params as interior_params
-from hvnogo.family import cell_index
+from hvnogo.family import _family_entries, cell_index
 
 F = Fraction
 
@@ -186,6 +186,26 @@ class TestClosedForm:
         assert {cell: member.mass(*cell) for cell in expected} == expected
         assert all(type(value) is Fraction for value in member.entries)
 
+    @given(INTERIOR, INTERIOR, INTERIOR, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_integer_entries_equal_the_fraction_formula(self, x, e_p, e_w, data):
+        family = solve_family(GeneralParams(x, e_p, e_w))
+        s_max, t_max = x * e_p, (1 - x) * e_w
+
+        def across(top):
+            """0, top, or k/d in between with d up to 10**6."""
+            if data.draw(st.booleans()):
+                return data.draw(st.sampled_from((F(0), top)))
+            d = data.draw(st.integers(min_value=1, max_value=10**6))
+            return F(data.draw(st.integers(min_value=0, max_value=int(top * d))), d)
+
+        s, t = across(s_max), across(t_max)
+        r_p, r_w = (1 - e_p) / e_p, (1 - e_w) / e_w
+        expected = (s_max - s, t, (s_max - s) * r_p, t * r_w, s, t_max - t, s * r_p, (t_max - t) * r_w)
+        entries = _family_entries(family, s, t)
+        assert entries == expected
+        assert all(type(value) is Fraction for value in entries)
+
 
 class TestSpecialSolution:
     def test_worked_example(self):
@@ -261,7 +281,8 @@ class TestClosedFormsOnAGrid:
         p(0,1,p) (1 - e_w) = p(1,1,p) e_w.  With s = u*x*e_p and
         t = v*(1-x)*e_w, ``family._family_entries`` gives p(0,0,w) = s,
         p(1,0,w) = s*r_p, p(0,1,p) = t and p(1,1,p) = t*r_w, where the
-        ``SolutionFamily._ratios`` r_p = (1-e_p)/e_p and r_w = (1-e_w)/e_w
+        ratios r_p = (1-e_p)/e_p and r_w = (1-e_w)/e_w, whose integers
+        ``SolutionFamily._integers`` holds,
         cancel the e_p in s and the e_w in t.  Each side is then degree <= 2
         in e_p and e_w and <= 1 in x, u and v: 3 values for e_p and e_w and
         2 for x, u and v, 72 points, suffice.  u and v stay off 0, so every
@@ -338,6 +359,24 @@ class TestClassify:
         assert str(info.value) == (
             "table violates adequacy(a=0,b=0) by (an exact result needs more than 4300 digits to print)"
         )
+
+    @pytest.mark.parametrize("params,entries,message", [
+        # 1/12 of 00p moved to 00w: adequacy still holds, the p-statistics at b=0 do not
+        (PARAMS, (F(1, 12), 0, F(1, 6), 0, F(1, 12), F(1, 6), 0, F(1, 2)),
+         "objectivity(p-statistics at b=0) by -1/24"),
+        # 1/1000003 of 01w moved to 11w in a member with six-digit denominators
+        (GeneralParams(F(123457, 999983), F(5, 123451), F(77777, 876543)), None, "adequacy(a=0,b=1) by -1/1000003"),
+    ], ids=["objectivity", "adequacy-large-denominators"])
+    def test_perturbed_member_names_the_first_violated_row(self, params, entries, message):
+        if entries is None:
+            family = solve_family(params)
+            cells = list(instantiate(family, family.s_range[1] / 3, family.t_range[1] / 5).entries)
+            cells[5] -= F(1, 1000003)
+            cells[7] += F(1, 1000003)
+            entries = tuple(cells)
+        with pytest.raises(NotASolution) as info:
+            classify(OnticTable(entries), params)
+        assert str(info.value) == "table violates " + message
 
     def test_non_solution_rejected(self):
         # Repeated, so a memoized constraint system still rejects on every call.
