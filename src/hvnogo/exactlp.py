@@ -34,9 +34,10 @@ other row to ``pivot * row - factor * pivot_row`` and divides out the gcd
 of its entries, so no step builds a Fraction.  A basis's rows carry the
 coefficient of their basic variable in one trailing slot, so that
 variable is ``b / slot``, kept as a reduced integer pair, and a distinct
-vertex gets one Fraction per nonzero coordinate.  :func:`residual` likewise reads
-an integer form of the system that :class:`LinearSystem` caches, sums each
-row as one unreduced numerator and denominator and reduces it once.
+vertex gets one Fraction per nonzero coordinate.  :func:`residual`
+likewise reads an integer form of the system that :class:`LinearSystem`
+caches, sums each row as one unreduced numerator and denominator and
+reduces it once.
 """
 
 from __future__ import annotations
@@ -342,11 +343,11 @@ def _basic_solutions(system: LinearSystem) -> Iterator[tuple[tuple[int, int], ..
     if any(row[n] for row in work[r:]):
         return
     rows = work[:r]
-    row_of = {j: i for i, j in enumerate(pivots)}
+    first_basis = set(pivots)
     zero = (0, 1)
     for subset in combinations(range(n), r):
         chosen = set(subset)
-        entering = [j for j in subset if j not in row_of]
+        entering = [j for j in subset if j not in first_basis]
         leaving = [i for i, j in enumerate(pivots) if j not in chosen]
         cut = [[row[j] for j in entering] + [row[n], row[j] if j in chosen else 0] for row, j in zip(rows, pivots)]
         variables = list(pivots)
@@ -386,6 +387,5 @@ def enumerate_basic_solutions(system: LinearSystem) -> tuple[tuple[Fraction, ...
 
     Intended for small systems only (the search is combinatorial).
     """
-    return tuple(
-        sorted(tuple(Fraction(n, d) if n else ZERO for n, d in point) for point in set(_basic_solutions(system)))
-    )
+    vertices = set(_basic_solutions(system))
+    return tuple(sorted(tuple(Fraction(n, d) if n else ZERO for n, d in point) for point in vertices))

@@ -292,7 +292,8 @@ class TestEnumeratorProperty:
         assert enumerate_basic_solutions(system) == ((F(0), F(1), F(1)), (F(1), F(0), F(0)))
 
     def test_constraint_system_at_every_boundary(self):
-        # 0 and 1 make objectivity or adequacy rows degenerate, so the rank drops below 6 there.
+        # At 0 or 1 an objectivity row keeps a single term and joint entries vanish: the rank
+        # stays 6, but many bases share a vertex, and 50 of the 125 systems have 2 vertices, not 4.
         values = (F(0), F(1, 3), F(1, 2), F(5, 7), F(1))
         for x, e_p, e_w in product(values, repeat=3):
             system = constraint_system(GeneralParams(x, e_p, e_w))
