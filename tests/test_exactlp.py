@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 import sympy
@@ -25,7 +26,7 @@ from hvnogo import (
     verify_certificate,
 )
 from hvnogo import exactlp
-from hvnogo.exactlp import _basic_solutions, _eliminate, _integer_row
+from hvnogo.exactlp import _basic_solutions, _echelon, _eliminate, _integer_row
 from hvnogo.family import _memoized_system
 
 F = Fraction
@@ -195,15 +196,16 @@ class TestRank:
     def test_eliminated_rows_stay_coprime(self, system):
         # without the gcd division the exact answers would not change, only the integers would grow
         work = [_integer_row((*row, b)) for row, b in zip(system.matrix, system.rhs)]
-        rank = 0
-        for col in range(system.num_vars + 1):
-            pivot_row = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-            if pivot_row is None:
-                continue
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
-            _eliminate(work, rank, col)
-            rank += 1
-            assert all(gcd(*row) == 1 for row in work if any(row)), work
+        steps = []
+
+        def checked(rows, r, col):
+            _eliminate(rows, r, col)
+            steps.append(col)
+            assert all(gcd(*row) == 1 for row in rows if any(row)), rows
+
+        with patch.object(exactlp, "_eliminate", checked):
+            pivots = _echelon(work, system.num_vars + 1)
+        assert steps == pivots
 
     @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [3, 4]]], ids=["wide-first", "narrow-first"])
     def test_ragged_rows_are_refused(self, rows):
