@@ -181,6 +181,43 @@ class TestFeasibility:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
 
+    @pytest.mark.parametrize("command", [["feasibility"], ["demo", "--drop", "objectivity"]], ids=["feasibility", "demo"])
+    @pytest.mark.parametrize("content,message", [
+        ("[]", "input file '@FILE@' must hold a JSON object"),
+        ('{"e_w": "1/4", "settings": [{"label": "a", "x": "1/3"}]}', "settings family is missing field 'e_p'"),
+        ('{"e_p": "1/2", "settings": [{"label": "a", "x": "1/3"}]}', "settings family is missing field 'e_w'"),
+        ('{"e_p": "1/2", "e_w": "1/4"}', "settings family is missing field 'settings'"),
+        ('{"e_p": "1/2", "e_w": "1/4", "settings": []}', "field 'settings' must be a nonempty list"),
+        ('{"e_p": "1/2", "e_w": "1/4", "settings": {"label": "a", "x": "1/3"}}',
+         "field 'settings' must be a nonempty list"),
+        ('{"e_p": "1/2", "e_w": "1/4", "settings": [{"x": "1/3"}]}', "settings[0] needs fields 'label' and 'x'"),
+        ('{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": "a"}]}', "settings[0] needs fields 'label' and 'x'"),
+        ('{"e_p": "1/2", "e_w": "1/4", "settings": [["a", "1/3"]]}', "settings[0] needs fields 'label' and 'x'"),
+        ('{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": "a", "x": "1/3"}, {"label": "a", "x": "2/3"}]}',
+         "setting labels must be unique, got ['a', 'a']"),
+        ('{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": NaN, "x": "1/3"}]}',
+         "settings[0].label: expected a string, got number"),
+        ('{"e_p": Infinity, "e_w": "1/4", "settings": [{"label": "a", "x": "1/3"}]}',
+         "field 'e_p': not a rational literal: 'inf'"),
+        ('{"e_p": "1/2", "e_w": -Infinity, "settings": [{"label": "a", "x": "1/3"}]}',
+         "field 'e_w': not a rational literal: '-inf'"),
+        ('{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": "a", "x": NaN}]}',
+         "settings[0].x: not a rational literal: 'nan'"),
+        ('{"e_p": "3/2", "e_w": "1/4", "settings": [{"label": "a", "x": "1/3"}]}',
+         "e_p: probability 3/2 outside [0, 1]"),
+    ], ids=[
+        "top_level_array", "no_e_p", "no_e_w", "no_settings", "empty_settings", "settings_an_object",
+        "item_without_label", "item_without_x", "item_an_array", "duplicate_labels", "label_nan", "e_p_infinity",
+        "e_w_minus_infinity", "x_nan", "e_p_out_of_range",
+    ])
+    def test_refusal_is_its_whole_error_line(self, tmp_path, capsys, command, content, message):
+        path = tmp_path / "family.json"
+        path.write_text(content, encoding="utf-8")
+        assert main([*command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: " + message.replace("@FILE@", str(path)) + "\n"
+
     def test_json_numbers_are_read_as_their_literal(self, tmp_path, capsys):
         # Read as floats, 1e-400 would underflow to the boundary value 0 and
         # 0.30000000000000001 would round to 3/10.
