@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Optional
 
 # Each handler imports the layers it runs, so a subcommand compiles only those.
 from .dist import GeneralParams, parse_rational, to_json
-from .errors import HvnogoError, MalformedInput
+from .errors import HvnogoError, MalformedInput, malformed_input
 
 if TYPE_CHECKING:
     from .feasibility import SettingsFamily
@@ -147,8 +147,29 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+#: The JSON name of each type ``json.loads`` yields with :func:`_load_family`'s
+#: hooks; a float is only ever NaN, Infinity or -Infinity.
+_JSON_TYPES = {
+    type(None): "null", bool: "boolean", decimal.Decimal: "number", float: "number",
+    str: "string", list: "array", dict: "object",
+}
+
+
+def _read_rational(value) -> Fraction:
+    """A family file's rational field, a string or number read as its
+    literal by :func:`parse_rational`; null, a boolean, an array or an
+    object raises ``ValueError`` naming that JSON type."""
+    kind = _JSON_TYPES[type(value)]
+    if kind not in ("number", "string"):
+        raise ValueError(f"expected a rational string or number, got {kind}")
+    return parse_rational(str(value))
+
+
 def _load_family(path: str) -> SettingsFamily:
-    from .feasibility import SettingsFamily
+    """The settings family in the JSON file at ``path``; the one reader of
+    family files.  Raises :class:`MalformedInput` naming the file, or the
+    field that is missing, of the wrong type, or out of range."""
+    from .feasibility import Setting, SettingsFamily
 
     try:
         raw = Path(path).read_bytes()
@@ -165,7 +186,26 @@ def _load_family(path: str) -> SettingsFamily:
         raise MalformedInput(f"input file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedInput(f"input file {path!r} must hold a JSON object")
-    return SettingsFamily.from_json_dict(data)
+    for key in ("e_p", "e_w", "settings"):
+        if key not in data:
+            raise MalformedInput(f"settings family is missing field {key!r}")
+    with malformed_input("field 'e_p'"):
+        e_p = _read_rational(data["e_p"])
+    with malformed_input("field 'e_w'"):
+        e_w = _read_rational(data["e_w"])
+    items = data["settings"]
+    if not isinstance(items, list) or not items:
+        raise MalformedInput("field 'settings' must be a nonempty list")
+    settings = []
+    for i, item in enumerate(items):
+        if not isinstance(item, dict) or "label" not in item or "x" not in item:
+            raise MalformedInput(f"settings[{i}] needs fields 'label' and 'x'")
+        if not isinstance(item["label"], str):
+            raise MalformedInput(f"settings[{i}].label: expected a string, got {_JSON_TYPES[type(item['label'])]}")
+        with malformed_input(f"settings[{i}].x"):
+            settings.append(Setting(item["label"], _read_rational(item["x"])))
+    with malformed_input():
+        return SettingsFamily(e_p, e_w, tuple(settings))
 
 
 def _cmd_quantum(args) -> tuple[int, str]:

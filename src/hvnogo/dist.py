@@ -317,11 +317,6 @@ def _check_distribution(values: tuple[Scalar, ...], names: tuple[str, ...], what
         raise InvalidDistribution(f"{what}: entries sum to {total!r}, expected 1 within {REAL_TOL}")
 
 
-def is_exact(value: Scalar) -> bool:
-    """True for exact rationals, False for floats."""
-    return isinstance(value, Fraction)
-
-
 #: Each value's name in :class:`BinaryDist`'s messages.
 _BINARY_NAMES = ("BinaryDist.p0", "BinaryDist.p1")
 
@@ -341,7 +336,7 @@ class BinaryDist:
 
     @property
     def exact(self) -> bool:
-        return is_exact(self.p0)
+        return type(self.p0) is Fraction
 
     def as_tuple(self) -> tuple[Scalar, Scalar]:
         return (self.p0, self.p1)
@@ -376,10 +371,6 @@ class JointDist:
             raise ValueError(f"outcomes must be bits, got (a={a}, b={b})")
         return self.entries[2 * a + b]
 
-    @property
-    def exact(self) -> bool:
-        return is_exact(self.entries[0])
-
 
 @dataclass(frozen=True)
 class GeneralParams:
@@ -401,7 +392,7 @@ class GeneralParams:
 
     @property
     def exact(self) -> bool:
-        return is_exact(self.x)
+        return type(self.x) is Fraction
 
 
 def joint_from_params(params: GeneralParams) -> JointDist:

@@ -47,10 +47,9 @@ import bisect
 import enum
 import itertools
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Union
+from typing import Union
 
 from .dist import (
     GeneralParams,
@@ -61,9 +60,8 @@ from .dist import (
     _is_bit_pair,
     _joints_at,
     _show,
-    parse_rational,
 )
-from .errors import MalformedInput, MalformedModel, malformed_input
+from .errors import MalformedModel
 from .exactlp import FeasibilityReport, LinearSystem
 from .family import LambdaLabel, OnticTable, _adequacy_labels, _special_table, _stacked_system, cell_index, special_solution
 
@@ -118,57 +116,6 @@ class SettingsFamily:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(s.label for s in self.settings)
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SettingsFamily":
-        for key in ("e_p", "e_w", "settings"):
-            if key not in data:
-                raise MalformedInput(f"settings family is missing field {key!r}")
-        with malformed_input("field 'e_p'"):
-            e_p = _read_rational(data["e_p"])
-        with malformed_input("field 'e_w'"):
-            e_w = _read_rational(data["e_w"])
-        raw = data["settings"]
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise MalformedInput("field 'settings' must be a nonempty list")
-        settings = []
-        for i, item in enumerate(raw):
-            if not isinstance(item, Mapping) or "label" not in item or "x" not in item:
-                raise MalformedInput(f"settings[{i}] needs fields 'label' and 'x'")
-            if not isinstance(item["label"], str):
-                raise MalformedInput(f"settings[{i}].label: expected a string, got {_json_type(item['label'])}")
-            with malformed_input(f"settings[{i}].x"):
-                settings.append(Setting(item["label"], _read_rational(item["x"])))
-        with malformed_input():
-            return cls(e_p, e_w, tuple(settings))
-
-
-def _json_type(value) -> str:
-    """The JSON name of ``value``'s type: null, boolean, number, string,
-    array or object; the Python name for a value JSON cannot hold."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, (int, float, Decimal)):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, (list, tuple)):
-        return "array"
-    if isinstance(value, Mapping):
-        return "object"
-    return type(value).__name__
-
-
-def _read_rational(value) -> Fraction:
-    """A family file's rational field, a string or number read as its
-    literal by :func:`parse_rational`; null, a boolean, an array or an
-    object raises ``ValueError`` naming that JSON type."""
-    kind = _json_type(value)
-    if kind in ("null", "boolean", "array", "object"):
-        raise ValueError(f"expected a rational string or number, got {kind}")
-    return parse_rational(str(value))
 
 
 def triple_system(family: SettingsFamily) -> LinearSystem:

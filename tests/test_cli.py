@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from checkout import run_python
-from hvnogo import cli, montecarlo
+from hvnogo import MalformedInput, Setting, SettingsFamily, cli, montecarlo, to_json
 from hvnogo.cli import main
 
 FAMILY_JSON = {
@@ -268,6 +268,40 @@ class TestFeasibility:
         )
         assert main(["feasibility", "--input", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_round_trip(self, tmp_path):
+        family = SettingsFamily(Fraction(1, 2), Fraction(1, 4),
+                                (Setting("alpha1", Fraction(1, 3)), Setting("alpha2", Fraction(2, 3))))
+        data = to_json(family)
+        assert data == FAMILY_JSON
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert cli._load_family(str(path)) == family
+
+    @pytest.mark.parametrize("mutate,fragment", [
+        (lambda d: d.pop("e_p"), "e_p"),
+        (lambda d: d.update(e_w="w"), "e_w"),
+        (lambda d: d.update(settings=[]), "settings"),
+        (lambda d: d.update(settings=[{"label": "a"}]), "settings[0]"),
+        (lambda d: d.update(settings=[{"label": "a", "x": "x"}]), "settings[0].x"),
+        (lambda d: d.update(settings=[{"label": "a", "x": "5/3"}]), "settings[0].x:"),
+        (lambda d: d.update(settings=[{"label": None, "x": "1/3"}]), "settings[0].label"),
+    ])
+    def test_malformed_inputs_name_the_field(self, tmp_path, mutate, fragment):
+        data = json.loads(json.dumps(FAMILY_JSON))
+        mutate(data)
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(MalformedInput) as info:
+            cli._load_family(str(path))
+        assert fragment in str(info.value)
+
+    def test_duplicate_labels_rejected(self, tmp_path):
+        data = {"e_p": "1/2", "e_w": "1/4", "settings": [{"label": "a", "x": "1/3"}, {"label": "a", "x": "2/3"}]}
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(MalformedInput):
+            cli._load_family(str(path))
 
 
 #: A legal probability whose denominator has 2 501 digits: the square of

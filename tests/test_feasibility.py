@@ -14,7 +14,6 @@ from numpy.random import Generator, Philox
 from hvnogo import (
     GeneralParams,
     LinearSystem,
-    MalformedInput,
     MalformedModel,
     OnticTable,
     Setting,
@@ -31,7 +30,6 @@ from hvnogo import (
     model_drop_objectivity,
     residual,
     special_solution,
-    to_json,
     triple_system,
     validate_witness,
     verify_certificate,
@@ -1040,38 +1038,7 @@ class TestSharedWork:
             assert family.joints[i].entry(0, 0) == s.x * F(1, 2)
 
 
-class TestSettingsFamilyJson:
-    def test_round_trip(self):
-        data = to_json(TWO_SETTINGS)
-        assert data == {
-            "e_p": "1/2",
-            "e_w": "1/4",
-            "settings": [{"label": "alpha1", "x": "1/3"}, {"label": "alpha2", "x": "2/3"}],
-        }
-        rebuilt = SettingsFamily.from_json_dict(data)
-        assert rebuilt == TWO_SETTINGS
-
-    @pytest.mark.parametrize("mutate,fragment", [
-        (lambda d: d.pop("e_p"), "e_p"),
-        (lambda d: d.update(e_w="w"), "e_w"),
-        (lambda d: d.update(settings=[]), "settings"),
-        (lambda d: d.update(settings=[{"label": "a"}]), "settings[0]"),
-        (lambda d: d.update(settings=[{"label": "a", "x": "x"}]), "settings[0].x"),
-        (lambda d: d.update(settings=[{"label": "a", "x": "5/3"}]), "settings[0].x:"),
-        (lambda d: d.update(settings=[{"label": None, "x": "1/3"}]), "settings[0].label"),
-    ])
-    def test_malformed_inputs_name_the_field(self, mutate, fragment):
-        data = to_json(TWO_SETTINGS)
-        mutate(data)
-        with pytest.raises(MalformedInput) as info:
-            SettingsFamily.from_json_dict(data)
-        assert fragment in str(info.value)
-
-    def test_duplicate_labels_rejected(self):
-        data = {"e_p": "1/2", "e_w": "1/4", "settings": [{"label": "a", "x": "1/3"}, {"label": "a", "x": "2/3"}]}
-        with pytest.raises(MalformedInput):
-            SettingsFamily.from_json_dict(data)
-
+class TestSettingsFamilyChecks:
     def test_float_probabilities_rejected(self):
         with pytest.raises(TypeError):
             Setting("a", 0.5)
