@@ -117,13 +117,16 @@ def parse_angle(text: str) -> float:
     return value
 
 
-@_reason_shown
-def parse_probability(text: str) -> Fraction:
-    """Exact rational restricted to [0, 1]."""
+def _probability(text: str) -> Fraction:
+    """Exact rational restricted to [0, 1]; the one range check of the
+    CLI's probabilities, flags and family-file fields alike."""
     value = parse_rational(text)
     if value < 0 or value > 1:
         raise ValueError(f"probability {text!r} outside [0, 1]")
     return value
+
+
+parse_probability = _reason_shown(_probability)
 
 
 @_reason_shown
@@ -155,14 +158,14 @@ _JSON_TYPES = {
 }
 
 
-def _read_rational(value) -> Fraction:
-    """A family file's rational field, a string or number read as its
-    literal by :func:`parse_rational`; null, a boolean, an array or an
+def _read_probability(value) -> Fraction:
+    """A family file's probability field, a string or number read as its
+    literal by :func:`_probability`; null, a boolean, an array or an
     object raises ``ValueError`` naming that JSON type."""
     kind = _JSON_TYPES[type(value)]
     if kind not in ("number", "string"):
         raise ValueError(f"expected a rational string or number, got {kind}")
-    return parse_rational(str(value))
+    return _probability(str(value))
 
 
 def _load_family(path: str) -> SettingsFamily:
@@ -190,9 +193,9 @@ def _load_family(path: str) -> SettingsFamily:
         if key not in data:
             raise MalformedInput(f"settings family is missing field {key!r}")
     with malformed_input("field 'e_p'"):
-        e_p = _read_rational(data["e_p"])
+        e_p = _read_probability(data["e_p"])
     with malformed_input("field 'e_w'"):
-        e_w = _read_rational(data["e_w"])
+        e_w = _read_probability(data["e_w"])
     items = data["settings"]
     if not isinstance(items, list) or not items:
         raise MalformedInput("field 'settings' must be a nonempty list")
@@ -203,8 +206,9 @@ def _load_family(path: str) -> SettingsFamily:
         if not isinstance(item["label"], str):
             raise MalformedInput(f"settings[{i}].label: expected a string, got {_JSON_TYPES[type(item['label'])]}")
         with malformed_input(f"settings[{i}].x"):
-            settings.append(Setting(item["label"], _read_rational(item["x"])))
-    with malformed_input():
+            x = _read_probability(item["x"])
+        settings.append(Setting(item["label"], x))
+    with malformed_input("field 'settings'"):
         return SettingsFamily(e_p, e_w, tuple(settings))
 
 

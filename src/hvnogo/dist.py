@@ -290,24 +290,22 @@ def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _sums_to_one(values: tuple[Fraction, ...]) -> bool:
-    """Whether exact ``values`` sum to 1, decided in integers: over their
-    :func:`_common_denominator` D the numerators sum to D."""
-    scale, numerators = _common_denominator(values)
-    return sum(numerators) == scale
-
-
 def _check_distribution(values: tuple[Scalar, ...], names: tuple[str, ...], what: str) -> None:
     """The one validation pass over a distribution's coerced ``values``:
-    each is a probability, in order, under the matching name of ``names``,
-    then they sum to 1.  An exact value's range is read off its numerator
-    and denominator and the sum is :func:`_sums_to_one`'s; a message is
+    one value per name of ``names``, each a probability, and a sum of 1.
+    Exact values are decided in integers over their
+    :func:`_common_denominator` D: each numerator lies in [0, D], and the
+    numerators sum to D.  Only when a numerator is out of range are the
+    values scanned in order, to name the first such one; a message is
     built only for the check that fails."""
+    if len(values) != len(names):
+        raise InvalidDistribution(f"{what} needs {len(names)} entries, got {len(values)}")
     if type(values[0]) is Fraction:
-        for name, p in zip(names, values):
-            if p.numerator < 0 or p.numerator > p.denominator:
+        scale, numerators = _common_denominator(values)
+        if min(numerators) < 0 or max(numerators) > scale:
+            for name, p in zip(names, values):
                 _check_probability(p, name)
-        if not _sums_to_one(values):
+        if sum(numerators) != scale:
             raise InvalidDistribution(f"{what}: entries sum to {_show(sum(values))}, expected 1")
         return
     for name, p in zip(names, values):
@@ -334,10 +332,6 @@ class BinaryDist:
         object.__setattr__(self, "p1", values[1])
         _check_distribution(values, _BINARY_NAMES, "BinaryDist")
 
-    @property
-    def exact(self) -> bool:
-        return type(self.p0) is Fraction
-
     def as_tuple(self) -> tuple[Scalar, Scalar]:
         return (self.p0, self.p1)
 
@@ -351,8 +345,8 @@ class JointDist:
     """Joint distribution over detector outcomes (a, b), order 00, 01, 10, 11.
 
     Every construction checks, in this order: the entry types
-    (:func:`_coerce_homogeneous`), the count of 4, each entry's range, then
-    the sum, in one pass (:func:`_check_distribution`) that builds a
+    (:func:`_coerce_homogeneous`), then the count of 4, each entry's range
+    and the sum, in one pass (:func:`_check_distribution`) that builds a
     message only for the check that fails.
     """
 
@@ -360,8 +354,6 @@ class JointDist:
 
     def __post_init__(self):
         entries = _coerce_homogeneous(self.entries, "JointDist")
-        if len(entries) != 4:
-            raise InvalidDistribution(f"JointDist needs 4 entries, got {len(entries)}")
         object.__setattr__(self, "entries", entries)
         _check_distribution(entries, _JOINT_NAMES, "JointDist")
 

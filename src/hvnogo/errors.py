@@ -63,9 +63,9 @@ class MalformedInput(HvnogoError, ValueError):
 
 
 @contextmanager
-def malformed_input(where: str = ""):
+def malformed_input(where: str):
     """Re-raise a ``ValueError`` from the block as :class:`MalformedInput` prefixed with ``where``."""
     try:
         yield
     except ValueError as exc:
-        raise MalformedInput(f"{where}: {exc}" if where else str(exc)) from exc
+        raise MalformedInput(f"{where}: {exc}") from exc

@@ -48,13 +48,13 @@ from .dist import (
     GeneralParams,
     JointDist,
     _as_fraction_row,
+    _check_distribution,
     _is_bit_pair,
     _show,
-    _sums_to_one,
     format_rational,
     joint_from_params,
 )
-from .errors import BoundaryParams, ConditionOnNull, InvalidDistribution, NotASolution, OutOfRange
+from .errors import BoundaryParams, ConditionOnNull, NotASolution, OutOfRange
 from .exactlp import LinearSystem, residual
 
 LambdaLabel = Literal["p", "w"]
@@ -67,6 +67,9 @@ CELL_KEYS = ("00p", "01p", "10p", "11p", "00w", "01w", "10w", "11w")
 
 #: (a, b, lam) triples in storage order.
 CELLS = tuple((a, b, lam) for lam in LAMBDA_LABELS for a in (0, 1) for b in (0, 1))
+
+#: Each cell's name in :class:`OnticTable`'s messages.
+_CELL_NAMES = tuple(f"OnticTable[{key}]" for key in CELL_KEYS)
 
 
 def cell_index(a: int, b: int, lam: LambdaLabel) -> int:
@@ -89,21 +92,17 @@ class OnticTable:
 
     Each cell doubles as a deterministic atom: all probability sitting in
     cell (a, b, lam) pins both detector outcomes, which is how weak
-    determinism is represented throughout the package.
+    determinism is represented throughout the package.  Every construction
+    checks the exact-input rule, then the count of 8, each cell's range and
+    the sum, as :class:`dist.JointDist` does (:func:`dist._check_distribution`).
     """
 
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
         entries = _as_fraction_row(self.entries, "OnticTable entries")
-        if len(entries) != 8:
-            raise InvalidDistribution(f"OnticTable needs 8 entries, got {len(entries)}")
         object.__setattr__(self, "entries", entries)
-        for key, v in zip(CELL_KEYS, entries):
-            if v.numerator < 0:
-                raise InvalidDistribution(f"OnticTable[{key}] = {_show(v)} is negative")
-        if not _sums_to_one(entries):
-            raise InvalidDistribution(f"OnticTable entries sum to {_show(sum(entries))}, expected 1")
+        _check_distribution(entries, _CELL_NAMES, "OnticTable")
 
     def mass(self, a: int, b: int, lam: LambdaLabel) -> Fraction:
         return self.entries[cell_index(a, b, lam)]

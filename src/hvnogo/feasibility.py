@@ -52,7 +52,6 @@ from functools import cached_property
 from typing import Union
 
 from .dist import (
-    GeneralParams,
     JointDist,
     _OUTCOME_PAIRS,
     _as_probability,
@@ -63,7 +62,7 @@ from .dist import (
 )
 from .errors import MalformedModel
 from .exactlp import FeasibilityReport, LinearSystem
-from .family import LambdaLabel, OnticTable, _adequacy_labels, _special_table, _stacked_system, cell_index, special_solution
+from .family import LambdaLabel, OnticTable, _adequacy_labels, _special_table, _stacked_system, cell_index
 
 
 @dataclass(frozen=True)
@@ -134,9 +133,10 @@ def check_triple(family: SettingsFamily) -> FeasibilityReport:
     """Can determinism, independence, and objectivity coexist over the family?
 
     Decided in closed form, with no solver: feasible exactly when every
-    setting shares one apparatus marginal x, with :func:`special_solution`
-    at that x as witness.  Otherwise the first setting with the smallest x
-    and the first with the largest x clash: the certificate puts
+    setting shares one apparatus marginal x, with the special solution at
+    that x (:func:`family.special_solution`) as witness, placed from the
+    family's checked values.  Otherwise the first setting with the smallest
+    x and the first with the largest x clash: the certificate puts
     (-1, 1, -1, 1) on the low one's adequacy rows (a, b = 00, 01, 10, 11),
     (1, -1, 1, -1) on the high one's, and 0 on every other row of
     :func:`triple_system`, objectivity included.  All adequacy blocks share
@@ -157,7 +157,7 @@ def check_triple(family: SettingsFamily) -> FeasibilityReport:
             "the witness table reproduces every setting's statistics while keeping "
             "determinism, independence, and objectivity"
         )
-        return FeasibilityReport(True, special_solution(GeneralParams(lo, family.e_p, family.e_w)), None, narrative)
+        return FeasibilityReport(True, _special_table(_joints_at((lo,), family.e_p, family.e_w)[0]), None, narrative)
     certificate = [Fraction(0)] * (4 * len(xs) + 2)
     certificate[4 * low : 4 * low + 4] = map(Fraction, (-1, 1, -1, 1))
     certificate[4 * high : 4 * high + 4] = map(Fraction, (1, -1, 1, -1))

@@ -194,7 +194,7 @@ class TestFeasibility:
         ('{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": "a"}]}', "settings[0] needs fields 'label' and 'x'"),
         ('{"e_p": "1/2", "e_w": "1/4", "settings": [["a", "1/3"]]}', "settings[0] needs fields 'label' and 'x'"),
         ('{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": "a", "x": "1/3"}, {"label": "a", "x": "2/3"}]}',
-         "setting labels must be unique, got ['a', 'a']"),
+         "field 'settings': setting labels must be unique, got ['a', 'a']"),
         ('{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": NaN, "x": "1/3"}]}',
          "settings[0].label: expected a string, got number"),
         ('{"e_p": Infinity, "e_w": "1/4", "settings": [{"label": "a", "x": "1/3"}]}',
@@ -204,11 +204,15 @@ class TestFeasibility:
         ('{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": "a", "x": NaN}]}',
          "settings[0].x: not a rational literal: 'nan'"),
         ('{"e_p": "3/2", "e_w": "1/4", "settings": [{"label": "a", "x": "1/3"}]}',
-         "e_p: probability 3/2 outside [0, 1]"),
+         "field 'e_p': probability '3/2' outside [0, 1]"),
+        ('{"e_p": "1/2", "e_w": -0.5, "settings": [{"label": "a", "x": "1/3"}]}',
+         "field 'e_w': probability '-0.5' outside [0, 1]"),
+        ('{"e_p": "1/2", "e_w": "1/4", "settings": [{"label": "a", "x": "5/3"}]}',
+         "settings[0].x: probability '5/3' outside [0, 1]"),
     ], ids=[
         "top_level_array", "no_e_p", "no_e_w", "no_settings", "empty_settings", "settings_an_object",
         "item_without_label", "item_without_x", "item_an_array", "duplicate_labels", "label_nan", "e_p_infinity",
-        "e_w_minus_infinity", "x_nan", "e_p_out_of_range",
+        "e_w_minus_infinity", "x_nan", "e_p_out_of_range", "e_w_number_out_of_range", "x_out_of_range",
     ])
     def test_refusal_is_its_whole_error_line(self, tmp_path, capsys, command, content, message):
         path = tmp_path / "family.json"
@@ -217,6 +221,18 @@ class TestFeasibility:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: " + message.replace("@FILE@", str(path)) + "\n"
+
+    @pytest.mark.parametrize("literal", ["5/3", "-1/3", "1.5"])
+    def test_flag_and_file_give_one_range_reason(self, tmp_path, capsys, literal):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({**FAMILY_JSON, "settings": [{"label": "a", "x": literal}]}), encoding="utf-8")
+        assert main(["feasibility", "--input", str(path)]) == 2
+        from_file = capsys.readouterr().err
+        assert main(["family", f"--x={literal}", "--ep", "1/2", "--ew", "1/4"]) == 1
+        from_flag = capsys.readouterr().err
+        reason = f"probability {literal!r} outside [0, 1]\n"
+        assert from_file == "error: settings[0].x: " + reason
+        assert from_flag == "error: argument --x: " + reason
 
     def test_json_numbers_are_read_as_their_literal(self, tmp_path, capsys):
         # Read as floats, 1e-400 would underflow to the boundary value 0 and

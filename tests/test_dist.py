@@ -143,12 +143,11 @@ class TestConditional:
 class TestScalarKinds:
     def test_float_contaminates_container(self):
         d = BinaryDist(0.5, F(1, 2))
-        assert isinstance(d.p0, float) and isinstance(d.p1, float)
-        assert not d.exact
+        assert type(d.p0) is type(d.p1) is float
 
     def test_ints_become_exact(self):
         d = BinaryDist(1, 0)
-        assert d.exact and d.p0 == F(1)
+        assert type(d.p0) is F and d.p0 == F(1)
 
     def test_negative_entry_rejected(self):
         with pytest.raises(InvalidDistribution):
@@ -229,6 +228,29 @@ class TestJointDistRefusals:
         assert type(info.value) is error
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("entries,error,message", [
+        ((F(1, 7),) * 7, InvalidDistribution, "OnticTable needs 8 entries, got 7"),
+        ((F(-1), 1, 1, 0, 0, 0, 0, 0, 0), InvalidDistribution, "OnticTable needs 8 entries, got 9"),
+        ((F(1, 2), F(-1, 2), 1, 0, 0, 0, 0, 0), InvalidDistribution,
+         "OnticTable[01p]: probability -1/2 outside [0, 1]"),
+        ((F(3, 2), F(-1, 2), 0, 0, 0, 0, 0, 0), InvalidDistribution,
+         "OnticTable[00p]: probability 3/2 outside [0, 1]"),
+        ((0, 0, 0, 0, 0, F(5, 4), 0, F(-1, 4)), InvalidDistribution,
+         "OnticTable[01w]: probability 5/4 outside [0, 1]"),
+        ((F(1, 8),) * 7 + (F(1, 4),), InvalidDistribution, "OnticTable: entries sum to 9/8, expected 1"),
+        ((F(1, 8),) * 7 + (0,), InvalidDistribution, "OnticTable: entries sum to 7/8, expected 1"),
+        ((F(-1), F(1), "x"), TypeError, "OnticTable entries: expected Fraction or int, got str"),
+    ], ids=[
+        "seven_entries", "length_before_range", "negative", "above_one_before_a_later_negative",
+        "above_one_under_w", "sum_above_one", "sum_below_one", "type_before_length",
+    ])
+    def test_ontic_table_message(self, entries, error, message):
+        """``OnticTable`` is checked by the same pass, in the same order."""
+        with pytest.raises(error) as info:
+            OnticTable(entries)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
 
 #: Probabilities with small denominators and denominators up to 10**6.
 PROBABILITY = st.one_of(
@@ -296,7 +318,7 @@ class TestSumToOne:
     @pytest.mark.parametrize("build,size,message", [
         (lambda entries: BinaryDist(*entries), 2, "BinaryDist: entries sum to {}, expected 1"),
         (JointDist, 4, "JointDist: entries sum to {}, expected 1"),
-        (OnticTable, 8, "OnticTable entries sum to {}, expected 1"),
+        (OnticTable, 8, "OnticTable: entries sum to {}, expected 1"),
     ], ids=["BinaryDist", "JointDist", "OnticTable"])
     @given(data=st.data())
     def test_accepted_iff_the_entries_sum_to_one(self, build, size, message, data):

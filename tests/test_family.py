@@ -102,7 +102,9 @@ class TestSolveFamily:
         tiny = F(1, 10**5000)
         with pytest.raises(InvalidDistribution) as info:
             OnticTable((-tiny, 1 + tiny, 0, 0, 0, 0, 0, 0))
-        assert str(info.value) == "OnticTable[00p] = (an exact result needs more than 4300 digits to print) is negative"
+        assert str(info.value) == (
+            "OnticTable[00p]: probability (an exact result needs more than 4300 digits to print) outside [0, 1]"
+        )
 
 
 class TestInstantiate:

@@ -391,11 +391,6 @@ class TestDropIndependence:
     def test_tables_are_placed_from_the_kept_joints(self, monkeypatch):
         family = SettingsFamily(FIVE_SETTINGS.e_p, FIVE_SETTINGS.e_w, FIVE_SETTINGS.settings)
         joints = family.joints
-
-        def unreachable(params):
-            raise AssertionError("model_drop_independence recomputed a joint")
-
-        monkeypatch.setattr(feasibility, "special_solution", unreachable)
         built = _count_joints(monkeypatch)
         model = model_drop_independence(family)
         assert built == [] and family.joints is joints
