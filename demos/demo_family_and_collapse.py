@@ -29,8 +29,8 @@ print(f"setting: x = {params.x}, e_p = {params.e_p}, e_w = {params.e_w}")
 
 system = constraint_system(params)
 print(f"\nconstraint system: {system.num_rows} equations over {system.num_vars} cell masses")
-for i in range(system.num_rows):
-    print(f"  {system.label(i)}: rhs = {system.rhs[i]}")
+for label, b in zip(system.labels, system.rhs):
+    print(f"  {label}: rhs = {b}")
 
 family = solve_family(params)
 print(f"\nsolution family: s = p(0,0,w) in {family.s_range}, t = p(0,1,p) in {family.t_range}")

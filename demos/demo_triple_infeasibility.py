@@ -51,6 +51,6 @@ print(f"witness residual: {residual(triple_system(constant), control.witness.ent
 print("\nthe raw LP engine on a toy contradiction, for comparison:")
 from hvnogo import LinearSystem
 
-toy = LinearSystem(((F(1),), (F(1),)), (F(1, 3), F(2, 3)))
+toy = LinearSystem(((F(1),), (F(1),)), (F(1, 3), F(2, 3)), ("w = 1/3", "w = 2/3"))
 toy_report = lp_feasible(toy)
 print(f"w = 1/3 and w = 2/3 simultaneously: feasible = {toy_report.feasible}, y = {toy_report.certificate}")

@@ -3,9 +3,11 @@
 Each criterion function is deterministic (fixed seeds, no timing inside
 the detail text) and returns a :class:`CriterionResult`.  Its body returns
 ``(passed, detail)`` at the first failure; ``_criterion`` times it and
-builds the result.  ``run_all`` is what ``hvnogo selftest`` prints.  The
-stated runtime limits live in ``RUNTIME_LIMITS`` and are enforced by the
-test suite.
+builds the result.  An exception the body raises fails the criterion,
+with the exception's class name and message as its detail, so every
+criterion reports a line.  ``run_all`` is what ``hvnogo selftest``
+prints.  The stated runtime limits live in ``RUNTIME_LIMITS`` and are
+enforced by the test suite.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .dist import REAL_TOL, GeneralParams, joint_from_params
 from .exactlp import enumerate_basic_solutions, lp_feasible, matrix_rank, residual, verify_certificate
@@ -38,6 +41,9 @@ from .feasibility import (
 )
 from .montecarlo import NKL_THRESHOLD, compare, fringe_sweep, sample_events
 from .quantum import joint_state, quantum_joint, quantum_params, wave_statistics
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,10 @@ def _criterion(index: int, name: str):
         @functools.wraps(body)
         def run() -> CriterionResult:
             start = time.perf_counter()
-            passed, detail = body()
+            try:
+                passed, detail = body()
+            except Exception as exc:
+                passed, detail = False, f"{type(exc).__name__}: {exc}"
             return CriterionResult(index, name, passed, detail, time.perf_counter() - start)
 
         return run

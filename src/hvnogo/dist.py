@@ -382,10 +382,6 @@ class GeneralParams:
             object.__setattr__(self, name, value)
             _check_probability(value, f"GeneralParams.{name}")
 
-    @property
-    def exact(self) -> bool:
-        return type(self.x) is Fraction
-
 
 def joint_from_params(params: GeneralParams) -> JointDist:
     """Reconstruct the joint from (x, e_p, e_w): :func:`_joints_at` at the one x.

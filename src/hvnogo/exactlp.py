@@ -42,7 +42,7 @@ reduces it once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -67,13 +67,13 @@ def _check_rectangular(rows: Sequence[Sequence]) -> None:
 class LinearSystem:
     """Equality system ``matrix . w = rhs`` with w constrained nonnegative.
 
-    ``labels`` optionally names each row; narratives and error messages use
-    them to say which constraint is doing what.
+    ``labels`` names each row; narratives and error messages use them to
+    say which constraint is doing what.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
-    labels: tuple[str, ...] = field(default=())
+    labels: tuple[str, ...]
 
     def __post_init__(self):
         matrix = tuple(self.matrix)  # holds every row, so no id below is reused while it is in use
@@ -87,7 +87,7 @@ class LinearSystem:
             raise DimensionMismatch(f"{len(rows)} rows vs {len(rhs)} right-hand sides")
         _check_rectangular(rows)
         labels = tuple(self.labels)
-        if labels and len(labels) != len(rows):
+        if len(labels) != len(rows):
             raise DimensionMismatch(f"{len(labels)} labels vs {len(rows)} rows")
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "rhs", rhs)
@@ -100,9 +100,6 @@ class LinearSystem:
     @property
     def num_vars(self) -> int:
         return len(self.matrix[0]) if self.matrix else 0
-
-    def label(self, i: int) -> str:
-        return self.labels[i] if self.labels else f"row {i}"
 
     @cached_property
     def integer_rows(self) -> tuple[tuple[tuple[tuple[int, int, int], ...], int, int], ...]:
@@ -242,7 +239,7 @@ def lp_feasible(system: LinearSystem) -> FeasibilityReport:
     y = tuple(signs[i] * (ONE - red[n + i]) for i in range(m))
     if not verify_certificate(system, y):
         raise AssertionError("simplex produced an invalid Farkas certificate; this is a bug")
-    active = [system.label(i) for i in range(m) if y[i] != 0]
+    active = [system.labels[i] for i in range(m) if y[i] != 0]
     narrative = "infeasible: Farkas certificate combines " + ", ".join(active)
     return FeasibilityReport(False, None, y, narrative)
 

@@ -81,7 +81,7 @@ def cell_index(a: int, b: int, lam: LambdaLabel) -> int:
 
 
 def _exact_params(params: GeneralParams, where: str) -> GeneralParams:
-    if not params.exact:
+    if type(params.x) is not Fraction:
         raise TypeError(f"{where} works in exact arithmetic; got real-mode parameters")
     return params
 
@@ -317,7 +317,7 @@ def classify(table: OnticTable, params: GeneralParams) -> Classification:
     res = residual(system, table.entries)
     for i, r in enumerate(res):
         if r != 0:
-            raise NotASolution(f"table violates {system.label(i)} by {_show(r)}")
+            raise NotASolution(f"table violates {system.labels[i]} by {_show(r)}")
     # A cross mass is zero iff both its cells are, since no cell is negative:
     # p(b=0, lam=w) sums cells 00w and 10w, p(b=1, lam=p) cells 01p and 11p.
     cells = table.entries

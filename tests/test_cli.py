@@ -424,7 +424,8 @@ class TestUsageErrors:
         (("family", "--x", "1/2", "--ep=-1/3", "--ew", "1/4"), "argument --ep: probability '-1/3' outside [0, 1]"),
         (SWEEP_ARGV + ("--steps", "0", "--shots", "1"), "argument --steps: expected a positive integer, got '0'"),
         (SWEEP_ARGV + ("--steps", "1", "--shots", "0"), "argument --shots: expected a positive integer, got '0'"),
-    ], ids=["probability_above_one", "probability_below_zero", "zero_steps", "zero_shots"])
+        (("quantum", "--alpha", "pi/0", "--phi", "0"), "argument --alpha: zero denominator in angle 'pi/0'"),
+    ], ids=["probability_above_one", "probability_below_zero", "zero_steps", "zero_shots", "angle_over_zero"])
     def test_flag_value_refused_with_its_reason(self, capsys, argv, reason):
         assert main(list(argv)) == 1
         captured = capsys.readouterr()
@@ -516,6 +517,8 @@ class TestImportFootprint:
         if argv == "exports":
             for name in hvnogo.__all__:
                 getattr(hvnogo, name)
+        elif argv == "acceptance":
+            import hvnogo.acceptance
         elif argv is not None:
             from hvnogo.cli import main
             with contextlib.redirect_stdout(io.StringIO()):
@@ -539,6 +542,7 @@ class TestImportFootprint:
         "selftest": (["selftest"], 0, CLI + EXACT + ("acceptance", "montecarlo", "quantum"), True),
         "import": (None, 0, (), False),
         "exports": ("exports", 0, ("dist", "errors", "montecarlo", "quantum") + EXACT, False),
+        "acceptance": ("acceptance", 0, ("acceptance", "dist", "errors", "montecarlo", "quantum") + EXACT, False),
     }
 
     @pytest.mark.parametrize("case", list(CASES))

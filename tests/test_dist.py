@@ -456,6 +456,11 @@ class TestRationalLiterals:
         with pytest.raises(ValueError, match="^rational literal needs more than 4300 digits$"):
             parse_rational(text)
 
+    def test_an_exponent_too_long_to_read_is_refused(self):
+        # the exponent's own 4301 digits are counted before it is read as an int
+        with pytest.raises(ValueError, match="^rational literal needs more than 4300 digits$"):
+            parse_rational("1e" + "9" * 4301)
+
     def test_a_value_that_prints_parses_back(self):
         limit = sys.get_int_max_str_digits()
         top = 10**limit  # the least integer with one digit too many
@@ -555,8 +560,13 @@ class _FractionSubclass(Fraction):
     pass
 
 
+def named_system(matrix, rhs) -> LinearSystem:
+    """A system whose rows are named ``row 0``, ``row 1``, ... after its right-hand sides."""
+    return LinearSystem(matrix, rhs, tuple(f"row {i}" for i in range(len(rhs))))
+
+
 #: One x = 1/2 row, so that both 1 and 1/2 are a point, a certificate and a matrix entry.
-ONE_ROW = LinearSystem(((F(1),),), (F(1, 2),))
+ONE_ROW = named_system(((F(1),),), (F(1, 2),))
 
 #: A family whose s range is [0, 1/2]: x = 3/4, e_p = 2/3.
 HALF_S = solve_family(GeneralParams(F(3, 4), F(2, 3), F(1, 2)))
@@ -564,8 +574,8 @@ HALF_S = solve_family(GeneralParams(F(3, 4), F(2, 3), F(1, 2)))
 #: Each exact entry point, with the value under test in one slot; the other
 #: slots are exact, computed from ``F(v)`` where a total must be 1.
 EXACT_ENTRY_POINTS = {
-    "LinearSystem.matrix": lambda v: LinearSystem(((v,),), (F(1, 2),)),
-    "LinearSystem.rhs": lambda v: LinearSystem(((F(1),),), (v,)),
+    "LinearSystem.matrix": lambda v: named_system(((v,),), (F(1, 2),)),
+    "LinearSystem.rhs": lambda v: named_system(((F(1),),), (v,)),
     "residual": lambda v: residual(ONE_ROW, (v,)),
     "verify_certificate": lambda v: verify_certificate(ONE_ROW, (v,)),
     "matrix_rank": lambda v: matrix_rank(((v,),)),
@@ -640,7 +650,7 @@ class TestExactInputRule:
     def test_taken_values_are_stored_as_fractions(self):
         # a Fraction passes through as the same object
         half = F(1, 2)
-        assert LinearSystem(((half, 1),), (0,)).matrix[0][0] is half
+        assert named_system(((half, 1),), (0,)).matrix[0][0] is half
         for value in (Setting("a", 1).x, *JointDist((1, 0, 0, 0)).entries, *instantiate(HALF_S, 0, 0).entries):
             assert type(value) is Fraction
 

@@ -32,6 +32,11 @@ from hvnogo.family import _memoized_system
 F = Fraction
 
 
+def named_system(matrix, rhs) -> LinearSystem:
+    """A system whose rows are named ``row 0``, ``row 1``, ... after its right-hand sides."""
+    return LinearSystem(matrix, rhs, tuple(f"row {i}" for i in range(len(rhs))))
+
+
 def sympy_rank(rows):
     """Independent rank oracle."""
     return sympy.Matrix([[sympy.Rational(v) for v in row] for row in rows]).rank()
@@ -65,19 +70,19 @@ def small_systems(draw):
         rhs = [sum((a * v for a, v in zip(row, point)), F(0)) for row in rows]
     else:
         rhs = draw(st.lists(ENTRIES, min_size=m, max_size=m))
-    return LinearSystem(tuple(map(tuple, rows)), tuple(rhs))
+    return named_system(tuple(map(tuple, rows)), tuple(rhs))
 
 
 class TestToySystems:
     def test_simplex_on_a_segment(self):
-        system = LinearSystem(((F(1), F(1)),), (F(1),))
+        system = named_system(((F(1), F(1)),), (F(1),))
         report = lp_feasible(system)
         assert report.feasible
         assert all(v >= 0 for v in report.witness)
         assert all(r == 0 for r in residual(system, report.witness))
 
     def test_contradictory_rows(self):
-        system = LinearSystem(((F(1),), (F(1),)), (F(1, 3), F(2, 3)))
+        system = named_system(((F(1),), (F(1),)), (F(1, 3), F(2, 3)))
         report = lp_feasible(system)
         assert not report.feasible
         assert verify_certificate(system, report.certificate)
@@ -86,44 +91,58 @@ class TestToySystems:
         assert not verify_certificate(system, (F(1), F(-1)))
 
     def test_zero_certificate_rejected(self):
-        system = LinearSystem(((F(1),), (F(1),)), (F(1, 3), F(2, 3)))
+        system = named_system(((F(1),), (F(1),)), (F(1, 3), F(2, 3)))
         assert not verify_certificate(system, (F(0), F(0)))
 
     def test_certificate_dimension_checked(self):
-        system = LinearSystem(((F(1),), (F(1),)), (F(1, 3), F(2, 3)))
+        system = named_system(((F(1),), (F(1),)), (F(1, 3), F(2, 3)))
         with pytest.raises(DimensionMismatch):
             verify_certificate(system, (F(1),))
 
     def test_residual_dimension_checked(self):
-        system = LinearSystem(((F(1), F(2)),), (F(1),))
+        system = named_system(((F(1), F(2)),), (F(1),))
         with pytest.raises(DimensionMismatch):
             residual(system, (F(1),))
 
     def test_ragged_matrix_rejected(self):
         with pytest.raises(DimensionMismatch):
-            LinearSystem(((F(1), F(2)), (F(1),)), (F(1), F(1)))
+            named_system(((F(1), F(2)), (F(1),)), (F(1), F(1)))
 
     def test_a_row_given_many_times_is_checked_once_and_kept_once(self):
         row = (F(1, 2), 1)
-        system = LinearSystem((row, row, (1, F(1, 3)), row), (0, 0, 0, 0))
+        system = named_system((row, row, (1, F(1, 3)), row), (0, 0, 0, 0))
         assert system.matrix == (((F(1, 2), F(1)),) * 2 + ((F(1), F(1, 3)),) + ((F(1, 2), F(1)),))
         assert all(type(v) is Fraction for r in system.matrix for v in r)
         assert system.matrix[0] is system.matrix[1] is system.matrix[3]
         with pytest.raises(TypeError, match="^LinearSystem.matrix: expected Fraction or int, got bool$"):
-            LinearSystem(((F(1),), (True,), (True,)), (0, 0, 0))
+            named_system(((F(1),), (True,), (True,)), (0, 0, 0))
 
     def test_rows_made_and_dropped_one_by_one_stay_distinct(self):
         # each list dies once converted, so its id may come back for the next one
-        system = LinearSystem(([F(i), 1] for i in range(50)), (0,) * 50)
+        system = named_system(([F(i), 1] for i in range(50)), (0,) * 50)
         assert system.matrix == tuple((F(i), F(1)) for i in range(50))
 
     @pytest.mark.parametrize("rhs,labels,message", [
         ((F(1),), (), "2 rows vs 1 right-hand sides"),
         ((F(1), F(1)), ("only",), "1 labels vs 2 rows"),
-    ], ids=["more_rows_than_rhs", "fewer_labels_than_rows"])
+        ((F(1), F(1)), (), "0 labels vs 2 rows"),
+    ], ids=["more_rows_than_rhs", "fewer_labels_than_rows", "no_labels"])
     def test_rows_rhs_and_labels_must_agree(self, rhs, labels, message):
         with pytest.raises(DimensionMismatch, match=f"^{message}$"):
             LinearSystem(((F(1),), (F(1),)), rhs, labels)
+
+    def test_labels_are_required(self):
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'labels'$"):
+            LinearSystem(((F(1),),), (F(1),))
+
+    def test_certificate_narrative_names_the_rows_it_combines(self):
+        # w0 = 1/3 and w0 = 2/3 contradict each other; w1 = 1 takes no part
+        system = LinearSystem(
+            ((F(1), F(0)), (F(0), F(1)), (F(1), F(0))), (F(1, 3), F(1), F(2, 3)), ("low", "other", "high")
+        )
+        report = lp_feasible(system)
+        assert report.certificate == (F(-1), F(0), F(1))
+        assert report.narrative == "infeasible: Farkas certificate combines low, high"
 
     def test_constraint_system_is_feasible(self):
         system = constraint_system(GeneralParams(F(1, 3), F(1, 2), F(1, 4)))
@@ -132,24 +151,46 @@ class TestToySystems:
         assert all(r == 0 for r in residual(system, report.witness))
 
 
+class TestSimplexSelfChecks:
+    """Each check the simplex makes of its own answer fires when that answer is wrong."""
+
+    def test_a_point_with_a_nonzero_residual_is_a_bug(self, monkeypatch):
+        monkeypatch.setattr(exactlp, "residual", lambda system, point: (F(1),) * system.num_rows)
+        with pytest.raises(AssertionError, match="^simplex returned a non-solution; this is a bug$"):
+            lp_feasible(named_system(((F(1), F(1)),), (F(1),)))
+
+    def test_a_rejected_certificate_is_a_bug(self, monkeypatch):
+        monkeypatch.setattr(exactlp, "verify_certificate", lambda system, y: False)
+        with pytest.raises(AssertionError, match="^simplex produced an invalid Farkas certificate; this is a bug$"):
+            lp_feasible(named_system(((F(1),), (F(1),)), (F(1, 3), F(2, 3))))
+
+    def test_an_entering_column_without_a_pivot_row_is_a_bug(self, monkeypatch):
+        # Phase one's objective is bounded below by 0, so a column whose reduced cost the tableau
+        # backs always has a pivot row.  With ZERO = 2 every reduced cost starts 2 too low, and
+        # the column of -w = 1, whose only entry is negative, enters.
+        monkeypatch.setattr(exactlp, "ZERO", F(2))
+        with pytest.raises(AssertionError, match="^phase-one objective is bounded; no pivot row means a bug$"):
+            lp_feasible(named_system(((F(-1),),), (F(1),)))
+
+
 class TestEnumerator:
     def test_segment_vertices(self):
-        system = LinearSystem(((F(1), F(1)),), (F(1),))
+        system = named_system(((F(1), F(1)),), (F(1),))
         points = enumerate_basic_solutions(system)
         assert set(points) == {(F(1), F(0)), (F(0), F(1))}
 
     def test_infeasible_system_has_no_points(self):
-        system = LinearSystem(((F(1),), (F(1),)), (F(1, 3), F(2, 3)))
+        system = named_system(((F(1),), (F(1),)), (F(1, 3), F(2, 3)))
         assert enumerate_basic_solutions(system) == ()
 
     def test_zero_matrix_cases(self):
-        consistent = LinearSystem(((F(0), F(0)),), (F(0),))
+        consistent = named_system(((F(0), F(0)),), (F(0),))
         assert enumerate_basic_solutions(consistent) == ((F(0), F(0)),)
-        inconsistent = LinearSystem(((F(0), F(0)),), (F(1),))
+        inconsistent = named_system(((F(0), F(0)),), (F(1),))
         assert enumerate_basic_solutions(inconsistent) == ()
 
     def test_system_without_rows_is_feasible_for_every_oracle(self):
-        empty = LinearSystem((), ())
+        empty = named_system((), ())
         report = lp_feasible(empty)
         assert (report.feasible, report.witness, report.certificate) == (True, (), None)
         assert enumerate_basic_solutions(empty) == ((),)
@@ -166,7 +207,7 @@ def random_system(rng: Generator, force_feasible: bool) -> LinearSystem:
         rhs = tuple(sum(c * w for c, w in zip(row, witness)) for row in matrix)
     else:
         rhs = tuple(F(int(rng.integers(-4, 5)), int(rng.integers(1, 4))) for _ in range(m))
-    return LinearSystem(matrix, rhs)
+    return named_system(matrix, rhs)
 
 
 class TestOracleEquivalence:
@@ -289,7 +330,7 @@ class TestEnumeratorProperty:
 
     def test_degenerate_vertex_is_listed_once(self):
         # Every basis holding column 0 gives the vertex (1, 0, 0): it is degenerate.
-        system = LinearSystem(((F(1), F(1), F(0)), (F(1), F(0), F(1))), (F(1), F(1)))
+        system = named_system(((F(1), F(1), F(0)), (F(1), F(0), F(1))), (F(1), F(1)))
         assert basic_solutions(system) == [(F(1), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(1))]
         assert enumerate_basic_solutions(system) == ((F(0), F(1), F(1)), (F(1), F(0), F(0)))
 
@@ -307,7 +348,7 @@ class TestEnumeratorProperty:
         # Columns 0 and 1 are equal: swapping column 1 into the first basis {0, 2}
         # for column 2 finds a zero in row 1, the only row whose variable leaves,
         # so {0, 1} is no basis; the bases {0, 2} and {1, 2} give the two vertices.
-        system = LinearSystem(((F(1), F(1), F(0)), (F(0), F(0), F(1))), (F(1), F(2)))
+        system = named_system(((F(1), F(1), F(0)), (F(0), F(0), F(1))), (F(1), F(2)))
         assert basic_solutions(system) == [(F(1), F(0), F(2)), (F(0), F(1), F(2))]
 
 
@@ -362,19 +403,19 @@ class TestSparseResidual:
         rhs = data.draw(st.lists(ints, min_size=m, max_size=m))
         point = data.draw(st.lists(st.one_of(ints, ENTRIES), min_size=n, max_size=n))
         dense = tuple(sum((c * v for c, v in zip(row, point)), F(0)) - b for row, b in zip(rows, rhs))
-        result = residual(LinearSystem(tuple(map(tuple, rows)), tuple(rhs)), point)
+        result = residual(named_system(tuple(map(tuple, rows)), tuple(rhs)), point)
         assert result == dense
         assert all(type(r) is Fraction for r in result)
 
     def test_row_whose_terms_share_one_denominator(self):
         # every term and b are sevenths, so the row sum never changes its denominator
-        system = LinearSystem(((F(1, 7), F(3, 7), F(-2, 7)),), (F(2, 7),))
+        system = named_system(((F(1, 7), F(3, 7), F(-2, 7)),), (F(2, 7),))
         assert residual(system, (1, 2, 3)) == (F(-1, 7),)
         assert residual(system, (F(2), F(2), F(2))) == (F(2, 7),)
         assert residual(system, (0, 0, -1)) == (F(0),)
 
     def test_integer_rows_hold_the_nonzero_entries(self):
-        system = LinearSystem(((F(0), F(-2, 3), F(1)), (F(0), F(0), F(0))), (F(1), F(0)))
+        system = named_system(((F(0), F(-2, 3), F(1)), (F(0), F(0), F(0))), (F(1), F(0)))
         assert system.integer_rows == ((((1, -2, 3), (2, 1, 1)), 1, 1), ((), 0, 1))
         assert residual(system, (F(5), F(3), F(1))) == (F(-2), F(0))
 

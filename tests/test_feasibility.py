@@ -213,7 +213,7 @@ class TestCheckTriple:
             expected[4 * low : 4 * low + 4] = (-1, 1, -1, 1)
             expected[4 * high : 4 * high + 4] = (1, -1, 1, -1)
             assert list(y) == expected
-            assert all(system.label(r).startswith("adequacy") for r, v in enumerate(y) if v != 0)
+            assert all(system.labels[r].startswith("adequacy") for r, v in enumerate(y) if v != 0)
             assert sum(v * b for v, b in zip(y, system.rhs)) == 2 * (max(xs) - min(xs))
 
     def test_refutes_the_first_settings_with_the_smallest_and_the_largest_x(self):
