@@ -49,8 +49,7 @@ print(f"  e.g. atom {some.assignments} carries weight {some.weight} (the length 
 
 det = model_drop_determinism(family)
 report(det)
-atom = det.payload.atoms[0]
-resp = atom.responses["alpha1"]
-print(f"  atom {atom.name} (label {atom.label}, weight {atom.weight}) under alpha1:")
-print(f"    p(b=0) = {resp.b0}, p(a=0|b=0) = {resp.a0_given_b0}, p(a=0|b=1) = {resp.a0_given_b1}")
-print("  stochastic responses reproduce every joint while both labels keep their revelation property")
+for label, table in sorted(det.payload.tables.items()):
+    p_at_b1, w_at_b0 = table.branch_mass(1, "p"), table.branch_mass(0, "w")
+    print(f"  {label}: cross masses p(b=1, lam=p) = {p_at_b1}, p(b=0, lam=w) = {w_at_b0}")
+print("  half of each joint sits under each label, so the label no longer fixes b; that is the dropped determinism")

@@ -269,7 +269,7 @@ def _cmd_demo(args) -> tuple[int, str]:
     model = builders[args.drop](family)
     report = validate_witness(model, family)
     payload = {
-        "model": {**to_json(model), "mode": to_json(model.mode)},
+        "model": to_json(model),
         "validation": {**to_json(report), "overall_pass": report.overall_pass},
     }
     status = EXIT_OK if report.overall_pass else EXIT_FAILED_CHECK

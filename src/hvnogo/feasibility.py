@@ -4,11 +4,14 @@ A *settings family* is a collection of experimental settings sharing the
 conditional statistics (e_p, e_w) but differing in the apparatus marginal
 x.  The three classical assumptions are formalized as:
 
-* determinism: probability mass sits on atoms with pinned outcomes.  For
-  label-carrying models the eight ontic-table cells are exactly those
-  atoms, so the table itself is the decision variable.
+* determinism: the hidden state fixes the apparatus outcome b.  An outcome
+  atom pins its outcomes by construction.  In a label-carrying model, a
+  table of eight cells per setting, the label must fix b: label p never
+  meets b=1 and label w never meets b=0, so the cross cells 01p, 11p, 00w
+  and 10w are empty.
 * independence: one atom-weight vector serves every setting (the setting
-  is a free input that does not act back on the hidden state).
+  is a free input that does not act back on the hidden state); for tables,
+  p(lam = p) is the same in every setting.
 * objectivity: each atom carries a fixed binary label in {p, w}, revealed
   as the matching conditional statistics in the matching apparatus outcome.
 
@@ -24,21 +27,25 @@ can cross-check the verdict.  The three ``model_drop_*`` constructors
 then witness that dropping any single assumption restores consistency,
 and :func:`validate_witness` audits each witness against the two
 retained assumptions in exact arithmetic.  It reads the payload in one
-place, into each setting's (a, b) joint and, for a labelled payload, its
+place, into each setting's (a, b) joint and, for tables, its
 p(a, b, lam) masses, all as integer numerators over one common
 denominator.  That one reading also decides determinism and
 independence, the two checks that depend on the payload's type;
 adequacy and objectivity read its joints and masses and are decided by
 integer cross-multiplication.  Fractions appear only as payload weights
-and in the detail text of a failing check.  A :class:`WitnessModel` is built
-from its payload alone: the payload's type fixes its ``mode``, and with
-it which assumption is dropped.
+and in the detail text of a failing check.
 
-Each witness uses its own model class.  Drop-independence uses labelled
-per-setting tables (:class:`PerSettingTables`).  Drop-objectivity uses
-setting-indexed deterministic outcomes (:class:`OutcomeAtomModel`), where
-the setting index is the whole point.  Drop-determinism uses labelled
-atoms with stochastic responses (:class:`StochasticResponseModel`).
+A :class:`WitnessModel` names its ``mode``, the assumption it drops, and
+carries one of two payloads.  Drop-independence and drop-determinism
+carry labelled per-setting tables (:class:`PerSettingTables`): the
+special table of each setting, or half of each setting's joint under
+each label.  Drop-objectivity carries setting-indexed deterministic
+outcomes with no label (:class:`OutcomeAtomModel`), where the setting
+index is the whole point.  With adequacy, table determinism leaves each
+setting only its special table, whose p(lam = p) is that setting's x, so
+a table payload passes all four checks only when every x is equal, and
+the special tables then do: the verdict of :func:`check_triple`,
+boundary x included.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ from .dist import (
 )
 from .errors import MalformedModel
 from .exactlp import FeasibilityReport, LinearSystem
-from .family import LambdaLabel, OnticTable, _adequacy_labels, _special_table, _stacked_system, cell_index
+from .family import OnticTable, _adequacy_labels, _special_table, _stacked_system, cell_index
 
 
 @dataclass(frozen=True)
@@ -184,7 +191,7 @@ class WitnessMode(enum.Enum):
 
 @dataclass(frozen=True)
 class PerSettingTables:
-    """Drop-independence payload: one labelled table per setting."""
+    """Labelled payload: one eight-cell table per setting, keyed by label."""
 
     tables: dict[str, OnticTable]
 
@@ -221,75 +228,29 @@ class OutcomeAtomModel:
         object.__setattr__(self, "atoms", tuple(self.atoms))
 
 
-_RESPONSE_FIELDS = ("b0", "a0_given_b0", "a0_given_b1")
-
-
-@dataclass(frozen=True)
-class SettingResponse:
-    """Stochastic responses of one atom under one setting."""
-
-    b0: Fraction
-    a0_given_b0: Fraction
-    a0_given_b1: Fraction
-
-    def __post_init__(self):
-        for name in _RESPONSE_FIELDS:
-            value = _as_probability(getattr(self, name), f"SettingResponse.{name}")
-            object.__setattr__(self, name, value)
-
-
-@dataclass(frozen=True)
-class ResponseAtom:
-    """A labelled hidden state with per-setting stochastic responses."""
-
-    name: str
-    weight: Fraction
-    label: LambdaLabel
-    responses: dict[str, SettingResponse]
-
-    def __post_init__(self):
-        object.__setattr__(self, "weight", _as_probability(self.weight, f"atom {self.name!r} weight"))
-        if self.label not in ("p", "w"):
-            raise ValueError(f"atom {self.name!r} has label {self.label!r}, expected 'p' or 'w'")
-        for label, response in self.responses.items():
-            if not isinstance(response, SettingResponse):
-                raise TypeError(f"atom {self.name!r}: response for {label!r} must be a SettingResponse")
-
-
-@dataclass(frozen=True)
-class StochasticResponseModel:
-    """Drop-determinism payload: labelled atoms with stochastic responses."""
-
-    atoms: tuple[ResponseAtom, ...]
-
-
-Payload = Union[PerSettingTables, OutcomeAtomModel, StochasticResponseModel]
-
-#: The payload's type fixes which assumption a witness drops.
-_MODE_OF_PAYLOAD = {
-    PerSettingTables: WitnessMode.DROP_INDEPENDENCE,
-    OutcomeAtomModel: WitnessMode.DROP_OBJECTIVITY,
-    StochasticResponseModel: WitnessMode.DROP_DETERMINISM,
-}
+Payload = Union[PerSettingTables, OutcomeAtomModel]
 
 
 @dataclass(frozen=True)
 class WitnessModel:
     """A concrete model keeping two assumptions and abandoning the third.
 
-    Built from its payload alone; the payload's type fixes :attr:`mode`.
+    :attr:`mode` names the dropped assumption.  Drop-objectivity carries an
+    :class:`OutcomeAtomModel`; the other two modes carry
+    :class:`PerSettingTables`.
     """
 
+    mode: WitnessMode
     payload: Payload
 
     def __post_init__(self):
-        if type(self.payload) not in _MODE_OF_PAYLOAD:
-            expected = ", ".join(t.__name__ for t in _MODE_OF_PAYLOAD)
-            raise TypeError(f"witness payload must be one of {expected}; got {type(self.payload).__name__}")
-
-    @property
-    def mode(self) -> WitnessMode:
-        return _MODE_OF_PAYLOAD[type(self.payload)]
+        if not isinstance(self.mode, WitnessMode):
+            raise TypeError(f"witness mode must be a WitnessMode, got {type(self.mode).__name__}")
+        carried = OutcomeAtomModel if self.mode is WitnessMode.DROP_OBJECTIVITY else PerSettingTables
+        if type(self.payload) is not carried:
+            raise TypeError(
+                f"a {self.mode.value} witness carries a {carried.__name__}, got {type(self.payload).__name__}"
+            )
 
 
 def model_drop_independence(family: SettingsFamily) -> WitnessModel:
@@ -298,7 +259,7 @@ def model_drop_independence(family: SettingsFamily) -> WitnessModel:
     its kept joint placed by :func:`family._special_table`, so the label
     marginal tracks (x, 1-x) and varies with the setting."""
     tables = {s.label: _special_table(joint) for s, joint in zip(family.settings, family.joints)}
-    return WitnessModel(PerSettingTables(tables))
+    return WitnessModel(WitnessMode.DROP_INDEPENDENCE, PerSettingTables(tables))
 
 
 def model_drop_objectivity(family: SettingsFamily) -> WitnessModel:
@@ -323,24 +284,23 @@ def model_drop_objectivity(family: SettingsFamily) -> WitnessModel:
         )
         for lo, hi in zip(cuts, cuts[1:])
     )
-    return WitnessModel(OutcomeAtomModel(family.labels, atoms))
+    return WitnessModel(WitnessMode.DROP_OBJECTIVITY, OutcomeAtomModel(family.labels, atoms))
 
 
 def model_drop_determinism(family: SettingsFamily) -> WitnessModel:
-    """Keep objectivity and independence; let atoms respond stochastically.
+    """Keep objectivity and independence; let the label leave b open.
 
-    Two atoms with fixed weights (1/2, 1/2) carry the labels p and w.  Both
-    respond identically: b=0 with probability x under setting x, then the
-    observed conditionals (e_p at b=0, e_w at b=1).  Conditioning on any
-    (b, label) therefore reveals exactly the matching statistics."""
-    responses = {
-        s.label: SettingResponse(s.x, family.e_p, family.e_w) for s in family.settings
-    }
-    atoms = (
-        ResponseAtom("Lambda_p", Fraction(1, 2), "p", dict(responses)),
-        ResponseAtom("Lambda_w", Fraction(1, 2), "w", dict(responses)),
-    )
-    return WitnessModel(StochasticResponseModel(atoms))
+    Each setting's table holds half of its kept joint under label p and
+    half under label w, so p(lam = p) = 1/2 in every setting, and
+    conditioning on (b, label) reveals the observed conditional at that b
+    (e_p at b=0, e_w at b=1) whichever the label.  Both labels accompany
+    both outcomes b, so neither label fixes b.  Each half of n/d is built
+    as n/(2d)."""
+    tables = {}
+    for s, joint in zip(family.settings, family.joints):
+        half = tuple(Fraction(v.numerator, 2 * v.denominator) for v in joint.entries)
+        tables[s.label] = OnticTable(half + half)
+    return WitnessModel(WitnessMode.DROP_DETERMINISM, PerSettingTables(tables))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +341,9 @@ _PerSetting = list[tuple[int, ...]]
 #: One check's verdict: whether it passed, and its detail text.
 _Verdict = tuple[bool, str]
 
-_PINNED = True, "all probability mass sits on atoms with pinned outcomes"
+#: (index, a, b, label) of each cell where a label meets the outcome b it
+#: does not fix: 01p, 11p, then 00w, 10w, in :class:`OnticTable` order.
+_CROSS_CELLS = tuple((cell_index(a, b, lam), a, b, lam) for lam, b in (("p", 1), ("w", 0)) for a in (0, 1))
 
 
 def _marginals(
@@ -390,17 +352,19 @@ def _marginals(
     """Read ``payload`` once, checking that it matches ``family``.
 
     Returns ``(D, joints, masses, determinism, independence)``: each
-    setting's predicted (a, b) joint in 00, 01, 10, 11 order and, for a
-    labelled payload, its eight p(a, b, lam) masses in :class:`OnticTable`
-    order (``None`` for an :class:`OutcomeAtomModel`), all as integer
-    numerators over the one common denominator D, then the verdicts of two
-    checks.  A labelled joint is cell i plus cell i + 4: the p mass plus the
-    w mass.  An outcome atom adds its integer weight to the cell its
-    assignment names in each setting, so atom order does not matter.  D is
-    the lcm of the tables' entries, the lcm of the atom weights, or for
-    stochastic responses the product of the lcms of the weights, of the b0
-    responses and of the a responses.  Raises :class:`MalformedModel` on a
-    structural mismatch.
+    setting's predicted (a, b) joint in 00, 01, 10, 11 order and, for
+    :class:`PerSettingTables`, its eight p(a, b, lam) masses in
+    :class:`OnticTable` order (``None`` for an :class:`OutcomeAtomModel`),
+    all as integer numerators over the one common denominator D, then the
+    verdicts of two checks.  A table's joint is cell i plus cell i + 4: the
+    p mass plus the w mass.  An outcome atom adds its integer weight to the
+    cell its assignment names in each setting, so atom order does not
+    matter.  D is the lcm of the tables' entries or of the atom weights.
+
+    Tables keep determinism when the label fixes b: in every setting the
+    cells 01p, 11p, 00w and 10w hold no mass, so label p never meets b=1
+    and label w never meets b=0.  Outcome atoms pin their outcomes by
+    construction.  Raises :class:`MalformedModel` on a structural mismatch.
     """
     labels = family.labels
     if isinstance(payload, PerSettingTables):
@@ -408,6 +372,15 @@ def _marginals(
             raise MalformedModel(f"per-setting tables keyed by {sorted(payload.tables)}, family has {sorted(labels)}")
         scale, numerators = _common_denominator([v for label in labels for v in payload.tables[label].entries])
         masses = [tuple(numerators[i : i + 8]) for i in range(0, len(numerators), 8)]
+        determinism = True, "in every setting label 'p' fixes b=0 and label 'w' fixes b=1"
+        for label, m in zip(labels, masses):
+            if m[1] or m[3] or m[4] or m[6]:  # the cells of _CROSS_CELLS
+                i, a, b, lam = next(cell for cell in _CROSS_CELLS if m[cell[0]])
+                mass = _show(Fraction(m[i], scale))
+                determinism = False, (
+                    f"setting {label!r}: p(a={a},b={b},lam={lam}) = {mass}; label {lam!r} must fix b={1 - b}"
+                )
+                break
         marginals = {label: sum(m[:4]) for label, m in zip(labels, masses)}  # p(lam = p), over scale
         if len(set(marginals.values())) > 1:
             listing = ", ".join(f"{lbl}: {_show(Fraction(v, scale))}" for lbl, v in marginals.items())
@@ -415,63 +388,25 @@ def _marginals(
         else:
             independence = True, "label marginal p(lam=p) is the same in every setting"
         joints = [tuple(m[i] + m[i + 4] for i in range(4)) for m in masses]
-        return scale, joints, masses, _PINNED, independence
-    w_scale, weights = _common_denominator([atom.weight for atom in payload.atoms])
-    if sum(weights) == w_scale:
+        return scale, joints, masses, determinism, independence
+    if payload.setting_labels != labels:
+        raise MalformedModel(f"atom model ordered by {list(payload.setting_labels)}, family has {list(labels)}")
+    k = len(labels)
+    for atom in payload.atoms:
+        if len(atom.assignments) != k:
+            raise MalformedModel(f"atom assigns {len(atom.assignments)} outcomes for {k} settings")
+    scale, weights = _common_denominator([atom.weight for atom in payload.atoms])
+    if sum(weights) == scale:
         independence = True, "one fixed atom-weight vector serves every setting"
     else:
-        total = _show(Fraction(sum(weights), w_scale))
+        total = _show(Fraction(sum(weights), scale))
         independence = False, f"atom weights sum to {total}, not a probability distribution"
-    if isinstance(payload, OutcomeAtomModel):
-        if payload.setting_labels != labels:
-            raise MalformedModel(f"atom model ordered by {list(payload.setting_labels)}, family has {list(labels)}")
-        k = len(labels)
-        for atom in payload.atoms:
-            if len(atom.assignments) != k:
-                raise MalformedModel(f"atom assigns {len(atom.assignments)} outcomes for {k} settings")
-        sums = [[0] * 4 for _ in labels]
-        for atom, weight in zip(payload.atoms, weights):
-            for cells, (a, b) in zip(sums, atom.assignments):
-                cells[2 * a + b] += weight
-        return w_scale, [tuple(cells) for cells in sums], None, _PINNED, independence
-    if not payload.atoms:
-        raise MalformedModel("stochastic response model has no atoms")
-    determinism = True, "all responses are 0 or 1"
-    responses = []  # atom-major, family order within each atom
-    for atom in payload.atoms:
-        for label in labels:
-            r = atom.responses.get(label)
-            if r is None:
-                raise MalformedModel(f"atom {atom.name!r} lacks responses for setting {label!r}")
-            responses.append(r)
-            if determinism[0]:
-                for name, v in zip(_RESPONSE_FIELDS, (r.b0, r.a0_given_b0, r.a0_given_b1)):
-                    if v.denominator != 1:  # a probability strictly between 0 and 1
-                        determinism = False, (
-                            f"atom {atom.name!r}, setting {label!r}: response {name} = {_show(v)} "
-                            "is strictly between 0 and 1"
-                        )
-                        break
-        if len(atom.responses) != len(labels):  # every family label is there, so some are extra
-            extra = sorted(set(atom.responses).difference(labels))
-            raise MalformedModel(f"atom {atom.name!r} has responses for settings {extra} not in the family")
-    b_scale, b0s = _common_denominator([r.b0 for r in responses])
-    a_scale, a0s = _common_denominator([v for r in responses for v in (r.a0_given_b0, r.a0_given_b1)])
-    b0s, a0s = iter(b0s), iter(a0s)
-    sums = [[0] * 8 for _ in labels]
+    sums = [[0] * 4 for _ in labels]
     for atom, weight in zip(payload.atoms, weights):
-        # cells (0, 0), (0, 1), (1, 0), (1, 1) of the atom's label
-        i00, i01, i10, i11 = (cell_index(a, b, atom.label) for a, b in _OUTCOME_PAIRS)
-        for cells in sums:
-            b0 = weight * next(b0s)
-            b1 = weight * b_scale - b0
-            a0_given_b0, a0_given_b1 = next(a0s), next(a0s)
-            cells[i00] += b0 * a0_given_b0
-            cells[i10] += b0 * (a_scale - a0_given_b0)
-            cells[i01] += b1 * a0_given_b1
-            cells[i11] += b1 * (a_scale - a0_given_b1)
-    joints = [tuple(cells[i] + cells[i + 4] for i in range(4)) for cells in sums]
-    return w_scale * b_scale * a_scale, joints, [tuple(cells) for cells in sums], determinism, independence
+        for cells, (a, b) in zip(sums, atom.assignments):
+            cells[2 * a + b] += weight
+    pinned = True, "all probability mass sits on atoms with pinned outcomes"
+    return scale, [tuple(cells) for cells in sums], None, pinned, independence
 
 
 def _adequacy_check(family: SettingsFamily, scale: int, model_joints: _PerSetting) -> tuple[bool, str]:
@@ -539,10 +474,13 @@ def validate_witness(model: WitnessModel, family: SettingsFamily) -> WitnessRepo
     It raises :class:`MalformedModel` when the payload does not match the family.
 
     For :class:`PerSettingTables` independence compares only p(lam = p)
-    across settings, weaker than :func:`triple_system`'s one shared table:
-    on x in {1/3, 2/3} with e_p = 1/2, e_w = 1/4, tables holding half of
-    each setting's joint under each label pass all four checks, while
-    :func:`check_triple` refutes the family.
+    across settings, not one shared table as :func:`triple_system` does.
+    Determinism closes the gap: a table that reproduces its setting's
+    joint and lets the label fix b is that setting's special table, with
+    p(lam = p) = x.  So tables pass all four checks only on a family of
+    one x, the families :func:`check_triple` finds feasible.  Tables
+    holding half of each setting's joint under each label, on x in
+    {1/3, 2/3} with e_p = 1/2, e_w = 1/4, fail determinism.
     """
     scale, joints, masses, determinism, independence = _marginals(model.payload, family)
     dropped = model.mode.value.removeprefix("Drop").lower()  # "DropIndependence" -> "independence"

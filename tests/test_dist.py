@@ -42,7 +42,7 @@ from hvnogo import (
 )
 from hvnogo.dist import _as_fraction_row, _common_denominator, _show
 from hvnogo.family import cell_index
-from hvnogo.feasibility import OutcomeAtom, ResponseAtom, SettingResponse
+from hvnogo.feasibility import OutcomeAtom
 from hvnogo.quantum import quantum_joint
 
 F = Fraction
@@ -585,10 +585,6 @@ EXACT_ENTRY_POINTS = {
     "SettingsFamily.e_p": lambda v: SettingsFamily(v, F(1, 4), (Setting("a", F(1, 3)),)),
     "SettingsFamily.e_w": lambda v: SettingsFamily(F(1, 4), v, (Setting("a", F(1, 3)),)),
     "OutcomeAtom.weight": lambda v: OutcomeAtom(((0, 0),), v),
-    "SettingResponse.b0": lambda v: SettingResponse(v, F(1, 2), F(1, 2)),
-    "SettingResponse.a0_given_b0": lambda v: SettingResponse(F(1, 2), v, F(1, 2)),
-    "SettingResponse.a0_given_b1": lambda v: SettingResponse(F(1, 2), F(1, 2), v),
-    "ResponseAtom.weight": lambda v: ResponseAtom("atom", v, "p", {}),
     # exact mode: no float among the values
     "BinaryDist": lambda v: BinaryDist(v, 1 - F(v)),
     "JointDist": lambda v: JointDist((v, 1 - F(v), 0, 0)),

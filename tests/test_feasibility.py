@@ -37,14 +37,7 @@ from hvnogo import (
 from hvnogo import dist, exactlp, feasibility
 from hvnogo.acceptance import _interior_fraction as interior_fraction
 from hvnogo.acceptance import _random_family, _rng
-from hvnogo.feasibility import (
-    OutcomeAtom,
-    OutcomeAtomModel,
-    PerSettingTables,
-    ResponseAtom,
-    SettingResponse,
-    StochasticResponseModel,
-)
+from hvnogo.feasibility import OutcomeAtom, OutcomeAtomModel, PerSettingTables
 
 F = Fraction
 
@@ -63,6 +56,8 @@ FIVE_SETTINGS = SettingsFamily(
 )
 
 BUILDERS = (model_drop_independence, model_drop_objectivity, model_drop_determinism)
+
+INDEPENDENCE, OBJECTIVITY = WitnessMode.DROP_INDEPENDENCE, WitnessMode.DROP_OBJECTIVITY
 
 
 @st.composite
@@ -105,6 +100,11 @@ def _count_joints(monkeypatch) -> list[int]:
     monkeypatch.setattr(dist, "_joints_at", counted)
     monkeypatch.setattr(feasibility, "_joints_at", counted)
     return built
+
+
+def _half_and_half(joint) -> tuple[Fraction, ...]:
+    """Half of ``joint`` under each label, as the eight cells of a table."""
+    return tuple(v / 2 for v in joint.entries) * 2
 
 
 def _extreme_pair(family: SettingsFamily) -> tuple[int, int]:
@@ -190,7 +190,8 @@ class TestCheckTriple:
         for _ in range(100):
             family = _random_family(rng, distinct_x=False, k=int(rng.integers(2, 5)))
             witness = check_triple(family).witness
-            report = validate_witness(WitnessModel(PerSettingTables(dict.fromkeys(family.labels, witness))), family)
+            tables = PerSettingTables(dict.fromkeys(family.labels, witness))
+            report = validate_witness(WitnessModel(INDEPENDENCE, tables), family)
             assert all(c.passed for c in report.checks), report
             assert all(r == 0 for r in residual(triple_system(family), witness.entries))
 
@@ -338,11 +339,12 @@ class TestWitnessMassesOnAGrid:
                 assert joint == (x * e_p, (1 - x) * e_w, x * (1 - e_p), (1 - x) * (1 - e_w))
 
     def test_drop_determinism_halves_each_setting_joint(self):
-        """Degree <= 1 in each of x1, x2, e_p and e_w: in ``_marginals``
-        each cell is an atom weight (1/2, from ``model_drop_determinism``)
-        times b0 or 1 - b0 (b0 = x) times a0 or 1 - a0 (a0 = e_p at b = 0,
-        e_w at b = 1), and each setting reads its own x only.  So 2 values
-        per variable, 16 families, suffice."""
+        """Degree <= 1 in each of x1, x2, e_p and e_w:
+        ``model_drop_determinism`` halves each entry of the joint that
+        ``dist._joints_at`` forms, x or 1 - x times e_p, 1 - e_p, e_w or
+        1 - e_w, and places the halves under both labels; ``_marginals``
+        only scales them to one denominator, and each setting reads its own
+        x only.  So 2 values per variable, 16 families, suffice."""
         half = F(1, 2)
         for x1, x2, e_p, e_w in [*self.GRID, self.OFF_GRID]:
             masses, joints = self.masses(model_drop_determinism, x1, x2, e_p, e_w)
@@ -407,7 +409,7 @@ class TestDropIndependence:
             label: OnticTable(table.entries[4:] + table.entries[:4])
             for label, table in model.payload.tables.items()
         }
-        corrupted = WitnessModel(PerSettingTables(swapped))
+        corrupted = WitnessModel(INDEPENDENCE, PerSettingTables(swapped))
         report = validate_witness(corrupted, TWO_SETTINGS)
         assert report.check("adequacy").passed  # the observed joint is label-blind
         objectivity = report.check("objectivity")
@@ -420,7 +422,7 @@ class TestDropIndependence:
         # so a check that lets the two w cells cancel would skip the outcome
         family = SettingsFamily(F(1, 2), F(1, 2), (Setting("only", F(1, 2)),))
         table = OnticTable((0, 0, 0, 0, F(1, 4), F(1, 4), F(1, 4), F(1, 4)))
-        report = validate_witness(WitnessModel(PerSettingTables({"only": table})), family)
+        report = validate_witness(WitnessModel(INDEPENDENCE, PerSettingTables({"only": table})), family)
         assert report.check("adequacy").passed
         objectivity = report.check("objectivity")
         assert not objectivity.passed
@@ -432,7 +434,7 @@ class TestDropIndependence:
         tiny = F(1, 10**2500)
         family = SettingsFamily(tiny, F(1, 3), (Setting("a", tiny), Setting("b", F(1, 2))))
         tables = model_drop_independence(family).payload.tables
-        swapped = WitnessModel(PerSettingTables({"a": tables["b"], "b": tables["a"]}))
+        swapped = WitnessModel(INDEPENDENCE, PerSettingTables({"a": tables["b"], "b": tables["a"]}))
         report = validate_witness(swapped, family)
         adequacy = report.check("adequacy")
         assert not adequacy.passed and not report.overall_pass
@@ -444,14 +446,36 @@ class TestDropIndependence:
     def test_independence_detail_names_only_the_label_marginal(self):
         # half of each setting's joint under each label: p(lam=p) = 1/2 in both
         # settings although the two tables differ in every cell
-        tables = {
-            label: OnticTable(tuple(v / 2 for v in joint.entries) * 2)
-            for label, joint in zip(TWO_SETTINGS.labels, TWO_SETTINGS.joints)
-        }
-        report = validate_witness(WitnessModel(PerSettingTables(tables)), TWO_SETTINGS)
+        tables = dict(zip(TWO_SETTINGS.labels, (OnticTable(_half_and_half(joint)) for joint in TWO_SETTINGS.joints)))
+        report = validate_witness(WitnessModel(INDEPENDENCE, PerSettingTables(tables)), TWO_SETTINGS)
         independence = report.check("independence")
         assert independence.passed
         assert independence.detail == "label marginal p(lam=p) is the same in every setting"
+
+    def test_half_of_each_joint_under_each_label_fails_determinism(self):
+        # the same tables pass adequacy, independence and objectivity, and
+        # check_triple refutes the family: determinism is what tells them apart
+        tables = dict(zip(TWO_SETTINGS.labels, (OnticTable(_half_and_half(joint)) for joint in TWO_SETTINGS.joints)))
+        report = validate_witness(WitnessModel(INDEPENDENCE, PerSettingTables(tables)), TWO_SETTINGS)
+        assert [c.name for c in report.checks if c.passed] == ["adequacy", "independence", "objectivity"]
+        determinism = report.check("determinism")
+        assert (determinism.retained, determinism.passed) == (True, False)
+        assert determinism.detail == "setting 'alpha1': p(a=0,b=1,lam=p) = 1/12; label 'p' must fix b=0"
+        assert not report.overall_pass
+        assert not check_triple(TWO_SETTINGS).feasible
+
+    @given(families(), PROBABILITIES)
+    @settings(max_examples=150, deadline=None)
+    def test_tables_pass_every_check_only_where_check_triple_is_feasible(self, family, t):
+        # each setting's table is t * special + (1 - t) * half: t = 0 is the half-and-half payload
+        tables = {}
+        for label, joint in zip(family.labels, family.joints):
+            e00, e01, e10, e11 = joint.entries
+            special = (e00, 0, e10, 0, 0, e01, 0, e11)
+            tables[label] = OnticTable(tuple(t * u + (1 - t) * v for u, v in zip(special, _half_and_half(joint))))
+        report = validate_witness(WitnessModel(INDEPENDENCE, PerSettingTables(tables)), family)
+        if all(c.passed for c in report.checks):
+            assert check_triple(family).feasible
 
 
 class TestDropObjectivity:
@@ -459,9 +483,9 @@ class TestDropObjectivity:
         payload = model_drop_objectivity(TWO_SETTINGS).payload
         from_lists = OutcomeAtomModel(list(TWO_SETTINGS.labels), list(payload.atoms))
         assert from_lists == payload
-        report = validate_witness(WitnessModel(from_lists), TWO_SETTINGS)
+        report = validate_witness(WitnessModel(OBJECTIVITY, from_lists), TWO_SETTINGS)
         assert report.overall_pass
-        assert report == validate_witness(WitnessModel(payload), TWO_SETTINGS)
+        assert report == validate_witness(WitnessModel(OBJECTIVITY, payload), TWO_SETTINGS)
 
     def test_single_setting_atoms_are_the_outcomes(self):
         family = SettingsFamily(F(1, 2), F(1, 4), (Setting("only", F(1, 3)),))
@@ -536,7 +560,7 @@ class TestDropObjectivity:
                 for atom in payload.atoms:
                     cells[atom.assignments[i]] += atom.weight
                 reference.append(tuple(cells.values()))
-            report = validate_witness(WitnessModel(payload), family)
+            report = validate_witness(WitnessModel(OBJECTIVITY, payload), family)
             scale, joints, masses, *_ = feasibility._marginals(payload, family)
             assert ([tuple(F(n, scale) for n in joint) for joint in joints], masses) == (reference, None)
             adequacy = report.check("adequacy")
@@ -548,7 +572,7 @@ class TestDropObjectivity:
             model.payload.setting_labels,
             tuple(OutcomeAtom(atom.assignments, F(0)) for atom in model.payload.atoms),
         )
-        report = validate_witness(WitnessModel(zeroed), TWO_SETTINGS)
+        report = validate_witness(WitnessModel(OBJECTIVITY, zeroed), TWO_SETTINGS)
         assert not report.check("adequacy").passed
         assert not report.overall_pass
 
@@ -560,29 +584,12 @@ class TestDropDeterminism:
         assert report.check("objectivity").passed
         assert report.check("independence").passed
 
-    def test_responses_are_genuinely_stochastic(self):
+    def test_neither_label_fixes_b(self):
         report = validate_witness(model_drop_determinism(TWO_SETTINGS), TWO_SETTINGS)
         determinism = report.check("determinism")
         assert not determinism.retained
         assert not determinism.passed
-        assert "between 0 and 1" in determinism.detail
-
-    def test_the_first_fractional_field_is_named(self):
-        # alpha1 is pinned; alpha2 pins b0 = 1 and leaves a0_given_b0 fractional
-        responses = {"alpha1": SettingResponse(1, 0, 1), "alpha2": SettingResponse(1, F(1, 2), F(1, 3))}
-        model = WitnessModel(StochasticResponseModel((ResponseAtom("only", F(1), "p", responses),)))
-        report = validate_witness(model, TWO_SETTINGS)
-        determinism = report.check("determinism")
-        assert (determinism.passed, determinism.detail) == (
-            False,
-            "atom 'only', setting 'alpha2': response a0_given_b0 = 1/2 is strictly between 0 and 1",
-        )
-        assert report_tuples(report) == reference_validate(model, TWO_SETTINGS)
-
-    def test_atom_weights_are_half_half(self):
-        model = model_drop_determinism(TWO_SETTINGS)
-        assert [atom.weight for atom in model.payload.atoms] == [F(1, 2), F(1, 2)]
-        assert {atom.label for atom in model.payload.atoms} == {"p", "w"}
+        assert determinism.detail == "setting 'alpha1': p(a=0,b=1,lam=p) = 1/12; label 'p' must fix b=0"
 
 
 class TestWitnessValidationAcrossFamilies:
@@ -603,15 +610,23 @@ class TestWitnessValidationAcrossFamilies:
             assert not report.check(dropped).retained and not report.check(dropped).passed, build.__name__
         assert len(model_drop_objectivity(family).payload.atoms) <= 3 * k + 1
 
-    def test_payload_type_fixes_mode(self):
-        for build, mode in (
-            (model_drop_independence, WitnessMode.DROP_INDEPENDENCE),
-            (model_drop_objectivity, WitnessMode.DROP_OBJECTIVITY),
-            (model_drop_determinism, WitnessMode.DROP_DETERMINISM),
+    def test_each_mode_refuses_the_wrong_payload_type(self):
+        tables = model_drop_independence(TWO_SETTINGS).payload
+        atoms = model_drop_objectivity(TWO_SETTINGS).payload
+        for mode, wrong, carried in (
+            (WitnessMode.DROP_INDEPENDENCE, atoms, "PerSettingTables"),
+            (WitnessMode.DROP_DETERMINISM, atoms, "PerSettingTables"),
+            (WitnessMode.DROP_OBJECTIVITY, tables, "OutcomeAtomModel"),
+            (WitnessMode.DROP_INDEPENDENCE, tables.tables, "PerSettingTables"),
         ):
-            assert WitnessModel(build(TWO_SETTINGS).payload).mode is mode
-        with pytest.raises(TypeError):
-            WitnessModel(model_drop_independence(TWO_SETTINGS).payload.tables)
+            with pytest.raises(TypeError) as info:
+                WitnessModel(mode, wrong)
+            assert str(info.value) == f"a {mode.value} witness carries a {carried}, got {type(wrong).__name__}"
+        with pytest.raises(TypeError) as info:
+            WitnessModel("DropIndependence", tables)
+        assert str(info.value) == "witness mode must be a WitnessMode, got str"
+        for build, mode in zip(BUILDERS, WitnessMode):
+            assert build(TWO_SETTINGS).mode is mode
 
     def test_label_mismatch(self):
         other = SettingsFamily(F(1, 2), F(1, 4), (Setting("zeta", F(1, 3)),))
@@ -627,16 +642,9 @@ def per_atom_joint(payload, i: int, label: str) -> tuple[Fraction, ...]:
         table = payload.tables[label]
         for a, b in cells:  # each cell of a table is one deterministic atom
             cells[(a, b)] += table.mass(a, b, "p") + table.mass(a, b, "w")
-    elif isinstance(payload, OutcomeAtomModel):
-        for atom in payload.atoms:
-            cells[atom.assignments[i]] += atom.weight
     else:
         for atom in payload.atoms:
-            r = atom.responses[label]
-            for a, b in cells:
-                p_b = r.b0 if b == 0 else 1 - r.b0
-                a0 = r.a0_given_b0 if b == 0 else r.a0_given_b1
-                cells[(a, b)] += atom.weight * p_b * (a0 if a == 0 else 1 - a0)
+            cells[atom.assignments[i]] += atom.weight
     return tuple(cells.values())
 
 
@@ -650,11 +658,9 @@ _PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def reference_marginals(payload, family):
-    """Each setting's (a, b) joint and, for a labelled payload, its eight masses, as Fractions."""
+    """Each setting's (a, b) joint and, for tables, its eight masses, as Fractions."""
     labels = family.labels
-    if isinstance(payload, PerSettingTables):
-        masses = [payload.tables[label].entries for label in labels]
-    elif isinstance(payload, OutcomeAtomModel):
+    if isinstance(payload, OutcomeAtomModel):
         joints = []
         for i in range(len(labels)):
             cells = dict.fromkeys(_PAIRS, F(0))
@@ -662,19 +668,7 @@ def reference_marginals(payload, family):
                 cells[atom.assignments[i]] += atom.weight
             joints.append(tuple(cells.values()))
         return joints, None
-    else:
-        sums = [[F(0)] * 8 for _ in labels]
-        for atom in payload.atoms:
-            i00, i01, i10, i11 = (feasibility.cell_index(a, b, atom.label) for a, b in _PAIRS)
-            for label, cells in zip(labels, sums):
-                r = atom.responses[label]
-                b0 = atom.weight * r.b0
-                b1 = atom.weight - b0
-                cells[i00] += b0 * r.a0_given_b0
-                cells[i10] += b0 * (1 - r.a0_given_b0)
-                cells[i01] += b1 * r.a0_given_b1
-                cells[i11] += b1 * (1 - r.a0_given_b1)
-        masses = [tuple(cells) for cells in sums]
+    masses = [payload.tables[label].entries for label in labels]
     return [tuple(m[i] + m[i + 4] for i in range(4)) for m in masses], masses
 
 
@@ -713,18 +707,22 @@ def reference_objectivity_check(family, masses):
 
 
 def reference_determinism_check(payload, family):
-    if isinstance(payload, (PerSettingTables, OutcomeAtomModel)):
+    """The label fixes b: in every setting, label p has no mass at b=1 and label w none at b=0."""
+    if isinstance(payload, OutcomeAtomModel):
         return True, "all probability mass sits on atoms with pinned outcomes"
-    for atom in payload.atoms:
-        for label in family.labels:
-            for field_name in ("b0", "a0_given_b0", "a0_given_b1"):
-                v = getattr(atom.responses[label], field_name)
-                if v != 0 and v != 1:
-                    return False, (
-                        f"atom {atom.name!r}, setting {label!r}: response {field_name} = {v} "
-                        "is strictly between 0 and 1"
-                    )
-    return True, "all responses are 0 or 1"
+    fixed_b = {"p": 0, "w": 1}
+    for label in family.labels:
+        table = payload.tables[label]
+        for lam in ("p", "w"):
+            for a in (0, 1):
+                for b in (0, 1):
+                    mass = table.mass(a, b, lam)
+                    if b != fixed_b[lam] and mass != 0:
+                        return False, (
+                            f"setting {label!r}: p(a={a},b={b},lam={lam}) = {mass}; "
+                            f"label {lam!r} must fix b={fixed_b[lam]}"
+                        )
+    return True, "in every setting label 'p' fixes b=0 and label 'w' fixes b=1"
 
 
 def reference_independence_check(payload, family, masses):
@@ -763,7 +761,8 @@ def corrupt(payload, kind, rnd):
     A table must still sum to 1, so a table's halved or zeroed cell hands
     its mass to another cell, and "weights not summing to 1" leaves tables
     as they are.  An :class:`OutcomeAtomModel` carries no label, so there
-    the mass moves to another outcome pair of one setting.
+    "mass to the other label" moves an atom to another outcome pair of one
+    setting.
     """
     if isinstance(payload, PerSettingTables):
         tables = dict(payload.tables)
@@ -786,22 +785,13 @@ def corrupt(payload, kind, rnd):
         atoms[n] = dataclasses.replace(atom, weight=atom.weight / 2)
     elif kind == "weights not summing to 1":
         atoms[n] = dataclasses.replace(atom, weight=1 - atom.weight / 3)
-    elif isinstance(payload, OutcomeAtomModel):
-        if kind == "zeroed cell":
-            atoms[n] = OutcomeAtom(atom.assignments, F(0))
-        elif kind == "mass to the other label":
-            i = rnd.randrange(len(atom.assignments))
-            assignments = list(atom.assignments)
-            assignments[i] = rnd.choice([pair for pair in _PAIRS if pair != assignments[i]])
-            atoms[n] = OutcomeAtom(tuple(assignments), atom.weight)
     elif kind == "zeroed cell":
-        label = rnd.choice(sorted(atom.responses))
-        field_name = rnd.choice(("b0", "a0_given_b0", "a0_given_b1"))
-        responses = dict(atom.responses)
-        responses[label] = dataclasses.replace(responses[label], **{field_name: F(0)})
-        atoms[n] = dataclasses.replace(atom, responses=responses)
+        atoms[n] = OutcomeAtom(atom.assignments, F(0))
     elif kind == "mass to the other label":
-        atoms[n] = dataclasses.replace(atom, label="w" if atom.label == "p" else "p")
+        i = rnd.randrange(len(atom.assignments))
+        assignments = list(atom.assignments)
+        assignments[i] = rnd.choice([pair for pair in _PAIRS if pair != assignments[i]])
+        atoms[n] = OutcomeAtom(tuple(assignments), atom.weight)
     rnd.shuffle(atoms)
     return dataclasses.replace(payload, atoms=tuple(atoms))
 
@@ -814,7 +804,8 @@ class TestAgainstTheReferenceValidator:
     @given(families(), st.sampled_from(BUILDERS), st.sampled_from(CORRUPTIONS), st.randoms(use_true_random=False))
     @settings(max_examples=300, deadline=None)
     def test_every_check_and_detail_matches(self, family, build, kind, rnd):
-        model = WitnessModel(corrupt(build(family).payload, kind, rnd))
+        honest = build(family)
+        model = WitnessModel(honest.mode, corrupt(honest.payload, kind, rnd))
         assert report_tuples(validate_witness(model, family)) == reference_validate(model, family)
 
     @pytest.mark.parametrize("build", BUILDERS)
@@ -822,7 +813,8 @@ class TestAgainstTheReferenceValidator:
     def test_each_fault_on_a_fixed_family(self, build, kind):
         rnd = random.Random(2201)
         for _ in range(10):
-            model = WitnessModel(corrupt(build(FIVE_SETTINGS).payload, kind, rnd))
+            honest = build(FIVE_SETTINGS)
+            model = WitnessModel(honest.mode, corrupt(honest.payload, kind, rnd))
             assert report_tuples(validate_witness(model, FIVE_SETTINGS)) == reference_validate(model, FIVE_SETTINGS)
 
     def test_honest_witnesses_at_sixty_four_settings(self):
@@ -874,7 +866,7 @@ class TestMalformedWitness:
         atoms = model_drop_objectivity(TWO_SETTINGS).payload.atoms
         short = OutcomeAtom(atoms[0].assignments[:1], atoms[0].weight)
         payload = OutcomeAtomModel(("alpha2", "alpha1"), (short, *atoms[1:]))
-        assert self.message(WitnessModel(payload), TWO_SETTINGS) == (
+        assert self.message(WitnessModel(OBJECTIVITY, payload), TWO_SETTINGS) == (
             "atom model ordered by ['alpha2', 'alpha1'], family has ['alpha1', 'alpha2']"
         )
 
@@ -883,46 +875,8 @@ class TestMalformedWitness:
         short = OutcomeAtom(atoms[1].assignments[:1], atoms[1].weight)
         long = OutcomeAtom(atoms[2].assignments * 2, atoms[2].weight)
         payload = OutcomeAtomModel(TWO_SETTINGS.labels, (atoms[0], short, long, *atoms[3:]))
-        assert self.message(WitnessModel(payload), TWO_SETTINGS) == "atom assigns 1 outcomes for 2 settings"
-
-    def test_response_model_without_atoms(self):
-        payload = StochasticResponseModel(())
-        assert self.message(WitnessModel(payload), TWO_SETTINGS) == "stochastic response model has no atoms"
-
-    def test_a_fractional_first_atom_does_not_hide_a_later_missing_setting(self):
-        p_atom, w_atom = model_drop_determinism(FIVE_SETTINGS).payload.atoms
-        assert p_atom.responses["s0"].b0 == F(1, 7)  # so the first atom already fails determinism
-        w_faulty = dataclasses.replace(w_atom, responses={k: v for k, v in w_atom.responses.items() if k != "s2"})
-        payload = StochasticResponseModel((p_atom, w_faulty))
-        assert self.message(WitnessModel(payload), FIVE_SETTINGS) == (
-            "atom 'Lambda_w' lacks responses for setting 's2'"
-        )
-
-    def test_first_atom_missing_a_setting_is_named(self):
-        p_atom, w_atom = model_drop_determinism(FIVE_SETTINGS).payload.atoms
-        # Lambda_p lacks s3 and s4, Lambda_w lacks s0: the first atom and its first missing setting are named
-        p_faulty = dataclasses.replace(p_atom, responses={k: p_atom.responses[k] for k in ("s0", "s1", "s2")})
-        w_faulty = dataclasses.replace(w_atom, responses={k: w_atom.responses[k] for k in ("s1", "s2", "s3", "s4")})
-        payload = StochasticResponseModel((p_faulty, w_faulty))
-        assert self.message(WitnessModel(payload), FIVE_SETTINGS) == (
-            "atom 'Lambda_p' lacks responses for setting 's3'"
-        )
-
-    def test_responses_for_a_setting_outside_the_family(self):
-        p_atom, w_atom = model_drop_determinism(TWO_SETTINGS).payload.atoms
-        zeta = p_atom.responses["alpha1"]
-        atoms = tuple(dataclasses.replace(a, responses={**a.responses, "zeta": zeta}) for a in (p_atom, w_atom))
-        assert self.message(WitnessModel(StochasticResponseModel(atoms)), TWO_SETTINGS) == (
-            "atom 'Lambda_p' has responses for settings ['zeta'] not in the family"
-        )
-
-    def test_a_missing_setting_is_named_before_an_extra_one(self):
-        p_atom, w_atom = model_drop_determinism(TWO_SETTINGS).payload.atoms
-        swapped = {"alpha1": p_atom.responses["alpha1"], "zeta": p_atom.responses["alpha2"]}
-        payload = StochasticResponseModel((dataclasses.replace(p_atom, responses=swapped), w_atom))
-        assert self.message(WitnessModel(payload), TWO_SETTINGS) == (
-            "atom 'Lambda_p' lacks responses for setting 'alpha2'"
-        )
+        message = self.message(WitnessModel(OBJECTIVITY, payload), TWO_SETTINGS)
+        assert message == "atom assigns 1 outcomes for 2 settings"
 
 
 class TestWitnessParts:
@@ -931,10 +885,7 @@ class TestWitnessParts:
     @pytest.mark.parametrize("build,error,message", [
         (lambda: PerSettingTables({"a": TWO_SETTINGS.joints[0]}), TypeError,
          "table for setting 'a' must be an OnticTable"),
-        (lambda: ResponseAtom("L", 1, "q", {}), ValueError, "atom 'L' has label 'q', expected 'p' or 'w'"),
-        (lambda: ResponseAtom("L", 1, "p", {"a": (1, 0, 0)}), TypeError,
-         "atom 'L': response for 'a' must be a SettingResponse"),
-    ], ids=["table_not_an_ontic_table", "atom_label", "response_not_a_setting_response"])
+    ], ids=["table_not_an_ontic_table"])
     def test_a_part_of_the_wrong_kind(self, build, error, message):
         with pytest.raises(error) as info:
             build()
@@ -1004,9 +955,9 @@ class TestSharedWork:
         validate_witness(model, FIVE_SETTINGS)
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("build, expected", zip(BUILDERS, (1, 1, 3)), ids=[b.__name__ for b in BUILDERS])
+    @pytest.mark.parametrize("build, expected", zip(BUILDERS, (1, 1, 1)), ids=[b.__name__ for b in BUILDERS])
     def test_each_common_denominator_is_found_once(self, monkeypatch, build, expected):
-        # one per tables, per atom weights, and per weights, b0 and a responses; none to sum the weights again
+        # one over all tables, or over the atom weights; none to sum the weights again
         model = build(FIVE_SETTINGS)
         assert len(FIVE_SETTINGS.joints) == 5  # built before counting
         original, calls = dist._common_denominator, []
