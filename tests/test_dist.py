@@ -571,6 +571,9 @@ ONE_ROW = named_system(((F(1),),), (F(1, 2),))
 #: A family whose s range is [0, 1/2]: x = 3/4, e_p = 2/3.
 HALF_S = solve_family(GeneralParams(F(3, 4), F(2, 3), F(1, 2)))
 
+#: A family whose t range is [0, 1/2]: x = 1/4, e_w = 2/3.
+HALF_T = solve_family(GeneralParams(F(1, 4), F(1, 2), F(2, 3)))
+
 #: Each exact entry point, with the value under test in one slot; the other
 #: slots are exact, computed from ``F(v)`` where a total must be 1.
 EXACT_ENTRY_POINTS = {
@@ -581,6 +584,7 @@ EXACT_ENTRY_POINTS = {
     "matrix_rank": lambda v: matrix_rank(((v,),)),
     "OnticTable": lambda v: OnticTable((v, 1 - F(v), 0, 0, 0, 0, 0, 0)),
     "instantiate": lambda v: instantiate(HALF_S, v, 0),
+    "instantiate.t": lambda v: instantiate(HALF_T, 0, v),
     "Setting.x": lambda v: Setting("a", v),
     "SettingsFamily.e_p": lambda v: SettingsFamily(v, F(1, 4), (Setting("a", F(1, 3)),)),
     "SettingsFamily.e_w": lambda v: SettingsFamily(F(1, 4), v, (Setting("a", F(1, 3)),)),
@@ -589,11 +593,13 @@ EXACT_ENTRY_POINTS = {
     "BinaryDist": lambda v: BinaryDist(v, 1 - F(v)),
     "JointDist": lambda v: JointDist((v, 1 - F(v), 0, 0)),
     "GeneralParams": lambda v: GeneralParams(v, F(1, 2), F(1, 2)),
+    "GeneralParams.e_p": lambda v: GeneralParams(F(1, 2), v, F(1, 2)),
+    "GeneralParams.e_w": lambda v: GeneralParams(F(1, 2), F(1, 2), v),
     "format_rational": format_rational,
 }
 
 #: The dist containers take a float into real mode, so only the others refuse one.
-REAL_MODE_CAPABLE = {"BinaryDist", "JointDist", "GeneralParams"}
+REAL_MODE_CAPABLE = {"BinaryDist", "JointDist", "GeneralParams", "GeneralParams.e_p", "GeneralParams.e_w"}
 
 
 class TestExactInputRule:
@@ -625,9 +631,10 @@ class TestExactInputRule:
     @pytest.mark.parametrize("entry", EXACT_ENTRY_POINTS)
     @pytest.mark.parametrize("value", [1, F(1, 2)], ids=["int", "Fraction"])
     def test_ints_and_fractions_are_taken(self, entry, value):
-        if entry == "instantiate" and value == 1:
-            # every s of a family lies below 1: the rule takes 1, the range check refuses it
-            with pytest.raises(OutOfRange, match=r"^s = 1 outside \[0, 1/2\]$"):
+        if entry in ("instantiate", "instantiate.t") and value == 1:
+            # every s and t of a family lies below 1: the rule takes 1, the range check refuses it
+            name = "t" if entry == "instantiate.t" else "s"
+            with pytest.raises(OutOfRange, match=rf"^{name} = 1 outside \[0, 1/2\]$"):
                 EXACT_ENTRY_POINTS[entry](value)
         else:
             EXACT_ENTRY_POINTS[entry](value)

@@ -592,6 +592,74 @@ class TestDropDeterminism:
         assert determinism.detail == "setting 'alpha1': p(a=0,b=1,lam=p) = 1/12; label 'p' must fix b=0"
 
 
+#: The four cells, as (a, b, lam), where the label does not fix b, in the order the validator scans them.
+CROSSED_CELLS = ((0, 1, "p"), (1, 1, "p"), (0, 0, "w"), (1, 0, "w"))
+
+#: The four cells where it does: label p at b=0, label w at b=1.
+KEPT_CELLS = ((0, 0, "p"), (1, 0, "p"), (0, 1, "w"), (1, 1, "w"))
+
+
+def _cell_id(cell) -> str:
+    a, b, lam = cell
+    return f"{a}{b}{lam}"
+
+
+class TestTableDeterminism:
+    """Tables keep determinism exactly when no crossed cell holds mass, in every setting."""
+
+    @pytest.mark.parametrize("index", range(len(FIVE_SETTINGS.labels)), ids=FIVE_SETTINGS.labels)
+    @pytest.mark.parametrize("cell", CROSSED_CELLS, ids=_cell_id)
+    def test_mass_in_one_crossed_cell_fails_determinism(self, cell, index):
+        # half of the (a, b) mass moves to the other label, so the joint is unchanged
+        a, b, lam = cell
+        label = FIVE_SETTINGS.labels[index]
+        tables = dict(model_drop_independence(FIVE_SETTINGS).payload.tables)
+        entries = list(tables[label].entries)
+        crossed = feasibility.cell_index(a, b, lam)
+        moved = entries[crossed ^ 4] / 2
+        assert moved > 0
+        entries[crossed ^ 4] -= moved
+        entries[crossed] += moved
+        tables[label] = OnticTable(tuple(entries))
+        model = WitnessModel(INDEPENDENCE, PerSettingTables(tables))
+        report = validate_witness(model, FIVE_SETTINGS)
+        assert report.check("adequacy").passed
+        determinism = report.check("determinism")
+        assert (determinism.retained, determinism.passed) == (True, False)
+        assert determinism.detail == (
+            f"setting {label!r}: p(a={a},b={b},lam={lam}) = {moved}; label {lam!r} must fix b={1 - b}"
+        )
+        assert (determinism.passed, determinism.detail) == reference_determinism_check(model.payload, FIVE_SETTINGS)
+        assert not report.overall_pass
+
+    @pytest.mark.parametrize("cell", KEPT_CELLS, ids=_cell_id)
+    def test_all_mass_in_one_kept_cell_keeps_determinism(self, cell):
+        entries = [F(0)] * 8
+        entries[feasibility.cell_index(*cell)] = F(1)
+        family = SettingsFamily(F(1, 2), F(1, 4), (Setting("only", F(1, 3)),))
+        model = WitnessModel(INDEPENDENCE, PerSettingTables({"only": OnticTable(tuple(entries))}))
+        determinism = validate_witness(model, family).check("determinism")
+        assert determinism.passed
+        assert determinism.detail == "in every setting label 'p' fixes b=0 and label 'w' fixes b=1"
+
+    @pytest.mark.parametrize("first", range(len(CROSSED_CELLS)), ids=[_cell_id(c) for c in CROSSED_CELLS])
+    def test_the_first_crossed_cell_in_scan_order_is_named(self, first):
+        # the named cell and every later one share the mass equally, in every setting
+        family = SettingsFamily(F(1, 2), F(1, 4), (Setting("s0", F(1, 3)), Setting("s1", F(2, 3))))
+        share = F(1, len(CROSSED_CELLS) - first)
+        entries = [F(0)] * 8
+        for cell in CROSSED_CELLS[first:]:
+            entries[feasibility.cell_index(*cell)] = share
+        table = OnticTable(tuple(entries))
+        model = WitnessModel(INDEPENDENCE, PerSettingTables({"s1": table, "s0": table}))
+        determinism = validate_witness(model, family).check("determinism")
+        a, b, lam = CROSSED_CELLS[first]
+        assert not determinism.passed
+        assert determinism.detail == (
+            f"setting 's0': p(a={a},b={b},lam={lam}) = {share}; label {lam!r} must fix b={1 - b}"
+        )
+
+
 class TestWitnessValidationAcrossFamilies:
     def test_all_three_witnesses_validate(self):
         rng = Generator(Philox(key=71))
