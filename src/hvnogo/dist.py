@@ -242,9 +242,16 @@ def _coerce_homogeneous(values, what: str) -> tuple[Scalar, ...]:
     """Coerce a sequence of numbers to one scalar kind.
 
     Floats force the whole container to real mode; otherwise everything is
-    stored exactly, under :func:`_as_fraction_row`'s rule.
+    stored exactly, under :func:`_as_fraction_row`'s rule.  A tuple whose
+    values are all of type exactly ``Fraction`` is returned as it is,
+    without a scan for floats.
     """
     vals = tuple(values)
+    for v in vals:
+        if type(v) is not Fraction:
+            break
+    else:
+        return vals
     if not any(isinstance(v, float) for v in vals):
         return _as_fraction_row(vals, what)
     for v in vals:
@@ -284,10 +291,12 @@ def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """Exact ``values`` n_i/d_i over one denominator, in integers.
 
     Returns D, the lcm of the d_i, and each value's numerator over D,
-    ``n_i * (D // d_i)``.  An empty ``values`` gives D = 1.
+    ``n_i * (D // d_i)``.  An empty ``values`` gives ``(1, [])``.  Each
+    value's pair (n_i, d_i) is read once, by ``as_integer_ratio()``.
     """
-    scale = math.lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+    pairs = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*[d for _, d in pairs])
+    return scale, [n * (scale // d) for n, d in pairs]
 
 
 def _check_distribution(values: tuple[Scalar, ...], names: tuple[str, ...], what: str) -> None:
@@ -397,17 +406,31 @@ def _joints_at(xs: Sequence[Scalar], e_p: Scalar, e_w: Scalar) -> tuple[JointDis
     """The package's one joint formula: the joint of each b-marginal x in
     ``xs``, in order, all sharing the conditionals (e_p, e_w).
 
-    1-e_p and 1-e_w are formed once per call and 1-x once per x; each
-    joint is then four products, checked by :class:`JointDist` as every
-    joint is.  The values must already be probabilities of one kind, as a
-    :class:`GeneralParams` or a :class:`feasibility.SettingsFamily` holds
-    them.
+    The joint is (x*e_p, (1-x)*e_w, x*(1-e_p), (1-x)*(1-e_w)), checked by
+    :class:`JointDist` as every joint is.  In exact mode no Fraction
+    operator runs: with x = a/b, e_p = n_p/d_p and e_w = n_w/d_w, each
+    entry is one ``Fraction(n, d)`` of integer products, a*n_p/(b*d_p),
+    (b-a)*n_w/(b*d_w), a*(d_p-n_p)/(b*d_p) and (b-a)*(d_w-n_w)/(b*d_w).
+    In real mode 1-e_p and 1-e_w are formed once per call and 1-x once
+    per x, and each entry is one float product.  The values must already
+    be probabilities of one kind, as a :class:`GeneralParams` or a
+    :class:`feasibility.SettingsFamily` holds them.
     """
-    one = Fraction(1) if type(e_p) is Fraction else 1.0
-    q_p, q_w = one - e_p, one - e_w
     joints = []
+    if type(e_p) is Fraction:
+        n_p, d_p = e_p.as_integer_ratio()
+        n_w, d_w = e_w.as_integer_ratio()
+        m_p, m_w = d_p - n_p, d_w - n_w
+        for x in xs:
+            a, b = x.as_integer_ratio()
+            c, bd_p, bd_w = b - a, b * d_p, b * d_w
+            joints.append(JointDist((
+                Fraction(a * n_p, bd_p), Fraction(c * n_w, bd_w), Fraction(a * m_p, bd_p), Fraction(c * m_w, bd_w),
+            )))
+        return tuple(joints)
+    q_p, q_w = 1.0 - e_p, 1.0 - e_w
     for x in xs:
-        y = one - x
+        y = 1.0 - x
         joints.append(JointDist((x * e_p, y * e_w, x * q_p, y * q_w)))
     return tuple(joints)
 

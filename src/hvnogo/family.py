@@ -142,8 +142,8 @@ class SolutionFamily:
 
     Members are indexed by the cross-branch masses s = p(0,0,w) in
     ``s_range`` and t = p(0,1,p) in ``t_range``; both intervals are closed
-    and exact, and their upper ends x*e_p and (1-x)*e_w are also the
-    closed form's a=0 masses at s = t = 0.
+    and exact, both start at 0, and their upper ends x*e_p and (1-x)*e_w
+    are also the closed form's a=0 masses at s = t = 0.
     """
 
     params: GeneralParams
@@ -269,11 +269,20 @@ def _family_entries(family: SolutionFamily, s: Fraction, t: Fraction) -> tuple[F
 def instantiate(family: SolutionFamily, s, t) -> OnticTable:
     """The family member at (s, t); an exact solution of the constraint system.
 
-    Raises :class:`OutOfRange` when (s, t) leaves the admissible rectangle.
+    Raises :class:`OutOfRange` when (s, t) leaves the admissible rectangle,
+    s checked before t.  Each check is decided in integers: 0 <= n/d <=
+    N/D holds when n >= 0 and n*D <= N*d, with N/D the range's upper end
+    from :attr:`SolutionFamily._integers`; :func:`_check_in_range` runs
+    only to build the message of a value that is out of range.
     """
     s, t = _as_fraction_row((s, t), "instantiate")
-    _check_in_range("s", s, family.s_range)
-    _check_in_range("t", t, family.t_range)
+    sm_num, sm_den, tm_num, tm_den = family._integers[:4]
+    s_num, s_den = s.as_integer_ratio()
+    if s_num < 0 or s_num * sm_den > sm_num * s_den:
+        _check_in_range("s", s, family.s_range)
+    t_num, t_den = t.as_integer_ratio()
+    if t_num < 0 or t_num * tm_den > tm_num * t_den:
+        _check_in_range("t", t, family.t_range)
     return OnticTable(_family_entries(family, s, t))
 
 

@@ -40,10 +40,10 @@ from hvnogo import (
     to_json,
     verify_certificate,
 )
-from hvnogo.dist import _as_fraction_row, _common_denominator, _show
+from hvnogo.dist import _as_fraction_row, _common_denominator, _joints_at, _show
 from hvnogo.family import cell_index
 from hvnogo.feasibility import OutcomeAtom
-from hvnogo.quantum import quantum_joint
+from hvnogo.quantum import quantum_joint, quantum_params
 
 F = Fraction
 
@@ -60,6 +60,14 @@ def interior_rational_prob(draw, max_den=60):
     den = draw(st.integers(min_value=2, max_value=max_den))
     num = draw(st.integers(min_value=1, max_value=den - 1))
     return F(num, den)
+
+
+#: A probability with small or large denominator, 0 and 1 drawn on their own too.
+BOUNDARY_OR_RATIONAL = st.one_of(
+    st.sampled_from((F(0), F(1))),
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+)
 
 
 @st.composite
@@ -96,6 +104,25 @@ class TestJointFromParams:
     @given(rational_params())
     def test_normalization_closure(self, params):
         assert sum(joint_from_params(params).entries) == 1
+
+    @given(st.lists(BOUNDARY_OR_RATIONAL, min_size=1, max_size=4), BOUNDARY_OR_RATIONAL, BOUNDARY_OR_RATIONAL)
+    def test_exact_entries_are_the_operator_formula(self, xs, e_p, e_w):
+        # the formula builds each entry from integers; it must equal the operator form, as an exact Fraction
+        joints = _joints_at(xs, e_p, e_w)
+        assert len(joints) == len(xs)
+        for x, joint in zip(xs, joints):
+            assert joint.entries == (x * e_p, (1 - x) * e_w, x * (1 - e_p), (1 - x) * (1 - e_w))
+            assert all(type(v) is F for v in joint.entries)
+
+    def test_real_entries_are_the_float_products(self):
+        # bit for bit: real mode multiplies the floats it is given and nothing else
+        for alpha in (0.0, 0.3, 1.0, math.pi / 4, 2.2, math.pi / 2, 3.0):
+            for phi in (0.0, 0.7, math.pi / 2, 2.9, math.pi, 5.5):
+                params = quantum_params(alpha, phi)
+                x, e_p, e_w = params.x, params.e_p, params.e_w
+                entries = joint_from_params(params).entries
+                assert entries == (x * e_p, (1 - x) * e_w, x * (1 - e_p), (1 - x) * (1 - e_w))
+                assert all(type(v) is float for v in entries)
 
 
 class TestMarginalB:
@@ -332,12 +359,46 @@ class TestSumToOne:
             assert str(info.value) == message.format(total)
 
 
+def _reference_common_denominator(values):
+    """The least common denominator by gcd folding, and each value times it."""
+    scale = 1
+    for v in values:
+        scale = scale * v.denominator // math.gcd(scale, v.denominator)
+    scaled = [v * scale for v in values]
+    assert all(w.denominator == 1 for w in scaled)
+    return scale, [w.numerator for w in scaled]
+
+
+@st.composite
+def shared_denominator_lists(draw):
+    """Values over a few denominators, each used by several values: signs,
+    integers (denominator 1) and repeats come up often."""
+    dens = draw(st.lists(st.sampled_from((1, 2, 3, 4, 6, 7, 12, 999983, 10**6)), min_size=1, max_size=3))
+    size = draw(st.integers(min_value=0, max_value=12))
+    return [F(draw(st.integers(min_value=-(10**7), max_value=10**7)), draw(st.sampled_from(dens))) for _ in range(size)]
+
+
 class TestCommonDenominator:
     @given(st.lists(st.fractions(max_denominator=10**6), max_size=12))
     def test_numerators_over_the_lcm(self, values):
         scale, numerators = _common_denominator(values)
         assert scale == math.lcm(*(v.denominator for v in values))
         assert [F(n, scale) for n in numerators] == values
+
+    @given(st.one_of(st.lists(st.fractions(max_denominator=10**6), max_size=12), shared_denominator_lists()))
+    def test_matches_the_reference(self, values):
+        scale, numerators = _common_denominator(values)
+        assert (scale, numerators) == _reference_common_denominator(values)
+        assert type(scale) is int and all(type(n) is int for n in numerators)
+
+    @pytest.mark.parametrize("values,expected", [
+        ([], (1, [])),
+        ([F(-3), F(2), F(0)], (1, [-3, 2, 0])),
+        ([F(1, 6), F(-1, 6), F(5, 6)], (6, [1, -1, 5])),
+        ([F(1, 4), F(-2, 9), F(3)], (36, [9, -8, 108])),
+    ], ids=["empty", "integers", "repeated", "unrelated"])
+    def test_worked_cases(self, values, expected):
+        assert _common_denominator(values) == expected == _reference_common_denominator(values)
 
     def test_nothing_is_over_one(self):
         assert _common_denominator([]) == (1, [])

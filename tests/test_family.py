@@ -17,11 +17,14 @@ from hvnogo import (
     NotASolution,
     OnticTable,
     OutOfRange,
+    Setting,
+    SettingsFamily,
     classify,
     conditional_given,
     constraint_system,
     enumerate_basic_solutions,
     instantiate,
+    joint_from_params,
     lambda_marginal,
     matrix_rank,
     residual,
@@ -34,6 +37,9 @@ from hvnogo.family import _family_entries, cell_index
 F = Fraction
 
 PARAMS = GeneralParams(F(1, 3), F(1, 2), F(1, 4))
+
+#: A family whose ranges end at different values: s in [0, 3/8], t in [0, 1/3].
+UNEQUAL = GeneralParams(F(1, 2), F(3, 4), F(2, 3))
 
 #: The 5 x 5 grid of a benchmark vertex job: s and t at these fractions of their range.
 GRID = tuple(F(k, 4) for k in range(5))
@@ -130,6 +136,24 @@ class TestInstantiate:
             instantiate(family, F(1, 5), F(0))
         with pytest.raises(OutOfRange, match=r"^t = 1/5 outside \[0, 1/6\]$"):
             instantiate(family, F(0), F(1, 5))
+
+    def test_range_ends_are_members(self):
+        family = solve_family(UNEQUAL)
+        member = instantiate(family, F(3, 8), F(1, 3))
+        assert member.entries == _family_entries(family, F(3, 8), F(1, 3))
+        assert member.entries[0] == 0 and member.entries[5] == 0
+
+    @pytest.mark.parametrize("s,t,line", [
+        (F(3, 8) + F(1, 10**40), F(0), f"s = {F(3, 8) + F(1, 10**40)} outside [0, 3/8]"),
+        (F(-1, 10**40), F(0), f"s = -1/{10**40} outside [0, 3/8]"),
+        (F(0), F(1, 3) + F(1, 10**40), f"t = {F(1, 3) + F(1, 10**40)} outside [0, 1/3]"),
+        (F(-1, 7), F(1, 2), "s = -1/7 outside [0, 3/8]"),
+        (F(1, 2), F(1, 2), "s = 1/2 outside [0, 3/8]"),
+    ], ids=["s_past_its_end", "negative_s", "t_past_its_end", "both_out_negative_s", "both_out_past_ends"])
+    def test_refused_just_outside_with_s_checked_first(self, s, t, line):
+        with pytest.raises(OutOfRange) as info:
+            instantiate(solve_family(UNEQUAL), s, t)
+        assert str(info.value) == line
 
     def test_out_of_range_with_bounds_too_long_to_print(self):
         # s_range ends at x*e_p = 1/10^5000, past the 4300 digits str() allows.
@@ -414,6 +438,43 @@ class TestVertexPathHashesNoFraction:
                 classify(member, params)
         assert len(enumerate_basic_solutions(system)) == 4
         assert len(hashed) == 0
+
+
+class TestExactPathsRunNoFractionOperator:
+    """The joint formula and ``instantiate`` build each value as one
+    ``Fraction(n, d)`` of integer products, and every check on their way
+    (the exact-input rule, ranges, sums) is decided in integers; so they
+    run with every Fraction arithmetic and ordering operator raising."""
+
+    OPERATORS = (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
+        "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__",
+        "__lt__", "__le__", "__gt__", "__ge__",
+    )
+
+    def test_joints_and_members_use_no_operator(self, monkeypatch):
+        family = solve_family(UNEQUAL)
+        s, t = F(3, 8) * F(2, 5), F(1, 3) * F(5, 7)
+
+        def refuse(*args):
+            raise AssertionError("a Fraction operator ran")
+
+        with monkeypatch.context() as patch:
+            for name in self.OPERATORS:
+                patch.setattr(Fraction, name, refuse)
+            settings_family = SettingsFamily(F(3, 4), F(2, 3), (Setting("a", F(1, 2)), Setting("b", F(5, 9))))
+            joints = settings_family.joints
+            joint = joint_from_params(GeneralParams(F(5, 9), F(3, 4), F(2, 3)))
+            member = instantiate(family, s, t)
+            for operation in (lambda: 1 - s, lambda: s * t, lambda: 0 <= s <= t):
+                with pytest.raises(AssertionError, match="^a Fraction operator ran$"):
+                    operation()
+        assert [j.entries for j in joints] == [joint_from_params(GeneralParams(x, F(3, 4), F(2, 3))).entries
+                                               for x in (F(1, 2), F(5, 9))]
+        assert joint.entries == joints[1].entries
+        assert member.entries == _family_entries(family, s, t)
+        assert all(r == 0 for r in residual(constraint_system(UNEQUAL), member.entries))
 
 
 class TestConstraintSystemMemo:
