@@ -292,29 +292,42 @@ def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
 
     Returns D, the lcm of the d_i, and each value's numerator over D,
     ``n_i * (D // d_i)``.  An empty ``values`` gives ``(1, [])``.  Each
-    value's pair (n_i, d_i) is read once, by ``as_integer_ratio()``.
+    value's pair (n_i, d_i) is read once, by ``as_integer_ratio()``, and
+    the lcm and the quotients ``D // d`` are taken once per distinct
+    denominator, so repeated denominators cost nothing more.
     """
     pairs = [v.as_integer_ratio() for v in values]
-    scale = math.lcm(*[d for _, d in pairs])
-    return scale, [n * (scale // d) for n, d in pairs]
+    dens = {d for _, d in pairs}
+    scale = math.lcm(*dens)
+    factors = {d: scale // d for d in dens}
+    return scale, [n * factors[d] for n, d in pairs]
 
 
 def _check_distribution(values: tuple[Scalar, ...], names: tuple[str, ...], what: str) -> None:
     """The one validation pass over a distribution's coerced ``values``:
     one value per name of ``names``, each a probability, and a sum of 1.
-    Exact values are decided in integers over their
-    :func:`_common_denominator` D: each numerator lies in [0, D], and the
-    numerators sum to D.  Only when a numerator is out of range are the
-    values scanned in order, to name the first such one; a message is
-    built only for the check that fails."""
+    Exact values are decided in integers, in one in-order scan that reads
+    each value's pair (n, d) once: a value is out of [0, 1] when
+    ``n < 0 or n > d``, and the first such value is named.  The sum is one
+    running numerator and denominator, as :func:`exactlp.residual` sums a
+    row; a value whose denominator divides the running one does not grow
+    it, and the sum is 1 when the two are equal.  A message is built only
+    for the check that fails."""
     if len(values) != len(names):
         raise InvalidDistribution(f"{what} needs {len(names)} entries, got {len(values)}")
     if type(values[0]) is Fraction:
-        scale, numerators = _common_denominator(values)
-        if min(numerators) < 0 or max(numerators) > scale:
-            for name, p in zip(names, values):
+        num, den = 0, 1
+        for name, p in zip(names, values):
+            n, d = p.as_integer_ratio()
+            if n < 0 or n > d:
                 _check_probability(p, name)
-        if sum(numerators) != scale:
+            if d == den:
+                num += n
+            elif den % d:
+                num, den = num * d + n * den, den * d
+            else:
+                num += n * (den // d)
+        if num != den:
             raise InvalidDistribution(f"{what}: entries sum to {_show(sum(values))}, expected 1")
         return
     for name, p in zip(names, values):

@@ -21,23 +21,25 @@ is provided as an independent cross-check: it shares no code with the
 simplex and decides feasibility by inspecting every candidate basis.  It
 reduces ``[A | b]`` once to echelon form, whose pivot columns are the
 first basis and whose pivot count is rank(A).  It then visits the
-size-rank(A) column subsets in lexicographic order and reaches each one
-from that form by swapping in its entering columns, one elimination per
-column; an entering column without a pivot among the rows whose variable
-leaves makes the subset dependent.  Duplicate points are merged as
+size-rank(A) column subsets in lexicographic order.  Only the rows whose
+variable leaves decide a subset: their block on the entering columns is
+solved on its own, and a singular block makes the subset dependent.  Each
+kept basic variable is then read off its own echelon row with one dot
+product over the entering columns.  Duplicate points are merged as
 integers before any Fraction is built.
 
 The enumerator and :func:`matrix_rank` share one echelon routine and
 eliminate fraction-free, in the manner of Bareiss: each row of
 ``[A | b]`` is scaled once to coprime integers, and a step sets every
 other row to ``pivot * row - factor * pivot_row`` and divides out the gcd
-of its entries, so no step builds a Fraction.  A basis's rows carry the
-coefficient of their basic variable in one trailing slot, so that
-variable is ``b / slot``, kept as a reduced integer pair, and a distinct
-vertex gets one Fraction per nonzero coordinate.  :func:`residual`
-likewise reads an integer form of the system that :class:`LinearSystem`
-caches, sums each row as one unreduced numerator and denominator and
-reduces it once.
+of its entries, so no step builds a Fraction.  A basis's solved block
+gives its entering values over one common denominator, so every basic
+variable is an integer quotient, kept as a reduced integer pair, and a
+distinct vertex gets one Fraction per nonzero coordinate.
+:func:`residual` likewise reads an integer form of the system that
+:class:`LinearSystem` caches and each point value's integer pair once,
+sums each row as one unreduced numerator and denominator and reduces it
+once.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Any, Iterator, Optional, Sequence
 
 from .dist import _as_fraction_row, _common_denominator
@@ -131,15 +133,14 @@ class FeasibilityReport:
 def residual(system: LinearSystem, point: Sequence) -> tuple[Fraction, ...]:
     """``A w - b`` for an exact point; all-zero means the point solves the system.
 
-    Reads the system's :attr:`LinearSystem.integer_rows` and the point's
-    numerators and denominators once; each row is summed as one unreduced
-    numerator and denominator and reduced once at the end.
+    Reads the system's :attr:`LinearSystem.integer_rows` and each point
+    value's integer pair once, by ``as_integer_ratio()``; each row is summed
+    as one unreduced numerator and denominator and reduced once at the end.
     """
     w = _as_fraction_row(point, "point")
     if len(w) != system.num_vars:
         raise DimensionMismatch(f"point has {len(w)} entries, system has {system.num_vars} variables")
-    nums = [v.numerator for v in w]
-    dens = [v.denominator for v in w]
+    nums, dens = zip(*[v.as_integer_ratio() for v in w]) if w else ((), ())
     out = []
     for terms, b_num, b_den in system.integer_rows:
         num, den = -b_num, b_den
@@ -290,14 +291,17 @@ def _echelon(work: list[list[int]], width: int) -> list[int]:
     pivot column.
     """
     pivots: list[int] = []
+    height = len(work)
     for col in range(width):
         rank = len(pivots)
-        if rank == len(work):
+        if rank == height:
             break
-        pivot_row = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if pivot_row is None:
+        for i in range(rank, height):
+            if work[i][col]:
+                break
+        else:
             continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        work[rank], work[i] = work[i], work[rank]
         _eliminate(work, rank, col)
         pivots.append(col)
     return pivots
@@ -318,20 +322,22 @@ def _basic_solutions(system: LinearSystem) -> Iterator[tuple[tuple[int, int], ..
     as one reduced ``(numerator, denominator)`` pair per coordinate.
 
     ``[A | b]``, each row scaled to coprime integers (:func:`_integer_row`),
-    is reduced once over A's columns (:func:`_echelon`).  Its r pivot
-    columns are the first basis; when a row without a pivot keeps a
-    nonzero right-hand side, b is outside A's column span and no basis
-    gives a point.  Every size-r column subset is then visited in
-    lexicographic order.  Each pivot row is cut down to the subset's
-    entering columns (those outside the first basis), its right-hand side
-    and a slot holding the coefficient of its basic variable: its pivot
-    when that variable stays, 0 when it leaves.  Each entering column is
-    swapped in by one :func:`_eliminate` on a row whose variable leaves,
-    and that row's slot takes the new pivot; later steps scale slot and row
-    alike.  When an entering column has no nonzero entry left among those
-    rows, the subset's columns are dependent and it is not a basis.  Slots
-    stay positive, so row i's basic variable ``b_i / s_i`` is nonnegative
-    iff ``b_i >= 0``.
+    is reduced once over A's columns (:func:`_echelon`).  Row i of that form
+    reads ``s_i w_(p_i) + sum_j a_ij w_j = b_i`` over the columns j without
+    a pivot, with ``s_i > 0``.  Its r pivot columns are the first basis;
+    when a row without a pivot keeps a nonzero right-hand side, b is outside
+    A's column span and no basis gives a point.  Every size-r column subset
+    is then visited in lexicographic order.  Its e entering columns (those
+    outside the first basis) take the place of the e leaving rows' pivot
+    variables, and those rows alone decide them: the e x e block of the
+    leaving rows on the entering columns, with its right-hand side, is
+    reduced by :func:`_echelon`.  A block of rank below e means the subset's
+    columns are dependent and it is not a basis.  Otherwise block row k
+    reads ``c_k t_k = beta_k`` with ``c_k > 0``; over L (``scale``), the lcm
+    of the c_k, each entering value is ``T_k / L`` and each kept row's basic
+    variable is ``(b_i L - sum_k a_ik T_k) / (s_i L)``, one dot product over
+    the entering columns.  A point is nonnegative iff every ``T_k`` and
+    every such numerator is.
     """
     n = system.num_vars
     work = [_integer_row((*row, b)) for row, b in zip(system.matrix, system.rhs)]
@@ -339,32 +345,35 @@ def _basic_solutions(system: LinearSystem) -> Iterator[tuple[tuple[int, int], ..
     r = len(pivots)
     if any(row[n] for row in work[r:]):
         return
-    rows = work[:r]
-    first_basis = set(pivots)
+    rows = list(zip(pivots, work[:r]))
+    free = [j for j in range(n) if j not in pivots]
     zero = (0, 1)
     for subset in combinations(range(n), r):
-        chosen = set(subset)
-        entering = [j for j in subset if j not in first_basis]
-        leaving = [i for i, j in enumerate(pivots) if j not in chosen]
-        cut = [[row[j] for j in entering] + [row[n], row[j] if j in chosen else 0] for row, j in zip(rows, pivots)]
-        variables = list(pivots)
-        for k, j in enumerate(entering):
-            pivot_row = next((i for i in leaving if cut[i][k]), None)
-            if pivot_row is None:
-                break  # the subset's columns are dependent
-            leaving.remove(pivot_row)
-            _eliminate(cut, pivot_row, k)
-            cut[pivot_row][-1] = cut[pivot_row][k]
-            variables[pivot_row] = j
+        entering = [j for j in free if j in subset]
+        e = len(entering)
+        block = [[row[j] for j in entering] + [row[n]] for p, row in rows if p not in subset]
+        if len(_echelon(block, e)) < e:
+            continue  # the subset's columns are dependent
+        scale = lcm(*[row[k] for k, row in enumerate(block)])
+        values = [row[e] * (scale // row[k]) for k, row in enumerate(block)]
+        if any(t < 0 for t in values):
+            continue
+        point = [zero] * n
+        for j, t in zip(entering, values):
+            if t:
+                g = gcd(t, scale)
+                point[j] = (t // g, scale // g)
+        for p, row in rows:
+            if p in subset:
+                b = row[n] * scale - sum([row[j] * t for j, t in zip(entering, values)])
+                if b < 0:
+                    break
+                if b:
+                    d = row[p] * scale
+                    g = gcd(b, d)
+                    point[p] = (b // g, d // g)
         else:
-            if all(row[-2] >= 0 for row in cut):
-                point = [zero] * n
-                for j, row in zip(variables, cut):
-                    b, slot = row[-2], row[-1]
-                    if b:
-                        g = gcd(b, slot)
-                        point[j] = (b // g, slot // g)
-                yield tuple(point)
+            yield tuple(point)
 
 
 def enumerate_basic_solutions(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:

@@ -40,7 +40,7 @@ from hvnogo import (
     to_json,
     verify_certificate,
 )
-from hvnogo.dist import _as_fraction_row, _common_denominator, _joints_at, _show
+from hvnogo.dist import _as_fraction_row, _check_distribution, _common_denominator, _joints_at, _show
 from hvnogo.family import cell_index
 from hvnogo.feasibility import OutcomeAtom
 from hvnogo.quantum import quantum_joint, quantum_params
@@ -396,6 +396,68 @@ class TestCommonDenominator:
 
     def test_nothing_is_over_one(self):
         assert _common_denominator([]) == (1, []) == _reference_common_denominator([])
+
+
+def _reference_check(values, names, what):
+    """The message of the first failing check of an exact distribution, or None:
+    each value in [0, 1], in order, then a sum of 1, in Fraction arithmetic."""
+    for name, v in zip(names, values):
+        if not 0 <= v <= 1:
+            return f"{name}: probability {_show(v)} outside [0, 1]"
+    total = sum(values, F(0))
+    return None if total == 1 else f"{what}: entries sum to {_show(total)}, expected 1"
+
+
+@st.composite
+def exact_distributions(draw):
+    """2, 4 or 8 Fractions over equal, unrelated or nested denominators: the
+    last value makes the sum 1, then perhaps one value is negated, raised
+    past 1, or moved by 1/D for D the lcm of the denominators."""
+    size = draw(st.sampled_from((2, 4, 8)))
+    kind = draw(st.sampled_from(("equal", "unrelated", "nested")))
+    if kind == "equal":
+        dens = [draw(st.sampled_from((7, 13, 999983)))] * size
+    elif kind == "unrelated":
+        dens = draw(st.permutations((2, 3, 5, 7, 11, 13, 17, 19, 999983)))[:size]
+    else:
+        dens = [6 ** draw(st.integers(min_value=0, max_value=6)) for _ in range(size)]
+    values = [F(draw(st.integers(min_value=0, max_value=d // size)), d) for d in dens[:-1]]
+    values.append(1 - sum(values, F(0)))
+    defect = draw(st.sampled_from(("none", "negative", "above one", "off by 1/D")))
+    i = draw(st.integers(min_value=0, max_value=size - 1))
+    if defect == "negative":
+        values[i] = -values[i] or F(-1, dens[i])
+    elif defect == "above one":
+        values[i] += 1
+    elif defect == "off by 1/D":
+        values[i] += draw(st.sampled_from((1, -1))) * F(1, math.lcm(*dens))
+    return tuple(values)
+
+
+class TestCheckDistribution:
+    NAMES = tuple(f"T[{i}]" for i in range(8))
+
+    def check(self, values):
+        try:
+            _check_distribution(values, self.NAMES[: len(values)], "T")
+        except InvalidDistribution as error:
+            return str(error)
+        return None
+
+    @given(exact_distributions())
+    @settings(max_examples=300)
+    def test_refused_exactly_as_the_reference_refuses(self, values):
+        assert self.check(values) == _reference_check(values, self.NAMES, "T")
+
+    @pytest.mark.parametrize("values,expected", [
+        ((F(-1, 2), F(3, 2)), "T[0]: probability -1/2 outside [0, 1]"),
+        ((F(3, 2), F(-1, 2)), "T[0]: probability 3/2 outside [0, 1]"),
+        ((F(1, 4), F(0), F(5, 4), F(-1, 2)), "T[2]: probability 5/4 outside [0, 1]"),
+        ((F(1, 8),) * 5 + (F(-1, 8), F(9, 8), F(-5, 8)), "T[5]: probability -1/8 outside [0, 1]"),
+    ], ids=["negative-first", "above-one-first", "middle", "eight"])
+    def test_the_first_value_out_of_range_is_named(self, values, expected):
+        assert sum(values) == 1  # only the range check can fail
+        assert self.check(values) == expected == _reference_check(values, self.NAMES, "T")
 
 
 #: Significant digits for a literal: short ones, powers of 2 and of 5 (which

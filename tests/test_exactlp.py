@@ -51,10 +51,12 @@ ENTRIES = st.one_of(
 
 
 @st.composite
-def small_systems(draw):
-    """Small rational systems: random, rank-deficient, overdetermined, inconsistent or feasible by construction."""
-    m = draw(st.integers(min_value=1, max_value=6))
-    n = draw(st.integers(min_value=1, max_value=7))
+def small_systems(draw, m=None, n=None):
+    """Small rational systems: random, rank-deficient, overdetermined, inconsistent or feasible by construction.
+
+    ``m`` rows and ``n`` columns are drawn unless given."""
+    m = m or draw(st.integers(min_value=1, max_value=6))
+    n = n or draw(st.integers(min_value=1, max_value=7))
     rows = [draw(st.lists(ENTRIES, min_size=n, max_size=n)) for _ in range(m)]
     shape = draw(st.sampled_from(("random", "dependent-row", "repeated-column", "zero-row", "feasible")))
     if shape == "dependent-row" and m > 1:
@@ -316,9 +318,22 @@ def basic_solutions(system):
     return points
 
 
+def eliminated_row_counts(monkeypatch) -> list[int]:
+    """The number of rows each later ``_eliminate`` call gets, in call order."""
+    sizes = []
+
+    def counted(rows, r, col):
+        sizes.append(len(rows))
+        _eliminate(rows, r, col)
+
+    monkeypatch.setattr(exactlp, "_eliminate", counted)
+    return sizes
+
+
 class TestEnumeratorProperty:
-    @given(small_systems())
-    @settings(max_examples=150, deadline=None)
+    # 3 x 7 systems are mostly of rank 3, so their subsets of columns 3..6 swap in three columns at once
+    @given(st.one_of(small_systems(), small_systems(m=3, n=7)))
+    @settings(max_examples=200, deadline=None)
     def test_matches_one_solve_per_subset_and_the_simplex(self, system):
         assert basic_solutions(system) == reference_basic_solutions(system)
         assert (enumerate_basic_solutions(system) != ()) == lp_feasible(system).feasible
@@ -343,6 +358,21 @@ class TestEnumeratorProperty:
             expected = reference_basic_solutions(system)
             assert basic_solutions(system) == expected, (x, e_p, e_w)
             assert enumerate_basic_solutions(system) == tuple(sorted(set(expected))), (x, e_p, e_w)
+
+    def test_a_three_row_block_is_solved(self, monkeypatch):
+        # rank 3 over 7 columns: the subsets of columns 3..6 leave every first-basis variable
+        system = named_system(
+            ((F(1), F(0), F(0), F(1), F(2), F(-1), F(1, 2)),
+             (F(0), F(1), F(0), F(1), F(-1), F(3), F(1)),
+             (F(0), F(0), F(1), F(2), F(1), F(1), F(-1, 3))),
+            (F(3), F(4), F(5)),
+        )
+        sizes = eliminated_row_counts(monkeypatch)
+        points = basic_solutions(system)
+        assert sizes[:3] == [3, 3, 3]  # the echelon form of [A | b]
+        assert sizes[3:].count(3) == 4 * 3  # four 3 x 3 blocks, one step per entering column
+        assert points == reference_basic_solutions(system)
+        assert any(p[:3] == (F(0),) * 3 for p in points)
 
     def test_subset_with_dependent_columns_gives_no_point(self):
         # Columns 0 and 1 are equal: swapping column 1 into the first basis {0, 2}
@@ -370,6 +400,14 @@ class TestEnumeratorWork:
         vertices = enumerate_basic_solutions(self.SYSTEM)
         assert len(vertices) == 4
         assert len(built) <= 16
+
+    def test_each_basis_is_solved_on_its_leaving_rows(self, monkeypatch):
+        # n = 8 columns of rank 6: after the 6 steps of the one echelon form, a
+        # subset swaps in at most 2 columns, so each elimination sees at most 2 rows
+        sizes = eliminated_row_counts(monkeypatch)
+        assert len(enumerate_basic_solutions(self.SYSTEM)) == 4
+        assert sizes[:6] == [self.SYSTEM.num_rows] * 6
+        assert max(sizes[6:]) == self.SYSTEM.num_vars - 6 == 2
 
     def test_rank_comes_from_the_echelon_form(self, monkeypatch):
         def refuse(rows):

@@ -1039,6 +1039,20 @@ class TestSharedWork:
         validate_witness(model, FIVE_SETTINGS)
         assert len(calls) == expected
 
+    def test_the_lcm_is_taken_over_distinct_denominators(self, monkeypatch):
+        # the 40 cells of the five tables have only the denominators 28, 14, 56 and 7
+        model = model_drop_determinism(FIVE_SETTINGS)
+        assert len(FIVE_SETTINGS.joints) == 5  # built before counting
+        original, calls = dist.math.lcm, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dist.math, "lcm", counted)
+        assert validate_witness(model, FIVE_SETTINGS).overall_pass
+        assert [sorted(args) for args in calls] == [[7, 14, 28, 56]]
+
     def test_cached_joints_are_invisible(self):
         family = SettingsFamily(F(1, 2), F(1, 4), FIVE_SETTINGS.settings)
         fresh = SettingsFamily(F(1, 2), F(1, 4), FIVE_SETTINGS.settings)
