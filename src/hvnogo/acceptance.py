@@ -15,11 +15,10 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .dist import REAL_TOL, GeneralParams, joint_from_params
+from .dist import REAL_TOL, GeneralParams, _record, joint_from_params
 from .exactlp import enumerate_basic_solutions, lp_feasible, matrix_rank, residual, verify_certificate
 from .family import (
     conditional_given,
@@ -46,7 +45,7 @@ if TYPE_CHECKING:
     from numpy.random import Generator
 
 
-@dataclass(frozen=True)
+@_record
 class CriterionResult:
     index: int
     name: str

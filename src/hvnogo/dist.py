@@ -44,7 +44,6 @@ import enum
 import math
 import re
 import sys
-from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -191,10 +190,10 @@ def to_json(value):
     """The JSON form of a result; the CLI writes its JSON output through it.
 
     A Fraction becomes its "p/q" string, an enum its value, a value with a
-    ``to_json_dict`` method that method's dict, a dataclass an object keyed
-    by its field names, a tuple or list a list, and a dict a dict; each
-    part is rendered the same way.  Anything else (str, int, float, bool,
-    None) is already JSON and is returned as it is.
+    ``to_json_dict`` method that method's dict, a record (:func:`_record`)
+    an object keyed by its field names, a tuple or list a list, and a dict
+    a dict; each part is rendered the same way.  Anything else (str, int,
+    float, bool, None) is already JSON and is returned as it is.
     """
     if isinstance(value, Fraction):
         return format_rational(value)
@@ -202,13 +201,76 @@ def to_json(value):
         return value.value
     if hasattr(value, "to_json_dict"):
         return value.to_json_dict()
-    if is_dataclass(value):
-        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    names = getattr(value, "_record_fields", None)
+    if names is not None:
+        return {name: to_json(getattr(value, name)) for name in names}
     if isinstance(value, (tuple, list)):
         return [to_json(v) for v in value]
     if isinstance(value, dict):
         return {key: to_json(v) for key, v in value.items()}
     return value
+
+
+def _record(cls):
+    """Make ``cls`` an immutable record of the fields it annotates, in order.
+
+    ``__init__(self, <fields>)`` sets each field and then runs
+    ``__post_init__``, when the class has one, which may replace a field's
+    value through ``object.__setattr__``.  That ``__init__`` is the only
+    method compiled per class; the others are shared.  Two records are
+    equal when they are of one class and their field values are equal, and
+    ``__eq__`` returns ``NotImplemented`` for any other class.  The hash is
+    that of the tuple of field values, and the repr is
+    ``QualName(field=value!r, ...)``.  Assigning or deleting any attribute
+    raises ``AttributeError``.  A ``functools.cached_property`` value lives
+    in the instance dict beside the fields, and equality, hashing and repr
+    ignore it.  The field names are kept in ``_record_fields``, which
+    :func:`to_json` reads.
+    """
+    names = tuple(cls.__annotations__)
+    lines = [f"def __init__(self, {', '.join(names)}):"]
+    lines += [f"    _set(self, {name!r}, {name})" for name in names]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    namespace = {"_set": object.__setattr__}
+    exec("\n".join(lines), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    cls._record_fields = names
+    cls.__eq__ = _record_eq
+    cls.__hash__ = _record_hash
+    cls.__repr__ = _record_repr
+    cls.__setattr__ = _refuse_setattr
+    cls.__delattr__ = _refuse_delattr
+    return cls
+
+
+def _record_values(record) -> tuple:
+    return tuple([getattr(record, name) for name in record._record_fields])
+
+
+def _record_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _record_values(self) == _record_values(other)
+
+
+def _record_hash(self) -> int:
+    return hash(_record_values(self))
+
+
+def _record_repr(self) -> str:
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._record_fields)
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _refuse_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to {self.__class__.__qualname__}.{name}: records are immutable")
+
+
+def _refuse_delattr(self, name):
+    raise AttributeError(f"cannot delete {self.__class__.__qualname__}.{name}: records are immutable")
 
 
 def _as_fraction_row(row, what: str) -> tuple[Fraction, ...]:
@@ -341,7 +403,7 @@ def _check_distribution(values: tuple[Scalar, ...], names: tuple[str, ...], what
 _BINARY_NAMES = ("BinaryDist.p0", "BinaryDist.p1")
 
 
-@dataclass(frozen=True)
+@_record
 class BinaryDist:
     """Probability distribution over one binary outcome."""
 
@@ -362,7 +424,7 @@ class BinaryDist:
 _JOINT_NAMES = tuple(f"JointDist.entries[{i}]" for i in range(4))
 
 
-@dataclass(frozen=True)
+@_record
 class JointDist:
     """Joint distribution over detector outcomes (a, b), order 00, 01, 10, 11.
 
@@ -386,7 +448,7 @@ class JointDist:
         return self.entries[2 * a + b]
 
 
-@dataclass(frozen=True)
+@_record
 class GeneralParams:
     """The three-parameter representation (x, e_p, e_w) of a joint.
 

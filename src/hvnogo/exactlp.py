@@ -44,14 +44,13 @@ once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 from typing import Any, Iterator, Optional, Sequence
 
-from .dist import _as_fraction_row, _common_denominator
+from .dist import _as_fraction_row, _common_denominator, _record
 from .errors import DimensionMismatch
 
 ZERO = Fraction(0)
@@ -65,7 +64,7 @@ def _check_rectangular(rows: Sequence[Sequence]) -> None:
         raise DimensionMismatch(f"ragged matrix rows: widths {sorted(widths)}")
 
 
-@dataclass(frozen=True)
+@_record
 class LinearSystem:
     """Equality system ``matrix . w = rhs`` with w constrained nonnegative.
 
@@ -108,15 +107,15 @@ class LinearSystem:
         """Per row, each nonzero's ``(column, numerator, denominator)``, then
         the right-hand side's numerator and denominator; the form that
         :func:`residual` reads.  Built on first use and not a field, so
-        equality, hashing and repr ignore it, and ``dataclasses.replace``
-        starts without it."""
+        equality, hashing and repr ignore it, and a system built anew from
+        the same fields starts without it."""
         return tuple(
             (tuple((j, a.numerator, a.denominator) for j, a in enumerate(row) if a), b.numerator, b.denominator)
             for row, b in zip(self.matrix, self.rhs)
         )
 
 
-@dataclass(frozen=True)
+@_record
 class FeasibilityReport:
     """Outcome of a feasibility question, with evidence.
 

@@ -38,7 +38,6 @@ compared to literal zero.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Literal
@@ -50,6 +49,7 @@ from .dist import (
     _as_fraction_row,
     _check_distribution,
     _is_bit_pair,
+    _record,
     _show,
     format_rational,
     joint_from_params,
@@ -86,7 +86,7 @@ def _exact_params(params: GeneralParams, where: str) -> GeneralParams:
     return params
 
 
-@dataclass(frozen=True)
+@_record
 class OnticTable:
     """Exact joint mass over (a, b, lam); the object the constraints live on.
 
@@ -124,7 +124,7 @@ class CollapseKind(enum.Enum):
     COLLAPSE_BOTH = "CollapseBoth"
 
 
-@dataclass(frozen=True)
+@_record
 class Classification:
     """Classification of a solution table.
 
@@ -136,7 +136,7 @@ class Classification:
     indistinguishable: bool
 
 
-@dataclass(frozen=True)
+@_record
 class SolutionFamily:
     """The full solution set for interior parameters.
 

@@ -53,7 +53,6 @@ from __future__ import annotations
 import bisect
 import enum
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Union
@@ -65,6 +64,7 @@ from .dist import (
     _common_denominator,
     _is_bit_pair,
     _joints_at,
+    _record,
     _show,
 )
 from .errors import MalformedModel
@@ -72,7 +72,7 @@ from .exactlp import FeasibilityReport, LinearSystem
 from .family import OnticTable, _adequacy_labels, _special_table, _stacked_system, cell_index
 
 
-@dataclass(frozen=True)
+@_record
 class Setting:
     """One experimental setting: a label and its apparatus marginal x."""
 
@@ -83,7 +83,7 @@ class Setting:
         object.__setattr__(self, "x", _as_probability(self.x, f"setting {self.label!r}: x"))
 
 
-@dataclass(frozen=True)
+@_record
 class SettingsFamily:
     """Settings sharing (e_p, e_w); only the apparatus marginal x varies.
 
@@ -189,7 +189,7 @@ class WitnessMode(enum.Enum):
     DROP_DETERMINISM = "DropDeterminism"
 
 
-@dataclass(frozen=True)
+@_record
 class PerSettingTables:
     """Labelled payload: one eight-cell table per setting, keyed by label."""
 
@@ -201,7 +201,7 @@ class PerSettingTables:
                 raise TypeError(f"table for setting {label!r} must be an OnticTable")
 
 
-@dataclass(frozen=True)
+@_record
 class OutcomeAtom:
     """One deterministic (setting -> outcome pair) response, with its weight."""
 
@@ -216,7 +216,7 @@ class OutcomeAtom:
         object.__setattr__(self, "weight", _as_probability(self.weight, "OutcomeAtom.weight"))
 
 
-@dataclass(frozen=True)
+@_record
 class OutcomeAtomModel:
     """Drop-objectivity payload: explicit setting-indexed deterministic atoms."""
 
@@ -231,7 +231,7 @@ class OutcomeAtomModel:
 Payload = Union[PerSettingTables, OutcomeAtomModel]
 
 
-@dataclass(frozen=True)
+@_record
 class WitnessModel:
     """A concrete model keeping two assumptions and abandoning the third.
 
@@ -308,7 +308,7 @@ def model_drop_determinism(family: SettingsFamily) -> WitnessModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class AssumptionCheck:
     """Pass/fail verdict for one assumption (or for adequacy)."""
 
@@ -318,7 +318,7 @@ class AssumptionCheck:
     detail: str
 
 
-@dataclass(frozen=True)
+@_record
 class WitnessReport:
     """Exact audit of a witness model against its family."""
 

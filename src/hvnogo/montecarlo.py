@@ -37,10 +37,9 @@ that expect far less than one count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .dist import JointDist
+from .dist import JointDist, _record
 from .errors import EmptySample
 from .quantum import quantum_joint
 
@@ -56,7 +55,7 @@ NKL_THRESHOLD = math.log(8 / 5.7e-7)
 _CHUNK_SHOTS = 1 << 18
 
 
-@dataclass(frozen=True)
+@_record
 class Counts4:
     """Detector coincidence counts, one per outcome pair (order 00, 01, 10, 11)."""
 
@@ -83,7 +82,7 @@ class Counts4:
         return tuple(c / n for c in self.as_tuple())
 
 
-@dataclass(frozen=True)
+@_record
 class SweepRow:
     """One phase point of a fringe sweep.
 
@@ -97,7 +96,7 @@ class SweepRow:
     f_a0_given_b0: Optional[float]
 
 
-@dataclass(frozen=True)
+@_record
 class StatReport:
     """Agreement between counts and an exact joint."""
 

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .dist import REAL_TOL, BinaryDist, GeneralParams, JointDist
+from .dist import REAL_TOL, BinaryDist, GeneralParams, JointDist, _record
 
 
 def _require_finite_angle(value: float, name: str) -> float:
@@ -32,7 +31,7 @@ def _require_finite_angle(value: float, name: str) -> float:
     return angle
 
 
-@dataclass(frozen=True)
+@_record
 class StateVector4:
     """Photon (x) ancilla state in the computational basis, order 00, 01, 10, 11.
 

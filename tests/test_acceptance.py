@@ -6,7 +6,6 @@ Criteria 1-8 run in-process through :mod:`hvnogo.acceptance` (the same code
 
 import ast
 import builtins
-import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -17,6 +16,7 @@ import pytest
 from checkout import run_python
 from hvnogo import LinearSystem, OnticTable, acceptance, exactlp, montecarlo, quantum_joint
 from hvnogo.cli import main
+from records import replaced
 
 SELFTEST_GOLDEN = Path(__file__).parent / "golden" / "selftest.out"
 
@@ -121,8 +121,8 @@ def _first_weight_zeroed(build):
     @functools.wraps(build)
     def built(family):
         model = build(family)
-        atoms = (dataclasses.replace(model.payload.atoms[0], weight=F(0)),) + model.payload.atoms[1:]
-        return dataclasses.replace(model, payload=dataclasses.replace(model.payload, atoms=atoms))
+        atoms = (replaced(model.payload.atoms[0], weight=F(0)),) + model.payload.atoms[1:]
+        return replaced(model, payload=replaced(model.payload, atoms=atoms))
 
     return built
 
@@ -133,14 +133,14 @@ def _first_table_dropped(build):
         model = build(family)
         tables = dict(model.payload.tables)
         del tables[family.settings[0].label]
-        return dataclasses.replace(model, payload=dataclasses.replace(model.payload, tables=tables))
+        return replaced(model, payload=replaced(model.payload, tables=tables))
 
     return built
 
 
 def _report_changed(check, **changes):
     """A ``check_triple`` whose every report takes ``changes``, each a function of the report."""
-    return lambda family: dataclasses.replace(
+    return lambda family: replaced(
         report := check(family), **{name: change(report) for name, change in changes.items()}
     )
 
@@ -148,7 +148,7 @@ def _report_changed(check, **changes):
 def _rows_changed(sweep, **changes):
     """A sweep whose every row takes ``changes``, each a function of the row."""
     return lambda *args, **kwargs: [
-        dataclasses.replace(row, **{name: change(row) for name, change in changes.items()})
+        replaced(row, **{name: change(row) for name, change in changes.items()})
         for row in sweep(*args, **kwargs)
     ]
 

@@ -508,10 +508,14 @@ class TestUsageErrors:
 class TestImportFootprint:
     """Each subcommand loads exactly the hvnogo modules it runs, and numpy
     only if it samples, checked in a fresh interpreter by module name, not
-    by time."""
+    by time.  No case loads ``dataclasses``, and none that leaves numpy out
+    loads ``inspect`` (numpy imports it); both count only when they were not
+    in ``sys.modules`` before ``hvnogo`` was imported, since a host's
+    ``.pth`` files may load modules at start-up."""
 
     SCRIPT = textwrap.dedent("""
         import contextlib, io, json, sys
+        before = set(sys.modules)
         import hvnogo
         argv = json.loads(sys.argv[1])
         if argv == "exports":
@@ -525,7 +529,8 @@ class TestImportFootprint:
                 status = main(argv)
             assert status == int(sys.argv[2]), status
         modules = sorted(name for name in sys.modules if name.partition(".")[0] == "hvnogo")
-        print(json.dumps([modules, "numpy" in sys.modules]))
+        slow = sorted({"dataclasses", "inspect"}.difference(before).intersection(sys.modules))
+        print(json.dumps([modules, "numpy" in sys.modules, slow]))
     """)
     CLI = ("cli", "dist", "errors")
     EXACT = ("exactlp", "family", "feasibility")
@@ -554,7 +559,10 @@ class TestImportFootprint:
             argv = [family_file if arg == "@FAMILY@" else arg for arg in argv]
         result = run_python("-c", self.SCRIPT, json.dumps(argv), str(status), capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout) == [sorted(["hvnogo", *(f"hvnogo.{m}" for m in modules)]), loads_numpy]
+        loaded, numpy_loaded, slow = json.loads(result.stdout)
+        assert loaded == sorted(["hvnogo", *(f"hvnogo.{m}" for m in modules)])
+        assert numpy_loaded is loads_numpy
+        assert set(slow) <= ({"inspect"} if loads_numpy else set()), slow
 
 
 class TestWithoutNumpy:

@@ -1,6 +1,5 @@
 """Distribution primitives: frozen examples plus algebraic property tests."""
 
-import dataclasses
 import enum
 import itertools
 import math
@@ -44,6 +43,7 @@ from hvnogo.dist import _as_fraction_row, _check_distribution, _common_denominat
 from hvnogo.family import cell_index
 from hvnogo.feasibility import OutcomeAtom
 from hvnogo.quantum import quantum_joint, quantum_params
+from records import replaced
 
 F = Fraction
 
@@ -307,8 +307,8 @@ def exact_tables(draw, size):
 
 
 class TestGeneralParamsHash:
-    """GeneralParams is a plain frozen dataclass: its hash, equality, repr,
-    JSON and pickle are the dataclass's own, and hashing it keeps nothing."""
+    """GeneralParams is a plain immutable record: its hash, equality, repr,
+    JSON and pickle are those of every record, and hashing it keeps nothing."""
 
     @given(rational_prob(), rational_prob(), rational_prob())
     def test_equals_the_hash_of_the_fields(self, x, e_p, e_w):
@@ -324,7 +324,7 @@ class TestGeneralParamsHash:
     def test_replace_hashes_the_new_value(self):
         params = GeneralParams(F(1, 3), F(1, 2), F(1, 4))
         hash(params)
-        moved = dataclasses.replace(params, x=F(2, 3))
+        moved = replaced(params, x=F(2, 3))
         assert hash(moved) == hash((F(2, 3), F(1, 2), F(1, 4)))
         assert moved != params
 
@@ -333,7 +333,7 @@ class TestGeneralParamsHash:
         fresh_pickle = pickle.dumps(params)
         hash(params)
         assert repr(params) == "GeneralParams(x=Fraction(1, 3), e_p=Fraction(1, 2), e_w=Fraction(1, 4))"
-        assert [f.name for f in dataclasses.fields(params)] == ["x", "e_p", "e_w"]
+        assert GeneralParams._record_fields == ("x", "e_p", "e_w")
         assert to_json(params) == {"x": "1/3", "e_p": "1/2", "e_w": "1/4"}
         assert pickle.dumps(params) == fresh_pickle  # hashing leaves nothing behind to pickle
         again = pickle.loads(fresh_pickle)
@@ -653,7 +653,7 @@ class TestRationalLiterals:
 
 
 class TestToJson:
-    def test_dataclass_fields_become_keys_and_fractions_strings(self):
+    def test_record_fields_become_keys_and_fractions_strings(self):
         assert to_json(GeneralParams(F(1, 3), F(1, 2), 1)) == {"x": "1/3", "e_p": "1/2", "e_w": "1"}
 
     def test_real_mode_values_pass_through(self):

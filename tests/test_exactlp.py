@@ -1,7 +1,6 @@
 """Exact LP engine: toy systems, certificate audits, and the brute-force oracle."""
 
 import ast
-import dataclasses
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -28,6 +27,7 @@ from hvnogo import (
 from hvnogo import exactlp
 from hvnogo.exactlp import _basic_solutions, _echelon, _eliminate, _integer_row
 from hvnogo.family import _memoized_system
+from records import replaced
 
 F = Fraction
 
@@ -459,7 +459,7 @@ class TestSparseResidual:
 
 
 class TestIntegerRowsAreNotAField:
-    """``LinearSystem.integer_rows`` is cached on first use, outside the dataclass fields."""
+    """``LinearSystem.integer_rows`` is cached on first use, outside the record's fields."""
 
     @staticmethod
     def system():
@@ -476,7 +476,7 @@ class TestIntegerRowsAreNotAField:
     def test_replace_starts_with_a_fresh_form(self):
         used = self.system()
         assert residual(used, (F(2), F(0))) == (F(0), F(8, 5))
-        moved = dataclasses.replace(used, rhs=(F(0), F(0)))
+        moved = replaced(used, rhs=(F(0), F(0)))
         assert "integer_rows" not in vars(moved)
         assert residual(moved, (F(2), F(0))) == (F(1), F(2))
 

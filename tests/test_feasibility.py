@@ -1,6 +1,5 @@
 """Triple check, certificates, and the three pairwise witness models."""
 
-import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -38,6 +37,7 @@ from hvnogo import dist, exactlp, feasibility
 from hvnogo.acceptance import _interior_fraction as interior_fraction
 from hvnogo.acceptance import _random_family, _rng
 from hvnogo.feasibility import OutcomeAtom, OutcomeAtomModel, PerSettingTables
+from records import replaced
 
 F = Fraction
 
@@ -850,9 +850,9 @@ def corrupt(payload, kind, rnd):
     n = rnd.randrange(len(atoms))
     atom = atoms[n]
     if kind == "halved weight":
-        atoms[n] = dataclasses.replace(atom, weight=atom.weight / 2)
+        atoms[n] = replaced(atom, weight=atom.weight / 2)
     elif kind == "weights not summing to 1":
-        atoms[n] = dataclasses.replace(atom, weight=1 - atom.weight / 3)
+        atoms[n] = replaced(atom, weight=1 - atom.weight / 3)
     elif kind == "zeroed cell":
         atoms[n] = OutcomeAtom(atom.assignments, F(0))
     elif kind == "mass to the other label":
@@ -861,7 +861,7 @@ def corrupt(payload, kind, rnd):
         assignments[i] = rnd.choice([pair for pair in _PAIRS if pair != assignments[i]])
         atoms[n] = OutcomeAtom(tuple(assignments), atom.weight)
     rnd.shuffle(atoms)
-    return dataclasses.replace(payload, atoms=tuple(atoms))
+    return replaced(payload, atoms=tuple(atoms))
 
 
 def report_tuples(report):
@@ -904,7 +904,7 @@ class TestMarginals:
         else:
             atoms = list(payload.atoms)
             rnd.shuffle(atoms)
-            payload = dataclasses.replace(payload, atoms=tuple(atoms))
+            payload = replaced(payload, atoms=tuple(atoms))
         scale, joints, masses, *_ = feasibility._marginals(payload, family)
         assert [tuple(F(n, scale) for n in joint) for joint in joints] == [
             per_atom_joint(payload, i, label) for i, label in enumerate(family.labels)
@@ -1060,7 +1060,7 @@ class TestSharedWork:
         assert len(family.joints) == len(family.settings)
         assert family == fresh and hash(family) == hash(fresh)
         assert repr(family) == before == repr(fresh)
-        moved = dataclasses.replace(family, e_p=F(1, 3))
+        moved = replaced(family, e_p=F(1, 3))
         for i, s in enumerate(family.settings):
             assert moved.joints[i].entry(0, 0) == s.x * F(1, 3)
             assert family.joints[i].entry(0, 0) == s.x * F(1, 2)
